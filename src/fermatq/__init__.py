@@ -22,9 +22,7 @@ from .quotients import (
     collision_count,
     fermat_quotient,
     image_size,
-    prime_value_histogram,
     quotient_table,
-    smallest_nonzero,
     value_histogram,
 )
 from .charsums import (

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import OddPrime, factorize, is_primitive_root, odd_prime
+from .arith import OddPrime, is_primitive_root, odd_prime
 from .quotients import (
     DEFAULT_TABLE_CAP,
     UNDEFINED,
@@ -24,8 +23,6 @@ from .quotients import (
     quotient_table,
     value_histogram,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def unit_root(r: int, k: int) -> complex:

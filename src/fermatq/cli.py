@@ -12,12 +12,13 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .arith import BudgetError, is_primitive_root, odd_prime
+from .arith import BudgetError, odd_prime
 from .charsums import (
     CharacterModP,
     exp_sum_direct,
@@ -28,6 +29,7 @@ from .charsums import (
 from .config import RunConfig, resolve_config
 from .primroots import (
     quotient_sumset_experiment,
+    scan_row,
     smallest_dth_nonresidue_quotient,
     smallest_primroot_quotient,
     theorem4_exponent_scan,
@@ -287,19 +289,11 @@ def cmd_ratios(args, config: RunConfig):
     return RATIO_COLUMNS, [row]
 
 
-def _scan_row(p: int, n: int | None) -> dict:
-    prime = odd_prime(p)
-    if n is None:
-        return {"p": prime.p, "n_min": None, "exponent": None, "verified": False}
-    verified = is_primitive_root(fermat_quotient(prime, n), prime)
-    return {"p": prime.p, "n_min": n, "exponent": math.log(n) / math.log(prime.p), "verified": verified}
-
-
 def cmd_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
     n = smallest_primroot_quotient(prime, cap)
-    return SCAN_COLUMNS, [_scan_row(prime.p, n)]
+    return SCAN_COLUMNS, [asdict(scan_row(prime, n))]
 
 
 def cmd_nonres(args, config: RunConfig):
@@ -341,8 +335,7 @@ def cmd_doublesum(args, config: RunConfig):
 
 
 def cmd_scan(args, config: RunConfig):
-    rows = theorem4_exponent_scan(args.pmin, args.pmax, threads=config.threads)
-    return SCAN_COLUMNS, [_scan_row(r.p, r.n_min) for r in rows]
+    return SCAN_COLUMNS, [asdict(row) for row in theorem4_exponent_scan(args.pmin, args.pmax)]
 
 
 def cmd_selftest(args, config: RunConfig):
@@ -353,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, metavar="PATH", help="write the report here (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=int, default=None, help="worker count (env FERMATQ_THREADS)")
+    common.add_argument("--threads", type=int, default=None, help="worker count for avg (env FERMATQ_THREADS)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
     common.add_argument("--budget", type=int, default=None, help="operation budget (env FERMATQ_BUDGET)")
     common.add_argument("--memcap", type=int, default=None, help="memory cap in bytes (env FERMATQ_MEMCAP)")

@@ -3,16 +3,16 @@
 The character-sum indicator for primitive roots mod p evaluates
 (phi(p-1)/(p-1)) * sum over d | p-1 of (mu(d)/phi(d)) * sum over the
 characters eta of exact order d of eta(a), which is 1 on primitive
-roots and 0 elsewhere.  Searches walk quotient tables in chunks that
-double in size, so the typical hit a handful of steps in costs only a
-few modular powers.
+roots and 0 elsewhere.  The least-n searches share one walk over
+quotient tables in chunks that grow eightfold, so the typical hit a
+handful of steps in costs only a small table.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .arith import (
     OddPrime,
     arithmetic_functions,
     divisors,
+    factorize,
     is_primitive_root,
     odd_prime,
     primes_up_to,
@@ -71,38 +72,41 @@ def _chunk_caps(cap: int) -> list[int]:
     return caps
 
 
+def _least_n(prime: OddPrime, cap: int, hit: Callable[[int], bool]) -> int | None:
+    """Least n in 2..cap whose quotient is a unit mod p and satisfies hit.
+
+    Undefined entries and quotient 0 are not units, so they never reach
+    the predicate.
+    """
+    start = 2
+    for chunk in _chunk_caps(cap):
+        body = quotient_table(prime, chunk).values
+        for n in range(start, chunk + 1):
+            q = int(body[n])
+            if q > 0 and hit(q):
+                return n
+        start = chunk + 1
+    return None
+
+
 def smallest_primroot_quotient(p: int | OddPrime, cap: int) -> int | None:
     """Least n <= cap with gcd(n, p) = 1 and q_p(n) a primitive root mod p.
 
-    Quotient value 0 is never a primitive root, so those n are skipped
-    without an order test.
+    p - 1 is factored once; each candidate then costs one modular power
+    per prime factor.
     """
     prime = odd_prime(p)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    verdict: dict[int, bool] = {}
-    start = 2
-    for chunk in _chunk_caps(cap):
-        table = quotient_table(prime, chunk)
-        body = table.values
-        for n in range(start, chunk + 1):
-            q = int(body[n])
-            if q <= 0:  # undefined or quotient 0
-                continue
-            hit = verdict.get(q)
-            if hit is None:
-                hit = verdict[q] = is_primitive_root(q, prime)
-            if hit:
-                return n
-        start = chunk + 1
-    return None
+    exponents = [(prime.p - 1) // r for r in factorize(prime.p - 1).primes()]
+    return _least_n(prime, cap, lambda q: all(pow(q, e, prime.p) != 1 for e in exponents))
 
 
 def smallest_dth_nonresidue_quotient(p: int | OddPrime, d: int, cap: int) -> int | None:
     """Least n <= cap with q_p(n) a d-th power nonresidue mod p.
 
     Uses the index table: a unit a is a d-th power residue exactly when
-    d divides ind_g(a).  Quotient 0 is not a unit, hence never counts.
+    d divides ind_g(a).
     """
     prime = odd_prime(p)
     if d < 2:
@@ -112,18 +116,7 @@ def smallest_dth_nonresidue_quotient(p: int | OddPrime, d: int, cap: int) -> int
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     _, ind = discrete_log_table(prime.p)
-    start = 2
-    for chunk in _chunk_caps(cap):
-        table = quotient_table(prime, chunk)
-        body = table.values
-        for n in range(start, chunk + 1):
-            q = int(body[n])
-            if q <= 0:
-                continue
-            if int(ind[q]) % d != 0:
-                return n
-        start = chunk + 1
-    return None
+    return _least_n(prime, cap, lambda q: int(ind[q]) % d != 0)
 
 
 def lemma3_envelope(card_a: int, card_b: int, p: int | OddPrime, nu: int) -> float:
@@ -158,18 +151,10 @@ def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> comp
 def first_occurrence_set(p: int | OddPrime, cap: int) -> list[int]:
     """One representative n per distinct quotient value over 1..cap,
     each the least n attaining its value; undefined entries skipped."""
-    prime = odd_prime(p)
-    table = quotient_table(prime, cap)
-    seen: set[int] = set()
-    reps = []
-    body = table.values
-    for n in range(1, cap + 1):
-        q = int(body[n])
-        if q == UNDEFINED or q in seen:
-            continue
-        seen.add(q)
-        reps.append(n)
-    return reps
+    body = quotient_table(odd_prime(p), cap).values
+    ns = np.flatnonzero(body != UNDEFINED)  # index 0 holds UNDEFINED
+    _, first = np.unique(body[ns], return_index=True)
+    return np.sort(ns[first]).tolist()
 
 
 @dataclass(frozen=True)
@@ -205,17 +190,6 @@ def quotient_sumset_experiment(p: int | OddPrime, u_cap: int, v_cap: int, eta: C
     )
 
 
-def primroot_pair_count(p: int | OddPrime, u_cap: int, v_cap: int) -> int:
-    """#{(u, v) : q_p(u) + q_p(v) mod p is a primitive root}, over the
-    first-occurrence representative sets below the caps.  Desk scale."""
-    prime = odd_prime(p)
-    table = quotient_table(prime, max(u_cap, v_cap))
-    u_vals = [int(table.values[n]) for n in first_occurrence_set(prime, u_cap)]
-    v_vals = [int(table.values[n]) for n in first_occurrence_set(prime, v_cap)]
-    roots = {a for a in range(1, prime.p) if is_primitive_root(a, prime)}
-    return sum(1 for u in u_vals for v in v_vals if (u + v) % prime.p in roots)
-
-
 @dataclass(frozen=True)
 class ScanRow:
     p: int
@@ -224,22 +198,21 @@ class ScanRow:
     verified: bool
 
 
-def _scan_task(p: int) -> ScanRow:
+def scan_row(p: int | OddPrime, n: int | None) -> ScanRow:
+    """Report row for a search result.  A hit is verified by recomputing
+    q_p(n) with a direct power and running the order test, independent
+    of the table the search walked."""
     prime = odd_prime(p)
-    n = smallest_primroot_quotient(prime, prime.p2)
     if n is None:
         return ScanRow(prime.p, None, None, False)
     verified = is_primitive_root(fermat_quotient(prime, n), prime)
     return ScanRow(prime.p, n, math.log(n) / math.log(prime.p), verified)
 
 
-def theorem4_exponent_scan(p_min: int, p_max: int, *, threads: int = 1) -> list[ScanRow]:
+def theorem4_exponent_scan(p_min: int, p_max: int) -> list[ScanRow]:
     """Least primitive-root quotient argument for every prime in the range,
-    searched up to p**2, with each hit reverified independently."""
+    searched up to p**2, with each hit verified once by scan_row."""
     if p_min > p_max:
         raise ValueError(f"empty range [{p_min}, {p_max}]")
-    primes = [p for p in primes_up_to(p_max) if p >= max(3, p_min)]
-    if threads > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_scan_task, primes, chunksize=32))
-    return [_scan_task(p) for p in primes]
+    primes = [odd_prime(p) for p in primes_up_to(p_max) if p >= max(3, p_min)]
+    return [scan_row(prime, smallest_primroot_quotient(prime, prime.p2)) for prime in primes]

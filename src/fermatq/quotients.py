@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import BudgetError, OddPrime, odd_prime, primes_up_to, smallest_prime_factors
+from .arith import BudgetError, OddPrime, odd_prime, smallest_prime_factors
+from .report import write_atomic
 
 # Sentinel for entries with p | n.  Distinct from every quotient value
 # (0 <= q < p <= 2^31 - 1) in both the int64 table and the u32 dump.
@@ -82,18 +83,6 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
     return QuotientTable(prime, n, values)
 
 
-def smallest_nonzero(p: int | OddPrime, cap: int) -> int | None:
-    """Least n <= cap with q_p(n) defined and nonzero, or None."""
-    prime = odd_prime(p)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    for n in range(2, cap + 1):
-        q = fermat_quotient(prime, n)
-        if q:
-            return n
-    return None
-
-
 def image_size(table: QuotientTable) -> int:
     """Number of distinct quotient values attained over the table range."""
     return len(np.unique(table.defined()))
@@ -120,22 +109,6 @@ def value_histogram(table: QuotientTable) -> ResidueHistogram:
     counts = np.bincount(defined, minlength=table.p.p)
     counts.setflags(write=False)
     return ResidueHistogram(table.p, counts, len(defined))
-
-
-def prime_value_histogram(p: int | OddPrime, n: int) -> ResidueHistogram:
-    """Counts of q_p over prime arguments <= n (the prime p itself excluded)."""
-    prime = odd_prime(p)
-    if n < 1:
-        raise ValueError(f"range must be >= 1, got {n}")
-    counts = np.zeros(prime.p, dtype=np.int64)
-    total = 0
-    for ell in primes_up_to(n):
-        if ell == prime.p:
-            continue
-        counts[(pow(ell, prime.p - 1, prime.p2) - 1) // prime.p % prime.p] += 1
-        total += 1
-    counts.setflags(write=False)
-    return ResidueHistogram(prime, counts, total)
 
 
 def collision_count(table: QuotientTable) -> int:
@@ -179,18 +152,7 @@ def load_table(blob: bytes) -> QuotientTable:
 
 
 def write_table(table: QuotientTable, path: str) -> None:
-    import os
-    import tempfile
-
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".fqt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(dump_table(table))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(dump_table(table), path)
 
 
 def read_table(path: str) -> QuotientTable:

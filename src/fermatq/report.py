@@ -72,12 +72,13 @@ def attach_metadata(rows: list[dict], config: RunConfig, wall_seconds: float) ->
     return out
 
 
-def write_atomic(text: str, path: str) -> None:
+def write_atomic(data: str | bytes, path: str) -> None:
+    """Write data to path through a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

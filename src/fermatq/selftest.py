@@ -16,7 +16,6 @@ import numpy as np
 
 from .arith import (
     arithmetic_functions,
-    factorize,
     is_primitive_root,
     mod_pow,
     multiplicative_order,

@@ -11,7 +11,6 @@ results are bit-reproducible at any worker count.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,9 +21,8 @@ import numpy as np
 
 from .arith import BudgetError, primes_up_to
 from .charsums import max_exp_sum, unit_roots
+from .config import DEFAULT_BUDGET_OPS
 from .quotients import quotient_table, value_histogram
-
-DEFAULT_BUDGET_OPS = 1_000_000_000
 
 
 @dataclass(frozen=True)

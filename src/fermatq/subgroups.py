@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import BudgetError, OddPrime, odd_prime
+from .config import DEFAULT_BUDGET_OPS
 from .quotients import collision_count, quotient_table
-
-DEFAULT_RATIO_BUDGET = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,22 @@ class SubgroupModM:
         return x % self.m in self._members
 
     @classmethod
+    def _closed(cls, m: int, elements) -> "SubgroupModM":
+        """A subgroup closed by construction: distinct units mod m, 1
+        among them.  Skips the checks, whose pairwise closure test costs
+        t**2 products."""
+        group = object.__new__(cls)
+        elems = tuple(sorted(elements))
+        object.__setattr__(group, "m", m)
+        object.__setattr__(group, "elements", elems)
+        object.__setattr__(group, "_members", frozenset(elems))
+        return group
+
+    @classmethod
     def generated(cls, m: int, g: int) -> "SubgroupModM":
         """Cyclic subgroup generated by a unit g."""
+        if m < 2:
+            raise ValueError(f"modulus must be >= 2, got {m}")
         if math.gcd(g, m) != 1:
             raise ValueError(f"generator {g} is not a unit mod {m}")
         elems = []
@@ -68,14 +81,13 @@ class SubgroupModM:
             x = x * g % m
             if x == 1:
                 break
-        return cls(m, tuple(elems))
+        return cls._closed(m, elems)
 
 
 def pth_power_residues(p: int | OddPrime) -> SubgroupModM:
     """The p-th powers mod p**2: the p-1 solutions of w**(p-1) = 1 mod p**2."""
     prime = odd_prime(p)
-    elems = tuple(pow(n, prime.p, prime.p2) for n in range(1, prime.p))
-    return SubgroupModM(prime.p2, elems)
+    return SubgroupModM._closed(prime.p2, (pow(n, prime.p, prime.p2) for n in range(1, prime.p)))
 
 
 def count_ratios(
@@ -83,7 +95,7 @@ def count_ratios(
     group: SubgroupModM,
     z: int,
     *,
-    budget_ops: int = DEFAULT_RATIO_BUDGET,
+    budget_ops: int = DEFAULT_BUDGET_OPS,
 ) -> int:
     """#{(w, x, y) : w in G, 0 < |x|, |y| <= Z, w*x = y mod m}."""
     if group.m != m:
@@ -105,7 +117,7 @@ def count_ratios_upto(
     group: SubgroupModM,
     z_max: int,
     *,
-    budget_ops: int = DEFAULT_RATIO_BUDGET,
+    budget_ops: int = DEFAULT_BUDGET_OPS,
 ) -> np.ndarray:
     """count_ratios for every Z = 1..z_max in one pass.
 

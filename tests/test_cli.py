@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from fermatq.cli import main, parse_n_rule
@@ -249,6 +250,20 @@ def test_ratios_subgroup_modes(capsys):
     _, rows = parse_csv(out)
     assert rows[0][:5] == ["20", "4", "4", "2", "16"]
     assert run(capsys, "ratios", "--p", "5", "--m", "20", "--Z", "3")[0] == 2
+
+
+def test_ratios_large_cyclic_group(capsys):
+    # 2 generates all 100002 units mod the prime 100003; the group is
+    # built without the pairwise closure check, so this returns quickly
+    m, z = 100003, 10
+    rc, out, _ = run(capsys, "ratios", "--m", str(m), "--gen", "2", "--Z", str(z))
+    assert rc == 0
+    _, rows = parse_csv(out)
+    w = np.array([pow(2, k, m) for k in range(m - 1)], dtype=np.int64)
+    r = np.outer(w, np.arange(1, z + 1, dtype=np.int64)) % m
+    direct = 2 * int(np.count_nonzero((r <= z) | (r >= m - z)))
+    assert rows[0][1] == "100002"
+    assert int(rows[0][4]) == direct == (2 * z) ** 2
 
 
 def test_selftest_clean_run(capsys):

@@ -12,7 +12,6 @@ from fermatq.primroots import (
     lemma3_envelope,
     lemma3_envelope_min,
     primroot_indicator,
-    primroot_pair_count,
     quotient_sumset_experiment,
     smallest_dth_nonresidue_quotient,
     smallest_primroot_quotient,
@@ -146,23 +145,23 @@ def test_first_occurrence_set():
     assert len({t[n] for n in reps}) == len(reps)
 
 
+def test_first_occurrence_set_matches_loop():
+    for p, cap in ((3, 50), (5, 60), (7, 200), (11, 130), (1093, 40)):
+        seen, expect = set(), []
+        for n in range(1, cap + 1):
+            q = fermat_quotient(p, n)
+            if q is not None and q not in seen:
+                seen.add(q)
+                expect.append(n)
+        assert first_occurrence_set(p, cap) == expect, (p, cap)
+
+
 def test_quotient_sumset_experiment():
     rep = quotient_sumset_experiment(7, 20, 6, CharacterModP.quadratic(7))
     assert rep.p == 7 and rep.eta_order == 2
     assert rep.card_u == 7 and rep.card_v == 5
     assert rep.abs_sum <= rep.card_u * rep.card_v
     assert 0 <= rep.ratio <= 1
-
-
-def test_primroot_pair_count_oracle():
-    p, u_cap, v_cap = 11, 30, 12
-    t = quotient_table(p, max(u_cap, v_cap))
-    u_vals = {fermat_quotient(p, n) for n in range(1, u_cap + 1)} - {None}
-    v_vals = {fermat_quotient(p, n) for n in range(1, v_cap + 1)} - {None}
-    expect = sum(
-        1 for u in u_vals for v in v_vals if is_primitive_root((u + v) % p, p)
-    )
-    assert primroot_pair_count(p, u_cap, v_cap) == expect
 
 
 def test_theorem4_scan_examples():
@@ -182,10 +181,6 @@ def test_theorem4_scan_range():
         assert r.n_min <= r.p * r.p
         q = fermat_quotient(r.p, r.n_min)
         assert is_primitive_root(q, r.p)
-
-
-def test_theorem4_scan_thread_invariance():
-    assert theorem4_exponent_scan(3, 60) == theorem4_exponent_scan(3, 60, threads=4)
 
 
 def test_theorem4_scan_empty_range():

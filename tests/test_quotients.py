@@ -15,10 +15,8 @@ from fermatq.quotients import (
     fermat_quotient,
     image_size,
     load_table,
-    prime_value_histogram,
     quotient_table,
     read_table,
-    smallest_nonzero,
     value_histogram,
     write_table,
 )
@@ -101,14 +99,6 @@ def test_quotient_table_bounds_and_cap():
         t[5]
 
 
-def test_smallest_nonzero():
-    assert smallest_nonzero(5, 100) == 2
-    assert smallest_nonzero(1093, 2) is None  # q(2) = 0 there
-    assert smallest_nonzero(1093, 10) == 3
-    with pytest.raises(ValueError):
-        smallest_nonzero(5, 0)
-
-
 def test_image_size_examples():
     assert image_size(quotient_table(5, 4)) == 3
     assert image_size(quotient_table(5, 1)) == 1
@@ -124,14 +114,6 @@ def test_value_histogram_example():
 def test_value_histogram_excludes_undefined():
     h = value_histogram(quotient_table(5, 25))
     assert h.total == 25 - 5
-
-
-def test_prime_value_histogram_examples():
-    h = prime_value_histogram(5, 4)
-    assert h.total == 2
-    assert h.counts[3] == 1 and h.counts[1] == 1  # q(2) = 3, q(3) = 1
-    h7 = prime_value_histogram(7, 7)
-    assert h7.total == 3  # ell in {2, 3, 5}; ell = p excluded
 
 
 def test_collision_count_examples():

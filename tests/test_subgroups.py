@@ -49,6 +49,12 @@ def test_subgroup_generated():
     assert 18 in g and 5 not in g and g.t == 4
 
 
+def test_subgroup_generated_rejects_small_modulus():
+    for m in (1, 0, -5):
+        with pytest.raises(ValueError):
+            SubgroupModM.generated(m, 1)
+
+
 def test_pth_power_residues_examples():
     assert pth_power_residues(5).elements == (1, 7, 18, 24)
     assert pth_power_residues(3).elements == (1, 8)
