@@ -79,12 +79,8 @@ def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+    spf = smallest_prime_factors(limit)
+    return (np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2).tolist()
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:

@@ -304,7 +304,7 @@ def cmd_nonres(args, config: RunConfig):
         row = {"p": prime.p, "d": args.d, "n_min": None, "exponent": None, "verified": False}
     else:
         q = fermat_quotient(prime, n)
-        # Euler test, independent of the index-table search path
+        # re-checks the returned n by the same Euler test the search applies
         verified = q not in (None, 0) and pow(q, (prime.p - 1) // args.d, prime.p) != 1
         row = {
             "p": prime.p,
@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an --out/--dump path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

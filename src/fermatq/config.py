@@ -13,7 +13,8 @@ DEFAULT_THREADS = 1
 DEFAULT_BUDGET_OPS = 1_000_000_000
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 
-# bytes per table entry: int64 values plus the spf sieve and slack
+# bytes per table entry: 17 at the builder's peak (int64 least-prime-factor
+# sieve, int64 index ramp, bool mask), freed before its int64 table; plus slack
 _TABLE_BYTES_PER_ENTRY = 24
 
 

@@ -3,9 +3,9 @@
 The character-sum indicator for primitive roots mod p evaluates
 (phi(p-1)/(p-1)) * sum over d | p-1 of (mu(d)/phi(d)) * sum over the
 characters eta of exact order d of eta(a), which is 1 on primitive
-roots and 0 elsewhere.  The least-n searches share one walk over
-quotient tables in chunks that grow eightfold, so the typical hit a
-handful of steps in costs only a small table.
+roots and 0 elsewhere.  The least-n searches share one walk that
+computes q_p(n) directly for n = 2, 3, ..., since the typical hit is a
+handful of steps in.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .arith import (
     odd_prime,
     primes_up_to,
 )
-from .charsums import CharacterModP, discrete_log_table
+from .charsums import CharacterModP
 from .quotients import UNDEFINED, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
@@ -62,30 +62,16 @@ def primroot_indicator(p: int | OddPrime, a: int) -> IndicatorReport:
     return IndicatorReport(prime.p, a, rounded, terms)
 
 
-def _chunk_caps(cap: int) -> list[int]:
-    caps = []
-    c = 64
-    while c < cap:
-        caps.append(c)
-        c *= 8
-    caps.append(cap)
-    return caps
-
-
 def _least_n(prime: OddPrime, cap: int, hit: Callable[[int], bool]) -> int | None:
     """Least n in 2..cap whose quotient is a unit mod p and satisfies hit.
 
-    Undefined entries and quotient 0 are not units, so they never reach
+    Undefined quotients and quotient 0 are not units, so they never reach
     the predicate.
     """
-    start = 2
-    for chunk in _chunk_caps(cap):
-        body = quotient_table(prime, chunk).values
-        for n in range(start, chunk + 1):
-            q = int(body[n])
-            if q > 0 and hit(q):
-                return n
-        start = chunk + 1
+    for n in range(2, cap + 1):
+        q = fermat_quotient(prime, n)
+        if q and hit(q):
+            return n
     return None
 
 
@@ -105,8 +91,8 @@ def smallest_primroot_quotient(p: int | OddPrime, cap: int) -> int | None:
 def smallest_dth_nonresidue_quotient(p: int | OddPrime, d: int, cap: int) -> int | None:
     """Least n <= cap with q_p(n) a d-th power nonresidue mod p.
 
-    Uses the index table: a unit a is a d-th power residue exactly when
-    d divides ind_g(a).
+    Euler's criterion: a unit a is a d-th power residue exactly when
+    a**((p-1)/d) = 1 mod p.
     """
     prime = odd_prime(p)
     if d < 2:
@@ -115,8 +101,8 @@ def smallest_dth_nonresidue_quotient(p: int | OddPrime, d: int, cap: int) -> int
         raise ValueError(f"{d} does not divide p - 1 = {prime.p - 1}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    _, ind = discrete_log_table(prime.p)
-    return _least_n(prime, cap, lambda q: int(ind[q]) % d != 0)
+    e = (prime.p - 1) // d
+    return _least_n(prime, cap, lambda q: pow(q, e, prime.p) != 1)
 
 
 def lemma3_envelope(card_a: int, card_b: int, p: int | OddPrime, nu: int) -> float:
@@ -200,8 +186,8 @@ class ScanRow:
 
 def scan_row(p: int | OddPrime, n: int | None) -> ScanRow:
     """Report row for a search result.  A hit is verified by recomputing
-    q_p(n) with a direct power and running the order test, independent
-    of the table the search walked."""
+    q_p(n) and running the full order test, which factors p - 1 on its
+    own rather than reusing the search's exponents."""
     prime = odd_prime(p)
     if n is None:
         return ScanRow(prime.p, None, None, False)

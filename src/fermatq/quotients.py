@@ -3,8 +3,8 @@
 The quotient q_p(u) = ((u**(p-1) mod p**2) - 1) / p mod p is defined
 for gcd(u, p) = 1 and depends on u only through u mod p**2.  It is
 additive, q_p(uv) = q_p(u) + q_p(v) mod p, which lets a batch table
-over 1..N get away with one modular power per prime <= N; composites
-are filled from their least prime factor.
+over 1..N get away with one modular power per prime below min(N, p**2);
+every other entry is a sum of those, and indices past p**2 repeat.
 
 Undefined entries (p | n) carry an explicit sentinel and are never
 conflated with the value 0.
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import BudgetError, OddPrime, odd_prime, smallest_prime_factors
+from .arith import BudgetError, OddPrime, odd_prime, primes_up_to
 from .report import write_atomic
 
 # Sentinel for entries with p | n.  Distinct from every quotient value
@@ -60,25 +60,29 @@ class QuotientTable:
 
 
 def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> QuotientTable:
-    """Batch table of q_p over 1..n via a least-prime-factor sieve."""
+    """Batch table of q_p over 1..n: q_p(l) added at every multiple of each
+    power of each prime l != p below p**2, then repeated with period p**2."""
     prime = odd_prime(p)
     if n < 1:
         raise ValueError(f"table length must be >= 1, got {n}")
     if n > max_entries:
         raise BudgetError(f"table of {n} entries exceeds cap {max_entries}")
-    spf = smallest_prime_factors(n)
-    values = np.empty(n + 1, dtype=np.int64)
-    values[0] = UNDEFINED
-    values[1] = 0
     pp, p2 = prime.p, prime.p2
-    vals = values  # local alias, the loop below is the hot path
-    for m in range(2, n + 1):
-        s = int(spf[m])
-        if s == m:
-            vals[m] = UNDEFINED if m % pp == 0 else (pow(m, pp - 1, p2) - 1) // pp % pp
-        else:
-            a, b = vals[s], vals[m // s]
-            vals[m] = UNDEFINED if (a == UNDEFINED or b == UNDEFINED) else (a + b) % pp
+    last = min(n, p2 - 1)
+    primes = primes_up_to(last)  # its sieve is freed before the table is allocated
+    values = np.zeros(last + 1, dtype=np.int64)
+    for ell in primes:
+        if ell == pp:
+            continue
+        q = (pow(ell, pp - 1, p2) - 1) // pp
+        power = ell
+        while power <= last:
+            values[power::power] += q  # at most 62 terms below p < 2^31: no overflow
+            power *= ell
+    values %= pp
+    values[::pp] = UNDEFINED
+    if n >= p2:
+        values = np.resize(values, n + 1)
     values.setflags(write=False)
     return QuotientTable(prime, n, values)
 

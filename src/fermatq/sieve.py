@@ -11,6 +11,7 @@ results are bit-reproducible at any worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -148,26 +149,26 @@ def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
         raise ValueError(f"nu must be >= 1, got {nu}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # (cofactor left to split, factor sum so far mod M) -> number of ways
+    states: dict[tuple[int, int], int] = {(k, 0): 1}
+    for _ in range(nu - 1):
+        step: dict[tuple[int, int], int] = {}
+        for (remaining, acc), count in states.items():
+            d = 1
+            while d * d <= remaining:
+                if remaining % d == 0:
+                    for f in {d, remaining // d}:
+                        if f <= m_max:
+                            key = (remaining // f, (acc + f) % m_max)
+                            step[key] = step.get(key, 0) + count
+                d += 1
+        states = step
     sums: dict[int, int] = {}
-
-    def descend(remaining: int, depth: int, acc: int):
-        if depth == nu - 1:
-            # last factor is forced to the whole remainder
-            if remaining <= m_max:
-                key = (acc + remaining) % m_max
-                sums[key] = sums.get(key, 0) + 1
-            return
-        d = 1
-        while d * d <= remaining:
-            if remaining % d == 0:
-                if d <= m_max:
-                    descend(remaining // d, depth + 1, acc + d)
-                other = remaining // d
-                if other != d and other <= m_max:
-                    descend(d, depth + 1, acc + other)
-            d += 1
-
-    descend(k, 0, 0)
+    for (remaining, acc), count in states.items():
+        # last factor is forced to the whole remainder
+        if remaining <= m_max:
+            key = (acc + remaining) % m_max
+            sums[key] = sums.get(key, 0) + count
     b_red = b % m_max
     total = 0j
     for s, count in sorted(sums.items()):
@@ -259,11 +260,13 @@ def theorem1_average(
         # the all-ones rule is the lone waiver: no integer window holds N_p = 1
         if n_p <= n_ref and n_max > 1:
             raise ValueError(f"N_p = {n_p} at p={p} falls outside the dyadic window ({n_ref}, {2 * n_ref}]")
-    cost = sum(n_p + p * p for p, n_p in n_by_p)
+    # a table of N_p entries and one length-p FFT per prime
+    cost = sum(n_p + p for p, n_p in n_by_p)
     if cost > budget_ops:
         raise BudgetError(f"estimated cost {cost} exceeds budget {budget_ops}")
-    if threads > 1 and len(n_by_p) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(n_by_p))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             maxima = list(pool.map(_moment_task, n_by_p, chunksize=8))
     else:
         maxima = [_moment_task(a) for a in n_by_p]

@@ -96,6 +96,19 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_unwritable_output_path_exits_2_without_temp_file(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    for argv in (
+        ("quotient", "--p", "5", "--u", "3", "--out", str(missing / "r.csv")),
+        ("table", "--p", "5", "--n", "10", "--dump", str(missing / "t.bin")),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.startswith("error:")
+    assert not missing.exists()
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".report-")]
+
+
 def test_memcap_env_respected_and_flag_wins(capsys, monkeypatch):
     monkeypatch.setenv("FERMATQ_MEMCAP", "1000")
     assert run(capsys, "table", "--p", "5", "--n", "100000")[0] == 3
@@ -149,6 +162,15 @@ def test_avg_kappa_schema(capsys):
     assert [r[3] for r in rows] == ["0.1", "0.5"]
     counts = [int(r[4]) for r in rows]
     assert counts[0] <= counts[1] <= int(rows[0][5])
+
+
+def test_avg_default_budget_admits_window_of_small_tables(capsys):
+    # 255 primes with N_p = 10 and one length-p FFT each; charging p^2
+    # per prime put this at 2.48e9 and refused it
+    rc, out, err = run(capsys, "avg", "--P", "2048", "--N-rule", "10")
+    assert rc == 0, err
+    _, rows = parse_csv(out)
+    assert rows[0][0] == "2048" and rows[0][7] == "255"
 
 
 def test_avg_requires_a_window(capsys):
@@ -237,6 +259,16 @@ def test_nonres_row_verified(capsys):
     header, rows = parse_csv(out)
     assert header[:5] == ("p", "d", "n_min", "exponent", "verified")
     assert rows[0][:3] == ["7", "2", "3"] and rows[0][4] == "1"
+
+
+def test_rho_deep_nu(capsys):
+    # k = 6 into 3000 factors: 2 and 3 at distinct places (3000 * 2999
+    # ways, factor sum 3003) or 6 at one place (3000 ways, sum 3005)
+    rc, out, err = run(capsys, "rho", "--M", "12", "--b", "5", "--nu", "3000", "--k", "6")
+    assert rc == 0, err
+    _, rows = parse_csv(out)
+    expect = 3000 * 2999 * 1j + 3000 * complex(math.cos(math.pi / 6), math.sin(math.pi / 6))
+    assert complex(float(rows[0][4]), float(rows[0][5])) == pytest.approx(expect, rel=1e-12)
 
 
 def test_ratios_subgroup_modes(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatq.arith import BudgetError, primes_up_to
+from fermatq.arith import BudgetError, is_prime, primes_up_to
 from fermatq.quotients import (
     QuotientTable,
     cauchy_lower_bound,
@@ -85,6 +85,45 @@ def test_quotient_table_matches_pointwise():
         t = quotient_table(p, 2500)
         for n in range(1, 2501):
             assert t[n] == fermat_quotient(p, n), (p, n)
+
+
+def _prime_at_or_above(x):
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+@st.composite
+def table_cases(draw):
+    """(p, n, indices) over the regimes n < p, p <= n < p^2 and n > p^2."""
+    if draw(st.booleans()):
+        # primes within 1e5 below 2^31; the table then has n < p
+        p = _prime_at_or_above(draw(st.integers(2**31 - 10**5, 2**31 - 1)))
+        n = draw(st.integers(1, 20_000))
+    else:
+        p = draw(st.sampled_from(ODD_PRIMES))
+        p2 = p * p
+        n = draw(
+            st.one_of(
+                st.integers(1, p - 1),
+                st.integers(p, p2 - 1),
+                st.integers(p2 + 1, 4 * p2),
+                st.sampled_from([p2 - 1, p2, p2 + 1]),
+            )
+        )
+    edges = {1, n, p - 1, p, p + 1, p * p - 1, p * p, p * p + 1}
+    sampled = draw(st.lists(st.integers(1, n), max_size=40))
+    return p, n, sorted(i for i in edges.union(sampled) if 1 <= i <= n)
+
+
+@given(table_cases())
+@settings(max_examples=150, deadline=None)
+def test_quotient_table_matches_direct_pow_at_sampled_indices(case):
+    p, n, indices = case
+    t = quotient_table(p, n)
+    assert t.values.shape == (n + 1,)
+    for i in indices:
+        assert t[i] == fermat_quotient(p, i), (p, n, i)
 
 
 def test_quotient_table_bounds_and_cap():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -224,6 +225,32 @@ def test_theorem1_thread_count_does_not_change_bits():
     pooled = theorem1_average(16, 2, constant_rule(4), threads=4)
     assert serial.lhs == pooled.lhs
     assert serial.per_prime == pooled.per_prime
+
+
+def test_theorem1_worker_count_is_clamped(monkeypatch):
+    # a serial stand-in records the pool size, so no process is started
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("fermatq.sieve.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    serial = theorem1_average(16, 2, constant_rule(4))
+    wide = theorem1_average(16, 2, constant_rule(4), threads=10**6)  # 7 primes in (16, 32]
+    few = theorem1_average(8, 1, constant_rule(3), threads=10**6)  # 2 primes in (8, 16]
+    assert seen == [4, 2]
+    assert wide.per_prime == serial.per_prime and few.prime_count == 2
 
 
 def test_exceptional_counts():
