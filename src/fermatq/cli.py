@@ -195,7 +195,14 @@ def cmd_avg(args, config: RunConfig):
     rule = parse_n_rule(args.n_rule)
     rows, kappa_rows = [], []
     for p_scale in scales:
-        res = theorem1_average(p_scale, args.nu, rule(p_scale), threads=config.threads, budget_ops=config.budget_ops)
+        res = theorem1_average(
+            p_scale,
+            args.nu,
+            rule(p_scale),
+            threads=config.threads,
+            budget_ops=config.budget_ops,
+            max_entries=config.max_table_entries,
+        )
         rows.append(
             {
                 "P": res.p_scale,
@@ -321,7 +328,7 @@ def cmd_doublesum(args, config: RunConfig):
     eta = CharacterModP.all_of_order(prime, args.order)[0]
     if eta.is_trivial:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
-    rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
+    rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta, max_entries=config.max_table_entries)
     row = {
         "p": rep.p,
         "order_of_eta": rep.eta_order,

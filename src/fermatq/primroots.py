@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .arith import (
+    BudgetError,
     OddPrime,
     arithmetic_functions,
     divisors,
@@ -26,7 +27,7 @@ from .arith import (
     primes_up_to,
 )
 from .charsums import CharacterModP
-from .quotients import UNDEFINED, fermat_quotient, quotient_table
+from .quotients import DEFAULT_TABLE_CAP, UNDEFINED, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
 
@@ -119,8 +120,11 @@ def lemma3_envelope_min(card_a: int, card_b: int, p: int | OddPrime, nus=(1, 2, 
     return min(lemma3_envelope(card_a, card_b, p, nu) for nu in nus)
 
 
-def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> complex:
-    """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p."""
+def double_char_sum(
+    p: int | OddPrime, eta: CharacterModP, a_set, b_set, *, max_entries: int = DEFAULT_TABLE_CAP
+) -> complex:
+    """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
+    The |A| x |B| index grid counts against the table-entry cap."""
     prime = odd_prime(p)
     if eta.modulus != prime.p:
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
@@ -130,14 +134,16 @@ def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> comp
     b_arr = np.unique(np.asarray(sorted(b_set), dtype=np.int64) % prime.p)
     if len(a_arr) == 0 or len(b_arr) == 0:
         raise ValueError("both summation sets must be nonempty")
+    if len(a_arr) * len(b_arr) > max_entries:
+        raise BudgetError(f"{len(a_arr)} x {len(b_arr)} grid exceeds cap {max_entries}")
     grid = np.add.outer(a_arr, b_arr) % prime.p
     return complex(eta.value_array()[grid].sum())
 
 
-def first_occurrence_set(p: int | OddPrime, cap: int) -> list[int]:
+def first_occurrence_set(p: int | OddPrime, cap: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> list[int]:
     """One representative n per distinct quotient value over 1..cap,
     each the least n attaining its value; undefined entries skipped."""
-    body = quotient_table(odd_prime(p), cap).values
+    body = quotient_table(odd_prime(p), cap, max_entries=max_entries).values
     ns = np.flatnonzero(body != UNDEFINED)  # index 0 holds UNDEFINED
     _, first = np.unique(body[ns], return_index=True)
     return np.sort(ns[first]).tolist()
@@ -157,15 +163,18 @@ class SumsetReport:
         return self.abs_sum / self.envelope
 
 
-def quotient_sumset_experiment(p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP) -> SumsetReport:
-    """Double character sum over quotient values realized below the caps."""
+def quotient_sumset_experiment(
+    p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP, *, max_entries: int = DEFAULT_TABLE_CAP
+) -> SumsetReport:
+    """Double character sum over quotient values realized below the caps;
+    its tables and its index grid each stay within max_entries."""
     prime = odd_prime(p)
-    u_reps = first_occurrence_set(prime, u_cap)
-    v_reps = first_occurrence_set(prime, v_cap)
-    table = quotient_table(prime, max(u_cap, v_cap))
+    u_reps = first_occurrence_set(prime, u_cap, max_entries=max_entries)
+    v_reps = first_occurrence_set(prime, v_cap, max_entries=max_entries)
+    table = quotient_table(prime, max(u_cap, v_cap), max_entries=max_entries)
     u_vals = [int(table.values[n]) for n in u_reps]
     v_vals = [int(table.values[n]) for n in v_reps]
-    s = double_char_sum(prime, eta, u_vals, v_vals)
+    s = double_char_sum(prime, eta, u_vals, v_vals, max_entries=max_entries)
     return SumsetReport(
         prime.p,
         eta.order,

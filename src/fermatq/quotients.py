@@ -5,6 +5,10 @@ for gcd(u, p) = 1 and depends on u only through u mod p**2.  It is
 additive, q_p(uv) = q_p(u) + q_p(v) mod p, which lets a batch table
 over 1..N get away with one modular power per prime below min(N, p**2);
 every other entry is a sum of those, and indices past p**2 repeat.
+Those powers are taken together, in one numpy square-and-multiply
+ladder mod p**2, once a table has enough primes to pay for it
+(computing quotients in bulk: Ernvall and Metsankyla, Math. Comp. 66,
+1997).
 
 Undefined entries (p | n) carry an explicit sentinel and are never
 conflated with the value 0.
@@ -12,6 +16,7 @@ conflated with the value 0.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +33,13 @@ _DUMP_SENTINEL = 0xFFFFFFFF
 _DUMP_MAGIC = b"FQT1"
 
 DEFAULT_TABLE_CAP = 1 << 26
+
+# Fewest primes for which quotient_table takes its powers by the numpy
+# ladder rather than one Python pow each.  The ladder's cost is about
+# 2 log2(p) vector products whatever the prime count; break-even is near
+# 190 primes at p ~ 10^3..10^4 and near 64 at p ~ 2^31, and from 256
+# primes on the ladder is the faster at every p measured.
+_LADDER_MIN_PRIMES = 256
 
 
 def fermat_quotient(p: int | OddPrime, u: int) -> int | None:
@@ -59,6 +71,29 @@ class QuotientTable:
         return body[body != UNDEFINED]
 
 
+def _mul_mod_p2(x0, x1, y0, y1, p: int):
+    """(x0 + p x1)(y0 + p y1) mod p**2 as its base-p digits (low, high).
+
+    Every digit is below p < 2^31, so each product is below 2^62 and
+    int64 arithmetic is exact."""
+    carry, low = np.divmod(x0 * y0, p)
+    return low, (carry + x0 * y1 % p + x1 * y0 % p) % p
+
+
+def _pow_mod_p2(units: np.ndarray, e: int, p: int) -> np.ndarray:
+    """units**e mod p**2 elementwise, for int64 units in 0..p**2-1, by one
+    square-and-multiply ladder over base-p digit pairs."""
+    base = np.divmod(units, p)[::-1]  # (low, high) digits
+    acc = (np.ones_like(units), np.zeros_like(units))
+    while e:
+        if e & 1:
+            acc = _mul_mod_p2(*acc, *base, p)
+        e >>= 1
+        if e:
+            base = _mul_mod_p2(*base, *base, p)
+    return acc[0] + p * acc[1]
+
+
 def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> QuotientTable:
     """Batch table of q_p over 1..n: q_p(l) added at every multiple of each
     power of each prime l != p below p**2, then repeated with period p**2."""
@@ -69,16 +104,27 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
         raise BudgetError(f"table of {n} entries exceeds cap {max_entries}")
     pp, p2 = prime.p, prime.p2
     last = min(n, p2 - 1)
-    primes = primes_up_to(last)  # its sieve is freed before the table is allocated
+    ells = np.array(primes_up_to(last), dtype=np.int64)  # its sieve is freed before the table is allocated
+    ells = ells[ells != pp]
+    if len(ells) >= _LADDER_MIN_PRIMES:
+        quots = (_pow_mod_p2(ells, pp - 1, pp) - 1) // pp
+    else:
+        quots = np.array([(pow(ell, pp - 1, p2) - 1) // pp for ell in ells.tolist()], dtype=np.int64)
     values = np.zeros(last + 1, dtype=np.int64)
-    for ell in primes:
-        if ell == pp:
-            continue
-        q = (pow(ell, pp - 1, p2) - 1) // pp
+    # at most 62 terms below p < 2^31 land on one entry: no overflow
+    split = int(np.searchsorted(ells, math.isqrt(last), side="right"))
+    for ell, q in zip(ells[:split].tolist(), quots[:split].tolist()):
         power = ell
         while power <= last:
-            values[power::power] += q  # at most 62 terms below p < 2^31: no overflow
+            values[power::power] += q
             power *= ell
+    # a prime above sqrt(last) has no higher power in range: add it at
+    # k*l for each cofactor k, all such primes at once (distinct indices)
+    big, big_quots = ells[split:], quots[split:]
+    if len(big):
+        for k in range(1, last // int(big[0]) + 1):
+            count = int(np.searchsorted(big, last // k, side="right"))
+            values[k * big[:count]] += big_quots[:count]
     values %= pp
     values[::pp] = UNDEFINED
     if n >= p2:

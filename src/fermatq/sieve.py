@@ -11,9 +11,10 @@ results are bit-reproducible at any worker count.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from .arith import BudgetError, primes_up_to
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_BUDGET_OPS
-from .quotients import quotient_table, value_histogram
+from .quotients import DEFAULT_TABLE_CAP, quotient_table, value_histogram
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,16 @@ def sieve_report(poly: TrigPolynomial, r_max: int, *, budget_ops: int = DEFAULT_
     )
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _divisors_upto(n: int, cap: int) -> tuple[int, ...]:
+    """The divisors of n that are at most cap.  A divisor above sqrt(n)
+    is n // d for a divisor d below it and below cap, so trial division
+    stops at min(cap, sqrt(n)).  Cached: rho_coefficient meets the same
+    cofactor on every level and for every k sharing it."""
+    small = [d for d in range(1, min(cap, math.isqrt(n)) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in small if d * d < n and n // d <= cap])
+
+
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
     """sum of e(b*(m_1 + ... + m_nu)/M) over ordered factorizations of k
     into nu factors, each in [1, M]."""
@@ -151,17 +162,16 @@ def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
         raise ValueError(f"k must be >= 1, got {k}")
     # (cofactor left to split, factor sum so far mod M) -> number of ways
     states: dict[tuple[int, int], int] = {(k, 0): 1}
-    for _ in range(nu - 1):
+    for left in range(nu - 1, 0, -1):  # factors still to place after this one
+        # a cofactor above M**left cannot split into `left` factors <= M;
+        # M**bit_length(k) >= k bounds the power for large nu
+        reach = m_max ** min(left, k.bit_length())
         step: dict[tuple[int, int], int] = {}
         for (remaining, acc), count in states.items():
-            d = 1
-            while d * d <= remaining:
-                if remaining % d == 0:
-                    for f in {d, remaining // d}:
-                        if f <= m_max:
-                            key = (remaining // f, (acc + f) % m_max)
-                            step[key] = step.get(key, 0) + count
-                d += 1
+            for f in _divisors_upto(remaining, m_max):
+                if remaining // f <= reach:
+                    key = (remaining // f, (acc + f) % m_max)
+                    step[key] = step.get(key, 0) + count
         states = step
     sums: dict[int, int] = {}
     for (remaining, acc), count in states.items():
@@ -226,9 +236,9 @@ class Theorem1Result:
     per_prime: tuple[tuple[int, int, float], ...]  # (p, N_p, max |S|)
 
 
-def _moment_task(args: tuple[int, int]) -> float:
-    p, n_p = args
-    table = quotient_table(p, n_p)
+def _moment_task(args: tuple[int, int, int]) -> float:
+    p, n_p, max_entries = args
+    table = quotient_table(p, n_p, max_entries=max_entries)
     hist = value_histogram(table)
     _, m = max_exp_sum(p, n_p, hist=hist)
     return m
@@ -241,6 +251,7 @@ def theorem1_average(
     *,
     threads: int = 1,
     budget_ops: int = DEFAULT_BUDGET_OPS,
+    max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Theorem1Result:
     """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P]."""
     if p_scale < 3:
@@ -264,12 +275,17 @@ def theorem1_average(
     cost = sum(n_p + p for p, n_p in n_by_p)
     if cost > budget_ops:
         raise BudgetError(f"estimated cost {cost} exceeds budget {budget_ops}")
-    workers = min(threads, os.cpu_count() or 1, len(n_by_p))
+    tasks = [(p, n_p, max_entries) for p, n_p in n_by_p]
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: the pool module pulls in multiprocessing, which
+        # every other subcommand would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            maxima = list(pool.map(_moment_task, n_by_p, chunksize=8))
+            maxima = list(pool.map(_moment_task, tasks, chunksize=8))
     else:
-        maxima = [_moment_task(a) for a in n_by_p]
+        maxima = [_moment_task(t) for t in tasks]
     moments = np.array([m ** (2 * nu) for m in maxima], dtype=np.float64)
     lhs = float(moments.sum())  # fixed ascending-prime order
     n, p = float(n_ref), float(p_scale)

@@ -20,6 +20,10 @@ from .arith import BudgetError, OddPrime, odd_prime
 from .config import DEFAULT_BUDGET_OPS
 from .quotients import collision_count, quotient_table
 
+# products per numpy round of count_ratios: bounds its temporaries to a
+# few hundred kB whatever the group size
+_RATIO_BLOCK_PRODUCTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SubgroupModM:
@@ -105,9 +109,11 @@ def count_ratios(
     if group.t * z > budget_ops:
         raise BudgetError(f"{group.t} * {z} products exceed budget {budget_ops}")
     xs = np.arange(1, z + 1, dtype=np.int64)
+    ws = np.array(group.elements, dtype=np.int64)
+    rows = max(1, _RATIO_BLOCK_PRODUCTS // z)
     count = 0
-    for w in group.elements:
-        r = w * xs % m  # never 0: w is a unit and 0 < x < m
+    for start in range(0, len(ws), rows):
+        r = np.outer(ws[start : start + rows], xs) % m  # never 0: w is a unit and 0 < x < m
         count += int(np.count_nonzero((r <= z) | (r >= m - z)))
     return 2 * count
 

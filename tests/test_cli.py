@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fermatq
+from fermatq import subgroups
 from fermatq.cli import main, parse_n_rule
 from fermatq.report import parse_csv
 
@@ -94,6 +99,44 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
     assert rc == 3
     assert "budget" in err
     assert not out_path.exists()
+
+
+def test_memcap_bounds_avg_and_doublesum(capsys, tmp_path):
+    # the digests are the benchmark's pinned report bytes for these calls
+    pinned = (
+        (("avg", "--P", "1024", "--N-rule", "P^1"), "cdd38e75d54a158620482c775d2f88c2dc413d96e4889f239825b7ed328f79d9"),
+        (
+            ("doublesum", "--p", "10009", "--order", "4", "--ucap", "3000", "--vcap", "3000"),
+            "9d6a0599a3dcacd8e80fa78b121853d55cd171c514dc39fe917eabcfe333a2c1",
+        ),
+    )
+    out_path = tmp_path / "report.csv"
+    for argv, digest in pinned:
+        rc, _, err = run(capsys, *argv, "--memcap", "1000", "--out", str(out_path))
+        assert rc == 3 and "budget" in err
+        assert not out_path.exists()
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # 24 * 3000 bytes admit the 3000-entry tables but not the |A| x |B| grid
+    rc, _, err = run(capsys, *pinned[1][0], "--memcap", str(24 * 3000), "--out", str(out_path))
+    assert rc == 3 and "grid" in err
+    assert not out_path.exists()
+    assert not os.listdir(tmp_path)
+
+
+def test_import_cli_skips_process_pool():
+    # only avg with several workers needs the pool; importing it costs
+    # every other call its start-up time
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = (
+        "import sys, fermatq.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_unwritable_output_path_exits_2_without_temp_file(capsys, tmp_path):
@@ -286,16 +329,19 @@ def test_ratios_subgroup_modes(capsys):
 
 def test_ratios_large_cyclic_group(capsys):
     # 2 generates all 100002 units mod the prime 100003; the group is
-    # built without the pairwise closure check, so this returns quickly
-    m, z = 100003, 10
-    rc, out, _ = run(capsys, "ratios", "--m", str(m), "--gen", "2", "--Z", str(z))
-    assert rc == 0
-    _, rows = parse_csv(out)
-    w = np.array([pow(2, k, m) for k in range(m - 1)], dtype=np.int64)
-    r = np.outer(w, np.arange(1, z + 1, dtype=np.int64)) % m
-    direct = 2 * int(np.count_nonzero((r <= z) | (r >= m - z)))
-    assert rows[0][1] == "100002"
-    assert int(rows[0][4]) == direct == (2 * z) ** 2
+    # built without the pairwise closure check, so this returns quickly.
+    # 11 generates the 12288 units mod 12289, and at Z = 16 the counter's
+    # blocks of 2^16 // 16 = 4096 elements end exactly at the group's end.
+    assert subgroups._RATIO_BLOCK_PRODUCTS // 16 * 3 == 12288
+    for m, gen, z in ((100003, 2, 10), (12289, 11, 16)):
+        rc, out, _ = run(capsys, "ratios", "--m", str(m), "--gen", str(gen), "--Z", str(z))
+        assert rc == 0
+        _, rows = parse_csv(out)
+        w = np.array([pow(gen, k, m) for k in range(m - 1)], dtype=np.int64)
+        r = np.outer(w, np.arange(1, z + 1, dtype=np.int64)) % m
+        direct = 2 * int(np.count_nonzero((r <= z) | (r >= m - z)))
+        assert rows[0][1] == str(m - 1)
+        assert int(rows[0][4]) == direct == (2 * z) ** 2
 
 
 def test_selftest_clean_run(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatq import quotients
 from fermatq.arith import BudgetError, is_prime, primes_up_to
+from fermatq.config import _TABLE_BYTES_PER_ENTRY
 from fermatq.quotients import (
     QuotientTable,
     cauchy_lower_bound,
@@ -22,6 +25,9 @@ from fermatq.quotients import (
 )
 
 ODD_PRIMES = primes_up_to(500)[1:]
+# least n whose table takes the ladder when p > n: the
+# _LADDER_MIN_PRIMES-th prime
+LADDER_EDGE = primes_up_to(10**4)[quotients._LADDER_MIN_PRIMES - 1]
 
 
 def bigint_quotient(p, u):
@@ -99,7 +105,8 @@ def table_cases(draw):
     if draw(st.booleans()):
         # primes within 1e5 below 2^31; the table then has n < p
         p = _prime_at_or_above(draw(st.integers(2**31 - 10**5, 2**31 - 1)))
-        n = draw(st.integers(1, 20_000))
+        # per-prime pow below LADDER_EDGE, the ladder from it on
+        n = draw(st.one_of(st.integers(1, 20_000), st.sampled_from([LADDER_EDGE - 1, LADDER_EDGE])))
     else:
         p = draw(st.sampled_from(ODD_PRIMES))
         p2 = p * p
@@ -124,6 +131,42 @@ def test_quotient_table_matches_direct_pow_at_sampled_indices(case):
     assert t.values.shape == (n + 1,)
     for i in indices:
         assert t[i] == fermat_quotient(p, i), (p, n, i)
+
+
+def test_pow_mod_p2_ladder_matches_pow():
+    p = 2**31 - 1
+    p2 = p * p
+    # units with the largest base-p digits, whose ladder products come nearest 2^62
+    units = [1, 2, p - 1, p + 1, 2 * p - 1, p2 - p - 1, p2 - 1]
+    arr = np.array(units, dtype=np.int64)
+    for e in (0, 1, 2, p - 1, p, 2**40 + 3):
+        got = quotients._pow_mod_p2(arr, e, p)
+        assert got.tolist() == [pow(u, e, p2) for u in units], e
+    small = np.arange(9, dtype=np.int64)  # every residue mod 3**2
+    for e in range(7):
+        assert quotients._pow_mod_p2(small, e, 3).tolist() == [pow(u, e, 9) for u in range(9)]
+
+
+def test_quotient_table_ladder_matches_per_prime_pow(monkeypatch):
+    # tables below the crossover, built once per path
+    cases = ((3, 8), (5, 30), (7, 1000), (13, 3 * 169), (2**31 - 1, LADDER_EDGE - 1))
+    per_prime = [quotient_table(p, n).values for p, n in cases]
+    monkeypatch.setattr(quotients, "_LADDER_MIN_PRIMES", 0)
+    for (p, n), want in zip(cases, per_prime):
+        assert np.array_equal(quotient_table(p, n).values, want), (p, n)
+
+
+def test_quotient_table_peak_memory_within_cap_rate():
+    n = 100_000  # 9,592 primes: the ladder path
+    assert len(primes_up_to(n)) >= quotients._LADDER_MIN_PRIMES
+    tracemalloc.start()
+    try:
+        table = quotient_table(2**31 - 1, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n == n
+    assert peak <= _TABLE_BYTES_PER_ENTRY * n
 
 
 def test_quotient_table_bounds_and_cap():

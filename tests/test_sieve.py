@@ -144,12 +144,15 @@ def test_rho_zero_twist_counts_factorizations():
 
 
 def test_rho_matches_tuple_enumeration():
-    for m_max, b, nu, k in ((4, 1, 2, 4), (6, 5, 3, 8), (9, 2, 2, 36), (7, 3, 1, 5)):
+    cases = [(4, 1, 2, 4), (6, 5, 3, 8), (9, 2, 2, 36), (7, 3, 1, 5)]
+    # every small k, including those past M**nu and those with a prime factor above M
+    cases += [(m_max, b, nu, k) for m_max in (1, 2, 6, 12) for b in (1, 5) for nu in (1, 2, 3, 4) for k in range(1, 61)]
+    for m_max, b, nu, k in cases:
         expect = sum(
             cmath.exp(2j * cmath.pi * (b * sum(t) % m_max) / m_max)
             for t in ordered_factorizations(k, nu, m_max)
         )
-        assert rho_coefficient(m_max, b, nu, k) == pytest.approx(expect, abs=1e-9)
+        assert rho_coefficient(m_max, b, nu, k) == pytest.approx(expect, abs=1e-9), (m_max, b, nu, k)
 
 
 def test_rho_triangle_bound():
@@ -244,7 +247,7 @@ def test_theorem1_worker_count_is_clamped(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("fermatq.sieve.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     serial = theorem1_average(16, 2, constant_rule(4))
     wide = theorem1_average(16, 2, constant_rule(4), threads=10**6)  # 7 primes in (16, 32]
