@@ -139,6 +139,18 @@ def test_import_cli_skips_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_sets_one_blas_thread_unless_set():
+    # long dot products round by BLAS thread count; an explicit setting wins
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = "import os, fermatq; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for extra, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        env = dict(base, PYTHONPATH=src, **extra)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
+
+
 def test_unwritable_output_path_exits_2_without_temp_file(capsys, tmp_path):
     missing = tmp_path / "missing"
     for argv in (
