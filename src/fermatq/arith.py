@@ -165,7 +165,12 @@ def factorize(n: int) -> Factorization:
             m //= d
         d += increments[i]
         i = (i + 1) % 8
-    stack = [m] if m > 1 else []
+    if d * d > m:
+        # no prime factor below d is left, so m is 1 or a prime
+        if m > 1:
+            pairs[m] = pairs.get(m, 0) + 1
+        return Factorization(n, tuple(sorted(pairs.items())))
+    stack = [m]
     while stack:
         m = stack.pop()
         if m == 1:

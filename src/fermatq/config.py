@@ -16,8 +16,8 @@ DEFAULT_MEMORY_CAP = 2 * 1024**3
 # bytes per table entry: 17 at the builder's peak (int64 least-prime-factor
 # sieve, int64 index ramp, bool mask), freed before its int64 table; the
 # power ladder's temporaries, a few arrays of pi(n) entries, stay below
-# that; plus slack.  doublesum's index grid, int64 indices and a complex128
-# gather, peaks at 24 per entry and is capped at the same count.
+# that; plus slack.  doublesum's complex128 grid takes 16 per entry and is
+# capped at the same count.
 _TABLE_BYTES_PER_ENTRY = 24
 
 

@@ -31,6 +31,9 @@ from .quotients import DEFAULT_TABLE_CAP, UNDEFINED, fermat_quotient, quotient_t
 
 _INDICATOR_TOL = 1e-6
 
+# index entries per gather block of double_char_sum
+_GATHER_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class IndicatorReport:
@@ -124,7 +127,7 @@ def double_char_sum(
     p: int | OddPrime, eta: CharacterModP, a_set, b_set, *, max_entries: int = DEFAULT_TABLE_CAP
 ) -> complex:
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
-    The |A| x |B| index grid counts against the table-entry cap."""
+    The |A| x |B| grid counts against the table-entry cap."""
     prime = odd_prime(p)
     if eta.modulus != prime.p:
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
@@ -136,8 +139,17 @@ def double_char_sum(
         raise ValueError("both summation sets must be nonempty")
     if len(a_arr) * len(b_arr) > max_entries:
         raise BudgetError(f"{len(a_arr)} x {len(b_arr)} grid exceeds cap {max_entries}")
-    grid = np.add.outer(a_arr, b_arr) % prime.p
-    return complex(eta.value_array()[grid].sum())
+    # eta(a + b) gathered a block of rows at a time, so only the complex
+    # grid is whole; summing that one array keeps the summation order.
+    # Every index is already in [0, p), so clip only skips the bounds check.
+    values = eta.value_array()
+    grid = np.empty((len(a_arr), len(b_arr)), dtype=values.dtype)
+    rows = max(1, _GATHER_BLOCK_ENTRIES // len(b_arr))
+    for start in range(0, len(a_arr), rows):
+        idx = a_arr[start : start + rows, None] + b_arr
+        idx[idx >= prime.p] -= prime.p
+        np.take(values, idx, out=grid[start : start + rows], mode="clip")
+    return complex(grid.sum())
 
 
 def first_occurrence_set(p: int | OddPrime, cap: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> list[int]:
@@ -167,7 +179,7 @@ def quotient_sumset_experiment(
     p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP, *, max_entries: int = DEFAULT_TABLE_CAP
 ) -> SumsetReport:
     """Double character sum over quotient values realized below the caps;
-    its tables and its index grid each stay within max_entries."""
+    its tables and its |A| x |B| grid each stay within max_entries."""
     prime = odd_prime(p)
     u_reps = first_occurrence_set(prime, u_cap, max_entries=max_entries)
     v_reps = first_occurrence_set(prime, v_cap, max_entries=max_entries)

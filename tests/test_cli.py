@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import fermatq
-from fermatq import subgroups
 from fermatq.cli import main, parse_n_rule
 from fermatq.report import parse_csv
 
@@ -342,9 +341,7 @@ def test_ratios_subgroup_modes(capsys):
 def test_ratios_large_cyclic_group(capsys):
     # 2 generates all 100002 units mod the prime 100003; the group is
     # built without the pairwise closure check, so this returns quickly.
-    # 11 generates the 12288 units mod 12289, and at Z = 16 the counter's
-    # blocks of 2^16 // 16 = 4096 elements end exactly at the group's end.
-    assert subgroups._RATIO_BLOCK_PRODUCTS // 16 * 3 == 12288
+    # 11 generates the 12288 units mod 12289.
     for m, gen, z in ((100003, 2, 10), (12289, 11, 16)):
         rc, out, _ = run(capsys, "ratios", "--m", str(m), "--gen", str(gen), "--Z", str(z))
         assert rc == 0
@@ -354,6 +351,17 @@ def test_ratios_large_cyclic_group(capsys):
         direct = 2 * int(np.count_nonzero((r <= z) | (r >= m - z)))
         assert rows[0][1] == str(m - 1)
         assert int(rows[0][4]) == direct == (2 * z) ** 2
+
+
+def test_ratios_exact_beyond_int64_products(capsys):
+    # m is a prime near 2^62 and the group is {1, -1}: each of the 20
+    # nonzero x in [-10, 10] pairs with y = x under w = 1 and y = -x under
+    # w = -1, so 40 triples; (m - 1) * x passes 2^63
+    m = 4611686018427388039
+    rc, out, _ = run(capsys, "ratios", "--m", str(m), "--gen", str(m - 1), "--Z", "10")
+    assert rc == 0
+    _, rows = parse_csv(out)
+    assert rows[0][:5] == [str(m), "2", "10", "2", "40"]
 
 
 def test_selftest_clean_run(capsys):

@@ -1,7 +1,10 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
+from fermatq import primroots
 from fermatq.arith import arithmetic_functions, is_primitive_root, primes_up_to
 from fermatq.charsums import CharacterModP
 from fermatq.primroots import (
@@ -119,6 +122,25 @@ def test_double_char_sum_validation():
         double_char_sum(7, CharacterModP.principal(7), {1}, {2})
     with pytest.raises(ValueError):
         double_char_sum(7, CharacterModP.quadratic(5), {1}, {2})
+
+
+def grid_double_char_sum(p, eta, a_set, b_set):
+    # the whole int64 index grid, gathered and summed in one step
+    a_arr = np.unique(np.asarray(sorted(a_set), dtype=np.int64) % p)
+    b_arr = np.unique(np.asarray(sorted(b_set), dtype=np.int64) % p)
+    return complex(eta.value_array()[np.add.outer(a_arr, b_arr) % p].sum())
+
+
+def test_double_char_sum_equals_whole_grid_sum():
+    block = primroots._GATHER_BLOCK_ENTRIES
+    rng = random.Random(11)
+    # |B| = block + 10 residues: one row per block
+    wide = (65537, CharacterModP.quadratic(65537), {0, 1, 5, 40000}, set(range(-3, block + 7)))
+    # 3000 columns: 21 rows per block, which divides neither 50 rows nor 50 * 3000 entries
+    tall = (10009, CharacterModP(10009, 2502), set(rng.sample(range(10009), 50)), set(rng.sample(range(10009), 3000)))
+    assert len(wide[3]) > block and 50 % (block // 3000) and 50 * 3000 % block
+    for p, eta, a_set, b_set in (wide, tall, (13, CharacterModP(13, 4), {1, 2, 5, 7}, {0, 3, 11})):
+        assert double_char_sum(p, eta, a_set, b_set) == grid_double_char_sum(p, eta, a_set, b_set)
 
 
 def test_double_char_sum_triangle():

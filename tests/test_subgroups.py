@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermatq.arith import BudgetError, primes_up_to
 from fermatq.subgroups import (
@@ -102,6 +104,29 @@ def test_count_ratios_against_bruteforce_random():
         if z >= m / 2:
             continue
         assert count_ratios(m, grp, z) == brute_count(m, grp.elements, z), (m, grp.elements, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.integers(2, 1 << 21), k=st.integers(1, 3), with_minus_one=st.booleans(), z=st.integers(1, 12))
+@example(g=3, k=19, with_minus_one=True, z=12)  # m = 3**19 - 1 < 2**31: int64 lanes
+@example(g=2, k=31, with_minus_one=False, z=5)  # m = 2**31 - 1, the largest int64-lane modulus
+@example(g=(1 << 31) + 1, k=1, with_minus_one=True, z=7)  # m = 2**31: Python-int lanes
+@example(g=2, k=62, with_minus_one=True, z=12)  # m near 2**62
+def test_count_ratios_matches_triple_loop_across_lane_widths(g, k, with_minus_one, z):
+    # g has order k mod m = g**k - 1, so its powers, with or without -1,
+    # form a small group whatever the size of m
+    m = g**k - 1
+    if not z < m / 2:
+        return
+    powers = {pow(g, i, m) for i in range(k)}
+    grp = SubgroupModM(m, powers | ({m - w for w in powers} if with_minus_one else set()))
+    assert count_ratios(m, grp, z) == brute_count(m, grp.elements, z)
+
+
+def test_count_ratios_budget_charges_floor_sum_steps_not_products():
+    # 1008 elements times Z = 50000 is 5e7 products; the floor sums take
+    # 2 * 1008 lanes of at most 30 Euclid steps each
+    assert count_ratios(1009**2, pth_power_residues(1009), 50000, budget_ops=10**5) == 10083216
 
 
 def test_count_ratios_upto_matches_single_counts():
