@@ -203,21 +203,11 @@ def spectrum_from_histogram(hist: ResidueHistogram) -> np.ndarray:
     return np.abs(np.fft.fft(hist.counts.astype(np.float64)))
 
 
-def max_exp_sum(
-    p: int | OddPrime,
-    n: int,
-    *,
-    table: QuotientTable | None = None,
-    hist: ResidueHistogram | None = None,
-) -> tuple[int, float]:
+def max_exp_sum(p: int | OddPrime, n: int, *, hist: ResidueHistogram | None = None) -> tuple[int, float]:
     """(a, |S_p(a; n)|) maximizing over a = 1..p-1; ties go to the least a."""
     prime = odd_prime(p)
     if hist is None:
-        if table is None or table.n < n or table.p.p != prime.p:
-            table = quotient_table(prime, n)
-        if table.n != n:
-            table = QuotientTable(prime, n, table.values[: n + 1])
-        hist = value_histogram(table)
+        hist = value_histogram(quotient_table(prime, n))
     mags = spectrum_from_histogram(hist)
     a_star = 1 + int(np.argmax(mags[1:]))
     return a_star, float(mags[a_star])

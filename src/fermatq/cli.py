@@ -235,6 +235,8 @@ def cmd_avg(args, config: RunConfig):
 def cmd_sieve(args, config: RunConfig):
     if args.K < 1:
         raise ValueError(f"K must be >= 1, got {args.K}")
+    if args.K > config.max_table_entries:
+        raise BudgetError(f"{args.K} coefficients exceed cap {config.max_table_entries}")
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = TrigPolynomial(coeffs)
@@ -325,7 +327,9 @@ def cmd_nonres(args, config: RunConfig):
 
 def cmd_doublesum(args, config: RunConfig):
     prime = odd_prime(args.p)
-    eta = CharacterModP.all_of_order(prime, args.order)[0]
+    if args.order < 1 or (prime.p - 1) % args.order != 0:
+        raise ValueError(f"order {args.order} does not divide {prime.p - 1}")
+    eta = CharacterModP(prime, (prime.p - 1) // args.order)
     if eta.is_trivial:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
     rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta, max_entries=config.max_table_entries)

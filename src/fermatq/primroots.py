@@ -31,9 +31,6 @@ from .quotients import DEFAULT_TABLE_CAP, UNDEFINED, fermat_quotient, quotient_t
 
 _INDICATOR_TOL = 1e-6
 
-# index entries per gather block of double_char_sum
-_GATHER_BLOCK_ENTRIES = 1 << 16
-
 
 @dataclass(frozen=True)
 class IndicatorReport:
@@ -127,29 +124,28 @@ def double_char_sum(
     p: int | OddPrime, eta: CharacterModP, a_set, b_set, *, max_entries: int = DEFAULT_TABLE_CAP
 ) -> complex:
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
-    The |A| x |B| grid counts against the table-entry cap."""
+    That is sum over s of eta(s) c(s), c = 1_A * 1_B the cyclic convolution
+    mod p, taken by one real FFT of the power-of-two length n >= 2p - 1 (a
+    length 2p has the prime factor p); the n entries count against the cap."""
     prime = odd_prime(p)
     if eta.modulus != prime.p:
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
     if eta.is_trivial:
         raise ValueError("trivial character degenerates to counting nonzero sums")
-    a_arr = np.unique(np.asarray(sorted(a_set), dtype=np.int64) % prime.p)
-    b_arr = np.unique(np.asarray(sorted(b_set), dtype=np.int64) % prime.p)
-    if len(a_arr) == 0 or len(b_arr) == 0:
+    n = 1 << (2 * prime.p - 2).bit_length()
+    if n > max_entries:
+        raise BudgetError(f"length-{n} convolution exceeds cap {max_entries}")
+    ind = np.zeros((2, prime.p))  # assigning 1 per residue drops duplicates mod p
+    ind[0, np.fromiter(a_set, dtype=np.int64) % prime.p] = 1.0
+    ind[1, np.fromiter(b_set, dtype=np.int64) % prime.p] = 1.0
+    if not (ind[0].any() and ind[1].any()):
         raise ValueError("both summation sets must be nonempty")
-    if len(a_arr) * len(b_arr) > max_entries:
-        raise BudgetError(f"{len(a_arr)} x {len(b_arr)} grid exceeds cap {max_entries}")
-    # eta(a + b) gathered a block of rows at a time, so only the complex
-    # grid is whole; summing that one array keeps the summation order.
-    # Every index is already in [0, p), so clip only skips the bounds check.
-    values = eta.value_array()
-    grid = np.empty((len(a_arr), len(b_arr)), dtype=values.dtype)
-    rows = max(1, _GATHER_BLOCK_ENTRIES // len(b_arr))
-    for start in range(0, len(a_arr), rows):
-        idx = a_arr[start : start + rows, None] + b_arr
-        idx[idx >= prime.p] -= prime.p
-        np.take(values, idx, out=grid[start : start + rows], mode="clip")
-    return complex(grid.sum())
+    full = np.fft.irfft(np.fft.rfft(ind[0], n) * np.fft.rfft(ind[1], n), n)
+    counts = np.rint(full[: prime.p] + full[prime.p : 2 * prime.p]).astype(np.int64)
+    pairs = int(ind[0].sum()) * int(ind[1].sum())
+    if counts.min() < 0 or int(counts.sum()) != pairs:
+        raise AssertionError(f"pair counts mod {prime.p} failed to round: sum {int(counts.sum())} != {pairs}")
+    return complex(np.dot(eta.value_array(), counts))
 
 
 def first_occurrence_set(p: int | OddPrime, cap: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> list[int]:
@@ -179,7 +175,7 @@ def quotient_sumset_experiment(
     p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP, *, max_entries: int = DEFAULT_TABLE_CAP
 ) -> SumsetReport:
     """Double character sum over quotient values realized below the caps;
-    its tables and its |A| x |B| grid each stay within max_entries."""
+    its tables and its pair-count convolution each stay within max_entries."""
     prime = odd_prime(p)
     u_reps = first_occurrence_set(prime, u_cap, max_entries=max_entries)
     v_reps = first_occurrence_set(prime, v_cap, max_entries=max_entries)

@@ -22,8 +22,9 @@ from .arith import BudgetError, OddPrime, odd_prime
 from .config import DEFAULT_BUDGET_OPS
 from .quotients import collision_count, quotient_table
 
-# every int64 lane value of _floor_sums stays below m * (Z + 1) < 2**61
-# when m < 2**31; larger moduli run the same code on Python ints
+# every int64 lane value of _floor_sums, and every product w*x of
+# count_ratios_upto, stays below m * (Z + 1) < 2**61 when m < 2**31;
+# larger moduli run the same code on Python ints
 _INT64_LANES_BELOW = 1 << 31
 
 # group elements per _floor_sums call: keeps the lanes in cache; of
@@ -177,7 +178,8 @@ def count_ratios_upto(
 
     A pair (w, x) first becomes admissible at Z = max(x, min(r, m - r))
     with r = w*x mod m, so a histogram of those thresholds integrates
-    to the counts.
+    to the counts.  Exact for every m: w*x in int64 below 2**31,
+    Python ints above.
     """
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
@@ -185,13 +187,13 @@ def count_ratios_upto(
         raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z_max}, m={m}")
     if group.t * z_max > budget_ops:
         raise BudgetError(f"{group.t} * {z_max} products exceed budget {budget_ops}")
-    xs = np.arange(1, z_max + 1, dtype=np.int64)
+    xs = np.arange(1, z_max + 1, dtype=np.int64 if m < _INT64_LANES_BELOW else object)
     thresholds = np.zeros(z_max + 1, dtype=np.int64)
     for w in group.elements:
         r = w * xs % m
         first = np.maximum(xs, np.minimum(r, m - r))
         inside = first <= z_max
-        np.add.at(thresholds, first[inside], 1)
+        np.add.at(thresholds, first[inside].astype(np.int64, copy=False), 1)
     return 2 * np.cumsum(thresholds)[1:]
 
 

@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fermatq
+from fermatq.arith import primes_up_to
 from fermatq.cli import main, parse_n_rule
 from fermatq.report import parse_csv
 
@@ -117,11 +121,30 @@ def test_memcap_bounds_avg_and_doublesum(capsys, tmp_path):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-    # 24 * 3000 bytes admit the 3000-entry tables but not the |A| x |B| grid
+    # 24 * 3000 bytes admit the 3000-entry tables but not the length-2^15 pair-count convolution
     rc, _, err = run(capsys, *pinned[1][0], "--memcap", str(24 * 3000), "--out", str(out_path))
-    assert rc == 3 and "grid" in err
+    assert rc == 3 and "convolution" in err
     assert not out_path.exists()
     assert not os.listdir(tmp_path)
+    rc, out, _ = run(capsys, *pinned[1][0], "--memcap", str(24 * 32768))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[1][1]
+
+
+def test_doublesum_builds_only_the_character_it_uses(capsys):
+    # all phi(10008) = 3312 characters of order 10008 would take 530 MB
+    memcap = 4 << 20
+    argv = ("doublesum", "--p", "10009", "--order", "10008", "--ucap", "100", "--vcap", "100")
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, *argv, "--memcap", str(memcap))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert parse_csv(out)[1][0][:2] == ["10009", "10008"]
+    assert peak < memcap
+    assert run(capsys, "doublesum", "--p", "10009", "--order", "7", "--ucap", "100", "--vcap", "100")[0] == 2
 
 
 def test_import_cli_skips_process_pool():
@@ -286,6 +309,14 @@ def test_sieve_rows_share_one_polynomial(capsys):
         assert float(row[3]) <= float(row[4]) and float(row[3]) <= float(row[5])
 
 
+def test_sieve_memcap_charges_coefficients(capsys, tmp_path):
+    out_path = tmp_path / "report.csv"
+    rc, _, err = run(capsys, "sieve", "--R", "2", "--K", "5000", "--memcap", "24000", "--out", str(out_path))
+    assert rc == 3 and "coefficients" in err
+    assert not os.listdir(tmp_path)
+    assert run(capsys, "sieve", "--R", "2", "--K", "1000", "--memcap", "24000")[0] == 0
+
+
 def test_sieve_seed_changes_rows(capsys):
     out1 = run(capsys, "sieve", "--R", "2", "--K", "16", "--seed", "1")[1]
     out2 = run(capsys, "sieve", "--R", "2", "--K", "16", "--seed", "2")[1]
@@ -393,3 +424,39 @@ def test_timings_flag_records_wall(capsys):
     header, rows = parse_csv(out)
     wall = float(rows[0][header.index("wall_seconds")])
     assert wall > 0.0
+
+
+def _ints(lo, hi):
+    # 0, negatives and, for p, non-primes all belong to the argument space
+    return st.integers(lo, hi).map(str)
+
+
+# selftest takes no integer inputs and runs for about a second, so it is left out
+_P = st.one_of(_ints(-3, 1999), st.sampled_from(primes_up_to(1999)).map(str))
+_N, _SMALL = _ints(-3, 99_999), _ints(-3, 40)
+_SUBCOMMANDS = st.one_of(
+    st.tuples(st.just("quotient"), st.just("--p"), _P, st.just("--u"), _N),
+    st.tuples(st.sampled_from(("table", "image", "maxsum")), st.just("--p"), _P, st.just("--n"), _N),
+    st.tuples(st.just("expsum"), st.just("--p"), _P, st.just("--a"), _N, st.just("--n"), _N),
+    st.tuples(st.just("avg"), st.just("--P"), _ints(-3, 300), st.just("--N-rule"), _ints(-3, 2000)),
+    st.tuples(st.just("sieve"), st.just("--R"), _SMALL, st.just("--K"), _ints(-3, 9_999)),
+    st.tuples(st.just("rho"), st.just("--M"), _P, st.just("--b"), _N, st.just("--nu"), _SMALL, st.just("--k"), _N),
+    st.tuples(st.just("ratios"), st.just("--p"), _P, st.just("--Z"), _N),
+    st.tuples(st.just("ratios"), st.just("--m"), _N, st.just("--gen"), _N, st.just("--Z"), _N),
+    st.tuples(st.just("primroot"), st.just("--p"), _P, st.just("--cap"), _N),
+    st.tuples(st.just("nonres"), st.just("--p"), _P, st.just("--d"), _SMALL, st.just("--cap"), _N),
+    st.tuples(
+        st.just("doublesum"), st.just("--p"), _P, st.just("--order"), _SMALL, st.just("--ucap"), _N, st.just("--vcap"), _N
+    ),
+    st.tuples(st.just("scan"), st.just("--pmin"), _P, st.just("--pmax"), _P),
+)
+_LIMIT = st.sampled_from((None, "1", "1000"))  # None keeps the default
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_SUBCOMMANDS, memcap=_LIMIT, budget=_LIMIT)
+def test_cli_exits_0_2_or_3_and_leaves_no_temp_file(capsys, tmp_path, argv, memcap, budget):
+    limits = [arg for flag, value in (("--memcap", memcap), ("--budget", budget)) if value for arg in (flag, value)]
+    rc, _, err = run(capsys, *argv, *limits, "--out", str(tmp_path / "report.csv"))
+    assert rc in (0, 2, 3), err
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".report-")]

@@ -4,8 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from fermatq import primroots
-from fermatq.arith import arithmetic_functions, is_primitive_root, primes_up_to
+from fermatq.arith import BudgetError, arithmetic_functions, is_primitive_root, primes_up_to
 from fermatq.charsums import CharacterModP
 from fermatq.primroots import (
     IndicatorReport,
@@ -131,16 +130,37 @@ def grid_double_char_sum(p, eta, a_set, b_set):
     return complex(eta.value_array()[np.add.outer(a_arr, b_arr) % p].sum())
 
 
-def test_double_char_sum_equals_whole_grid_sum():
-    block = primroots._GATHER_BLOCK_ENTRIES
+def brute_pair_counts(p, a_set, b_set):
+    # c(s) = #{(a, b) : a + b = s mod p} over the distinct residues, pair by pair
+    counts = [0] * p
+    for a in {x % p for x in a_set}:
+        for b in {y % p for y in b_set}:
+            counts[(a + b) % p] += 1
+    return np.array(counts, dtype=np.int64)
+
+
+def test_double_char_sum_equals_exact_pair_count_sum():
     rng = random.Random(11)
-    # |B| = block + 10 residues: one row per block
-    wide = (65537, CharacterModP.quadratic(65537), {0, 1, 5, 40000}, set(range(-3, block + 7)))
-    # 3000 columns: 21 rows per block, which divides neither 50 rows nor 50 * 3000 entries
+    # duplicate residues mod p and negative members in B of the wide case and A of the small one
+    wide = (65537, CharacterModP.quadratic(65537), {0, 1, 5, 40000}, set(range(-3, 65543)))
     tall = (10009, CharacterModP(10009, 2502), set(rng.sample(range(10009), 50)), set(rng.sample(range(10009), 3000)))
-    assert len(wide[3]) > block and 50 % (block // 3000) and 50 * 3000 % block
-    for p, eta, a_set, b_set in (wide, tall, (13, CharacterModP(13, 4), {1, 2, 5, 7}, {0, 3, 11})):
-        assert double_char_sum(p, eta, a_set, b_set) == grid_double_char_sum(p, eta, a_set, b_set)
+    small = (13, CharacterModP(13, 4), [1, 14, 2, 5, 7, -6], {0, 3, 11})  # 14 = 1 and -6 = 7 mod 13
+    for p, eta, a_set, b_set in (wide, tall, small):
+        s = double_char_sum(p, eta, a_set, b_set)
+        # equal bits pin every pair count c(s) exactly
+        assert s == complex(np.dot(eta.value_array(), brute_pair_counts(p, a_set, b_set)))
+        assert abs(s - grid_double_char_sum(p, eta, a_set, b_set)) <= 1e-9 * len(a_set) * len(b_set)
+
+
+def test_double_char_sum_caps_the_convolution_not_the_sets():
+    eta = CharacterModP.quadratic(10009)
+    # length 2**15 >= 2p - 1, whatever |A| and |B| are
+    assert double_char_sum(10009, eta, {1}, {2}, max_entries=1 << 15) == eta(3)
+    with pytest.raises(BudgetError, match="convolution"):
+        double_char_sum(10009, eta, {1}, {2}, max_entries=(1 << 15) - 1)
+    assert abs(double_char_sum(10009, eta, range(10009), range(10009), max_entries=1 << 15)) < 1e-6
+    with pytest.raises(ValueError, match="nonempty"):
+        double_char_sum(10009, eta, [], {1})
 
 
 def test_double_char_sum_triangle():

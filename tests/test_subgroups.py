@@ -137,6 +137,11 @@ def test_count_ratios_upto_matches_single_counts():
         assert len(prefix) == z_max
         for z in range(1, z_max + 1):
             assert prefix[z - 1] == count_ratios(p * p, grp, z)
+    # near 2^62 the products (m - 1) * x pass 2^63; the group {1, -1} gives 4 triples per Z
+    m = 4611686018427388039
+    grp = SubgroupModM.generated(m, m - 1)
+    prefix = count_ratios_upto(m, grp, 10).tolist()
+    assert prefix == [count_ratios(m, grp, z) for z in range(1, 11)] == list(range(4, 41, 4))
 
 
 def test_count_ratios_monotone_in_z():
