@@ -15,14 +15,7 @@ import math
 import numpy as np
 
 from .arith import OddPrime, is_primitive_root, odd_prime
-from .quotients import (
-    DEFAULT_TABLE_CAP,
-    UNDEFINED,
-    QuotientTable,
-    ResidueHistogram,
-    quotient_table,
-    value_histogram,
-)
+from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, quotient_table, value_histogram
 
 
 def unit_root(r: int, k: int) -> complex:
@@ -119,14 +112,13 @@ class CharacterModPSquared:
     and is primitive: chi(1 + p) = e(a*(p-1)/p) != 1.
     """
 
-    def __init__(self, p: int | OddPrime, a: int, *, max_entries: int = DEFAULT_TABLE_CAP):
+    def __init__(self, p: int | OddPrime, a: int):
         prime = odd_prime(p)
         if a % prime.p == 0:
             raise ValueError(f"twist {a} is divisible by {prime.p}; character would be trivial")
         self.p = prime
         self.a = a % prime.p
-        self._table = quotient_table(prime, prime.p2, max_entries=max_entries)
-        q = self._table.values  # length p^2 + 1, sentinel at multiples of p
+        q = quotient_table(prime, prime.p2).values  # length p^2 + 1, sentinel at multiples of p
         phases = np.zeros(prime.p2, dtype=np.complex128)
         body = q[1:]  # quotients of 1..p^2; residue 0 stays 0
         defined = body != UNDEFINED
@@ -153,9 +145,9 @@ class CharacterModPSquared:
         return np.conj(self._values)
 
 
-def hb_character(p: int | OddPrime, a: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> CharacterModPSquared:
+def hb_character(p: int | OddPrime, a: int) -> CharacterModPSquared:
     """The primitive character mod p**2 whose partial sums are S_p(a; N)."""
-    return CharacterModPSquared(p, a, max_entries=max_entries)
+    return CharacterModPSquared(p, a)
 
 
 def gauss_sum(r: int, chi) -> complex:
@@ -213,7 +205,7 @@ def max_exp_sum(p: int | OddPrime, n: int, *, hist: ResidueHistogram | None = No
     return a_star, float(mags[a_star])
 
 
-def eta_quotient_sum(p: int | OddPrime, eta: CharacterModP, n: int, *, table: QuotientTable | None = None) -> complex:
+def eta_quotient_sum(p: int | OddPrime, eta: CharacterModP, n: int) -> complex:
     """Sum over m <= n, gcd(m, p) = 1 of eta(q_p(m)) for a nontrivial eta mod p."""
     prime = odd_prime(p)
     if eta.modulus != prime.p:
@@ -222,11 +214,8 @@ def eta_quotient_sum(p: int | OddPrime, eta: CharacterModP, n: int, *, table: Qu
         raise ValueError("trivial character makes the sum a plain count")
     if n < 1:
         raise ValueError(f"range must be >= 1, got {n}")
-    if table is None or table.n < n or table.p.p != prime.p:
-        table = quotient_table(prime, n)
-    body = table.values[1 : n + 1]
-    defined = body != UNDEFINED
-    return complex(eta.value_array()[body[defined]].sum())
+    body = quotient_table(prime, n).values[1:]
+    return complex(eta.value_array()[body[body != UNDEFINED]].sum())
 
 
 def hb_bound_rhs(p: int | OddPrime, n: int, nu: int) -> float:

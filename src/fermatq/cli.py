@@ -9,6 +9,7 @@ argument or domain error, 3 budget or cap refusal.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
@@ -28,6 +29,8 @@ from .charsums import (
 )
 from .config import RunConfig, resolve_config
 from .primroots import (
+    convolution_length,
+    nonres_row,
     quotient_sumset_experiment,
     scan_row,
     smallest_dth_nonresidue_quotient,
@@ -42,18 +45,19 @@ from .quotients import (
     value_histogram,
     write_table,
 )
-from .report import emit
+from .report import emit, write_atomic
 from .selftest import VALID_FAULTS, run_selftest
 from .sieve import (
     TrigPolynomial,
     constant_rule,
     exceptional_counts,
     power_rule,
+    rho_coefficient,
     sieve_report,
     table_rule,
     theorem1_average,
 )
-from .subgroups import SubgroupModM, count_ratios, lemma7_rhs, pth_power_residues
+from .subgroups import charge_ratios, count_ratios, generated_within, lemma7_rhs, pth_power_residues
 
 SUM_COLUMNS = ("p", "a", "N", "re", "im", "abs", "rhs_eq1_nu2")
 AVG_COLUMNS = ("P", "nu", "N", "lhs", "rhs_envelope", "trivial_bound", "ratio", "prime_count", "wall_seconds")
@@ -259,8 +263,6 @@ def cmd_sieve(args, config: RunConfig):
 
 
 def cmd_rho(args, config: RunConfig):
-    from .sieve import rho_coefficient
-
     if args.k is not None and args.kmax is not None:
         raise ValueError("give either --k or --kmax, not both")
     ks = args.k if args.k is not None else list(range(1, (args.kmax or 0) + 1))
@@ -278,11 +280,12 @@ def cmd_ratios(args, config: RunConfig):
         if args.m is not None or args.gen is not None:
             raise ValueError("give either --p or --m/--gen, not both")
         prime = odd_prime(args.p)
+        charge_ratios(prime.p2, prime.p - 1, config.budget_ops)
         m, group = prime.p2, pth_power_residues(prime)
     else:
         if args.m is None or args.gen is None:
             raise ValueError("ratios requires --p or both --m and --gen")
-        m, group = args.m, SubgroupModM.generated(args.m, args.gen)
+        m, group = args.m, generated_within(args.m, args.gen, config.budget_ops)
     count = count_ratios(m, group, args.Z, budget_ops=config.budget_ops)
     rhs = lemma7_rhs(m, group.t, args.Z, args.nu)
     row = {
@@ -309,26 +312,14 @@ def cmd_nonres(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
     n = smallest_dth_nonresidue_quotient(prime, args.d, cap)
-    if n is None:
-        row = {"p": prime.p, "d": args.d, "n_min": None, "exponent": None, "verified": False}
-    else:
-        q = fermat_quotient(prime, n)
-        # re-checks the returned n by the same Euler test the search applies
-        verified = q not in (None, 0) and pow(q, (prime.p - 1) // args.d, prime.p) != 1
-        row = {
-            "p": prime.p,
-            "d": args.d,
-            "n_min": n,
-            "exponent": math.log(n) / math.log(prime.p),
-            "verified": verified,
-        }
-    return NONRES_COLUMNS, [row]
+    return NONRES_COLUMNS, [nonres_row(prime, args.d, n)]
 
 
 def cmd_doublesum(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.order < 1 or (prime.p - 1) % args.order != 0:
         raise ValueError(f"order {args.order} does not divide {prime.p - 1}")
+    convolution_length(prime, config.max_table_entries)  # before the character's discrete-log loop
     eta = CharacterModP(prime, (prime.p - 1) // args.order)
     if eta.is_trivial:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
@@ -346,11 +337,17 @@ def cmd_doublesum(args, config: RunConfig):
 
 
 def cmd_scan(args, config: RunConfig):
+    if args.pmax + 1 > config.max_table_entries:
+        raise BudgetError(f"sieve of {args.pmax + 1} entries exceeds cap {config.max_table_entries}")
     return SCAN_COLUMNS, [asdict(row) for row in theorem4_exponent_scan(args.pmin, args.pmax)]
 
 
 def cmd_selftest(args, config: RunConfig):
-    return run_selftest(config.seed, fault=args.inject_fault)
+    out = sys.stdout if config.output_path is None else io.StringIO()
+    code = run_selftest(config.seed, args.inject_fault, out)
+    if config.output_path is not None:
+        write_atomic(out.getvalue(), config.output_path)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

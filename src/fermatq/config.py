@@ -18,8 +18,11 @@ DEFAULT_MEMORY_CAP = 2 * 1024**3
 # power ladder's temporaries, a few arrays of pi(n) entries, stay below
 # that; plus slack.  doublesum's pair-count convolution of transform length
 # n is charged n entries; its traced peak, 57 to 81 bytes per p at p = 10^4
-# to 10^6, is within a factor of 1.2 of those 24 * n bytes.
+# to 10^6, is within a factor of 1.2 of those 24 * n bytes.  The int64
+# least-prime-factor sieves of scan and avg are charged one entry per integer.
 _TABLE_BYTES_PER_ENTRY = 24
+
+DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 
 
 @dataclass(frozen=True)

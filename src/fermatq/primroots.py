@@ -23,11 +23,13 @@ from .arith import (
     divisors,
     factorize,
     is_primitive_root,
+    multiplicative_order,
     odd_prime,
     primes_up_to,
 )
 from .charsums import CharacterModP
-from .quotients import DEFAULT_TABLE_CAP, UNDEFINED, fermat_quotient, quotient_table
+from .config import DEFAULT_TABLE_CAP
+from .quotients import UNDEFINED, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
 
@@ -116,8 +118,18 @@ def lemma3_envelope(card_a: int, card_b: int, p: int | OddPrime, nu: int) -> flo
     return lead * b * pf ** (1 / (4 * nu)) + lead * b**0.5 * pf ** (1 / (2 * nu))
 
 
-def lemma3_envelope_min(card_a: int, card_b: int, p: int | OddPrime, nus=(1, 2, 3)) -> float:
-    return min(lemma3_envelope(card_a, card_b, p, nu) for nu in nus)
+def lemma3_envelope_min(card_a: int, card_b: int, p: int | OddPrime) -> float:
+    return min(lemma3_envelope(card_a, card_b, p, nu) for nu in (1, 2, 3))
+
+
+def convolution_length(p: int | OddPrime, max_entries: int) -> int:
+    """Length of double_char_sum's pair-count convolution mod p: the power
+    of two n >= 2p - 1 (a length 2p has the prime factor p).  Its n entries
+    count against the cap."""
+    n = 1 << (2 * odd_prime(p).p - 2).bit_length()
+    if n > max_entries:
+        raise BudgetError(f"length-{n} convolution exceeds cap {max_entries}")
+    return n
 
 
 def double_char_sum(
@@ -125,16 +137,13 @@ def double_char_sum(
 ) -> complex:
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
     That is sum over s of eta(s) c(s), c = 1_A * 1_B the cyclic convolution
-    mod p, taken by one real FFT of the power-of-two length n >= 2p - 1 (a
-    length 2p has the prime factor p); the n entries count against the cap."""
+    mod p, taken by one real FFT of length convolution_length(p)."""
     prime = odd_prime(p)
     if eta.modulus != prime.p:
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
     if eta.is_trivial:
         raise ValueError("trivial character degenerates to counting nonzero sums")
-    n = 1 << (2 * prime.p - 2).bit_length()
-    if n > max_entries:
-        raise BudgetError(f"length-{n} convolution exceeds cap {max_entries}")
+    n = convolution_length(prime, max_entries)
     ind = np.zeros((2, prime.p))  # assigning 1 per residue drops duplicates mod p
     ind[0, np.fromiter(a_set, dtype=np.int64) % prime.p] = 1.0
     ind[1, np.fromiter(b_set, dtype=np.int64) % prime.p] = 1.0
@@ -210,6 +219,19 @@ def scan_row(p: int | OddPrime, n: int | None) -> ScanRow:
         return ScanRow(prime.p, None, None, False)
     verified = is_primitive_root(fermat_quotient(prime, n), prime)
     return ScanRow(prime.p, n, math.log(n) / math.log(prime.p), verified)
+
+
+def nonres_row(p: int | OddPrime, d: int, n: int | None) -> dict:
+    """Report row for a d-th power nonresidue search result.  A hit is
+    verified by the order test rather than the search's Euler test: a unit
+    q is a d-th power residue exactly when its multiplicative order divides
+    (p - 1)/d, and multiplicative_order factors p - 1 on its own."""
+    prime = odd_prime(p)
+    if n is None:
+        return {"p": prime.p, "d": d, "n_min": None, "exponent": None, "verified": False}
+    q = fermat_quotient(prime, n)
+    verified = bool(q) and (prime.p - 1) // d % multiplicative_order(q, prime.p) != 0
+    return {"p": prime.p, "d": d, "n_min": n, "exponent": math.log(n) / math.log(prime.p), "verified": verified}
 
 
 def theorem4_exponent_scan(p_min: int, p_max: int) -> list[ScanRow]:

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import BudgetError, OddPrime, odd_prime, primes_up_to
+from .config import DEFAULT_TABLE_CAP
 from .report import write_atomic
 
 # Sentinel for entries with p | n.  Distinct from every quotient value
@@ -31,8 +32,6 @@ from .report import write_atomic
 UNDEFINED = -1
 _DUMP_SENTINEL = 0xFFFFFFFF
 _DUMP_MAGIC = b"FQT1"
-
-DEFAULT_TABLE_CAP = 1 << 26
 
 # Fewest primes for which quotient_table takes its powers by the numpy
 # ladder rather than one Python pow each.  The ladder's cost is about

@@ -287,11 +287,8 @@ SUITES: list[tuple[str, Callable]] = [
 VALID_FAULTS = ("fermat-quotient",)
 
 
-def run_selftest(seed: int, fault: str | None = None, out=None) -> int:
-    """Run every suite; print one line per suite; 0 when all pass."""
-    import sys
-
-    out = out or sys.stdout
+def run_selftest(seed: int, fault: str | None, out) -> int:
+    """Run every suite; write one line per suite to out; 0 when all pass."""
     if fault is not None and fault not in VALID_FAULTS:
         raise ValueError(f"unknown fault target {fault!r}; expected one of {VALID_FAULTS}")
     rng = np.random.default_rng(seed)

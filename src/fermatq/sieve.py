@@ -23,8 +23,8 @@ import numpy as np
 
 from .arith import BudgetError, primes_up_to
 from .charsums import max_exp_sum, unit_roots
-from .config import DEFAULT_BUDGET_OPS
-from .quotients import DEFAULT_TABLE_CAP, quotient_table, value_histogram
+from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
+from .quotients import quotient_table, value_histogram
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,8 @@ def theorem1_average(
         raise ValueError(f"P must be >= 3, got {p_scale}")
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
+    if 2 * p_scale + 1 > max_entries:
+        raise BudgetError(f"sieve of {2 * p_scale + 1} entries exceeds cap {max_entries}")
     start = time.monotonic()
     primes = [p for p in primes_up_to(2 * p_scale) if p > p_scale]
     n_by_p = [(p, selector(p)) for p in primes]

@@ -81,18 +81,24 @@ class SubgroupModM:
     @classmethod
     def generated(cls, m: int, g: int) -> "SubgroupModM":
         """Cyclic subgroup generated by a unit g."""
-        if m < 2:
-            raise ValueError(f"modulus must be >= 2, got {m}")
-        if math.gcd(g, m) != 1:
-            raise ValueError(f"generator {g} is not a unit mod {m}")
-        elems = []
-        x = 1
-        while True:
-            elems.append(x)
-            x = x * g % m
-            if x == 1:
-                break
-        return cls._closed(m, elems)
+        return generated_within(m, g, math.inf)
+
+
+def generated_within(m: int, g: int, budget_ops: int | float) -> SubgroupModM:
+    """SubgroupModM.generated(m, g), refused as soon as its order passes
+    the most that count_ratios admits within budget_ops."""
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    if math.gcd(g, m) != 1:
+        raise ValueError(f"generator {g} is not a unit mod {m}")
+    limit = _admitted_order(m, budget_ops)
+    elems, x = [1], g % m
+    while x != 1:
+        if len(elems) >= limit:
+            raise BudgetError(f"order of {g} mod {m} passes {limit}, the most elements budget {budget_ops} admits")
+        elems.append(x)
+        x = x * g % m
+    return SubgroupModM._closed(m, elems)
 
 
 def pth_power_residues(p: int | OddPrime) -> SubgroupModM:
@@ -101,11 +107,19 @@ def pth_power_residues(p: int | OddPrime) -> SubgroupModM:
     return SubgroupModM._closed(prime.p2, (pow(n, prime.p, prime.p2) for n in range(1, prime.p)))
 
 
-def _euclid_steps(m: int) -> int:
-    """Bound on the rounds of _floor_sums for a lane with modulus m: its
-    moduli are the Euclidean remainders of (m, a), at most log_phi(m) + 1
-    of them (Lame), plus the round that finds the lane done."""
-    return int(math.log(m, (1 + 5**0.5) / 2)) + 2
+def _admitted_order(m: int, budget_ops: int | float) -> int | float:
+    """Largest group order t that count_ratios runs within budget_ops.  It
+    takes 2 t lanes of _floor_sums; a lane's moduli are the Euclidean
+    remainders of (m, a), at most log_phi(m) + 1 of them (Lame), and one
+    more round finds the lane done."""
+    return budget_ops // (2 * (int(math.log(m, (1 + 5**0.5) / 2)) + 2))
+
+
+def charge_ratios(m: int, t: int, budget_ops: int) -> None:
+    """Refuse, before any group is built, a count_ratios over t elements mod m that budget_ops does not cover."""
+    limit = _admitted_order(m, budget_ops)
+    if t > limit:
+        raise BudgetError(f"{t} group elements exceed the {limit} that budget {budget_ops} admits")
 
 
 def _floor_sums(n, m, a, b) -> np.ndarray:
@@ -154,9 +168,8 @@ def count_ratios(
         raise ValueError(f"group lives mod {group.m}, not {m}")
     if not 1 <= z < m / 2:
         raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z}, m={m}")
-    t, steps = group.t, _euclid_steps(m)
-    if 2 * t * steps > budget_ops:
-        raise BudgetError(f"2 * {t} floor-sum lanes * {steps} steps exceed budget {budget_ops}")
+    t = group.t
+    charge_ratios(m, t, budget_ops)
     w = np.array(group.elements, dtype=np.int64 if m < _INT64_LANES_BELOW else object)
     half = t * z
     for start in range(0, t, _LANE_BLOCK):
@@ -167,13 +180,7 @@ def count_ratios(
     return 2 * half
 
 
-def count_ratios_upto(
-    m: int,
-    group: SubgroupModM,
-    z_max: int,
-    *,
-    budget_ops: int = DEFAULT_BUDGET_OPS,
-) -> np.ndarray:
+def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
     """count_ratios for every Z = 1..z_max in one pass.
 
     A pair (w, x) first becomes admissible at Z = max(x, min(r, m - r))
@@ -185,8 +192,8 @@ def count_ratios_upto(
         raise ValueError(f"group lives mod {group.m}, not {m}")
     if not 1 <= z_max < m / 2:
         raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z_max}, m={m}")
-    if group.t * z_max > budget_ops:
-        raise BudgetError(f"{group.t} * {z_max} products exceed budget {budget_ops}")
+    if group.t * z_max > DEFAULT_BUDGET_OPS:
+        raise BudgetError(f"{group.t} * {z_max} products exceed budget {DEFAULT_BUDGET_OPS}")
     xs = np.arange(1, z_max + 1, dtype=np.int64 if m < _INT64_LANES_BELOW else object)
     thresholds = np.zeros(z_max + 1, dtype=np.int64)
     for w in group.elements:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import fermatq
 from fermatq.arith import primes_up_to
+from fermatq.charsums import discrete_log_table
 from fermatq.cli import main, parse_n_rule
 from fermatq.report import parse_csv
 
@@ -104,6 +106,31 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # least-prime-factor sieves of pmax + 1 and 2P + 1 entries
+        ("scan", "--pmin", "3", "--pmax", "1000000000000"),
+        ("scan", "--pmin", "3", "--pmax", "100000000", "--memcap", "1000"),
+        ("avg", "--P", "1000000000000", "--N-rule", "1"),
+        # the convolution is charged before the character's discrete-log table
+        ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
+        # the group's order is charged before its p - 1 powers, or its walk stops at the budget
+        ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
+        ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
+    ],
+)
+def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
+    out_path = tmp_path / "report.csv"
+    dlog_builds = discrete_log_table.cache_info().misses
+    started = time.monotonic()
+    rc, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert rc == 3 and err.startswith("budget:"), err
+    assert time.monotonic() - started < 1.0
+    assert discrete_log_table.cache_info().misses == dlog_builds
+    assert not os.listdir(tmp_path)
+
+
 def test_memcap_bounds_avg_and_doublesum(capsys, tmp_path):
     # the digests are the benchmark's pinned report bytes for these calls
     pinned = (
@@ -159,6 +186,20 @@ def test_import_cli_skips_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_modules_import_only_what_they_use():
+    # the package root re-exports nothing, so a module loads only its own imports
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = (
+        "import sys, fermatq; numpy_at_root = 'numpy' in sys.modules; import fermatq.arith; "
+        "print(numpy_at_root, sorted(m for m in sys.modules if m.startswith('fermatq')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False ['fermatq', 'fermatq.arith']"
 
 
 def test_import_sets_one_blas_thread_unless_set():
@@ -405,14 +446,18 @@ def test_selftest_clean_run(capsys):
     assert names == ["core-arith", "fermat-quotient", "char-sums", "sieve-lab", "subgroup-ratios", "prim-root"]
 
 
-def test_selftest_deterministic_bytes(capsys):
+def test_selftest_deterministic_bytes(capsys, tmp_path):
+    # a second run with --out writes the same bytes there and none to stdout
     out1 = run(capsys, "selftest", "--seed", "42")[1]
-    out2 = run(capsys, "selftest", "--seed", "42")[1]
-    assert out1 == out2
+    rc, out2, _ = run(capsys, "selftest", "--seed", "42", "--out", str(tmp_path / "selftest.txt"))
+    assert rc == 0 and out2 == ""
+    assert (tmp_path / "selftest.txt").read_text() == out1
 
 
-def test_selftest_fault_injection_names_module(capsys):
-    rc, out, _ = run(capsys, "selftest", "--inject-fault", "fermat-quotient")
+def test_selftest_fault_injection_names_module(capsys, tmp_path):
+    # the exit code survives --out
+    rc, _, _ = run(capsys, "selftest", "--inject-fault", "fermat-quotient", "--out", str(tmp_path / "selftest.txt"))
+    out = (tmp_path / "selftest.txt").read_text()
     assert rc == 1
     assert "fermat-quotient" in out and "FAIL" in out
     assert "first failure: fermat-quotient quotient_table" in out

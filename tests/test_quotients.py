@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fermatq import quotients
 from fermatq.arith import BudgetError, is_prime, primes_up_to
-from fermatq.config import _TABLE_BYTES_PER_ENTRY
+from fermatq.config import _TABLE_BYTES_PER_ENTRY, RunConfig
 from fermatq.quotients import (
     QuotientTable,
     cauchy_lower_bound,
@@ -174,6 +175,8 @@ def test_quotient_table_bounds_and_cap():
         quotient_table(5, 0)
     with pytest.raises(BudgetError):
         quotient_table(5, 1001, max_entries=1000)
+    # the library's default cap is the CLI's at the default --memcap
+    assert inspect.signature(quotient_table).parameters["max_entries"].default == RunConfig().max_table_entries
     t = quotient_table(5, 4)
     with pytest.raises(IndexError):
         t[0]

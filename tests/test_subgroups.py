@@ -13,6 +13,7 @@ from fermatq.subgroups import (
     collision_vs_ratio_check,
     count_ratios,
     count_ratios_upto,
+    generated_within,
     lemma7_rhs,
     pth_power_residues,
 )
@@ -49,6 +50,10 @@ def test_subgroup_generated():
     g = SubgroupModM.generated(25, 7)
     assert g.elements == (1, 7, 18, 24)
     assert 18 in g and 5 not in g and g.t == 4
+    # 2 * 4 lanes * 8 steps: the budgeted walk builds the same group at 64 ops and stops at 63
+    assert generated_within(25, 7, 64) == g
+    with pytest.raises(BudgetError):
+        generated_within(25, 7, 63)
 
 
 def test_subgroup_generated_rejects_small_modulus():
