@@ -1,9 +1,12 @@
 """Prime sieves, factorization, and multiplicative-order arithmetic.
 
-Everything here works on plain Python integers, which are arbitrary
+The scalar functions work on plain Python integers, which are arbitrary
 precision, so modular products never overflow.  Primality for 64-bit
 inputs is decided by Miller-Rabin with a fixed witness set that is
-known to be deterministic for n < 3.3e24.
+known to be deterministic for n < 3.3e24.  The lane functions apply
+the same arithmetic to every entry of an int64 array at once, for
+moduli below 2**31, where each product of two residues is below 2**62.
+numpy is imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -11,10 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # Deterministic for all n < 3,317,044,064,679,887,385,961,981 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Deterministic for all n < 3,215,031,751, the least strong pseudoprime
+# to these four bases; lane moduli stay below 2**31.
+_MR_LANE_WITNESSES = (2, 3, 5, 7)
+_LANE_MODULUS_LIMIT = 1 << 31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -77,6 +83,8 @@ def odd_prime(p: int | OddPrime) -> OddPrime:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
+    import numpy as np
+
     if limit < 2:
         return []
     spf = smallest_prime_factors(limit)
@@ -85,6 +93,8 @@ def primes_up_to(limit: int) -> list[int]:
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """spf[n] = least prime factor of n for 2 <= n <= limit; spf[0] = spf[1] = 0."""
+    import numpy as np
+
     spf = np.zeros(limit + 1, dtype=np.int64)
     if limit < 2:
         return spf
@@ -106,6 +116,21 @@ class Factorization:
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.pairs]
+
+
+_WHEEL_STEPS = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between the residues prime to 30
+
+
+def _wheel_divisors(limit: int):
+    """2, 3, 5, then every integer up to limit prime to 30, ascending: a
+    superset of the primes, so trial division by them in order finds
+    every prime factor (a composite divisor no longer divides)."""
+    yield from (d for d in (2, 3, 5) if d <= limit)
+    d, i = 7, 0
+    while d <= limit:
+        yield d
+        d += _WHEEL_STEPS[i]
+        i = (i + 1) % 8
 
 
 def _pollard_rho(n: int) -> int:
@@ -157,13 +182,12 @@ def factorize(n: int) -> Factorization:
     # wheel over 30 covers trial division; switch to rho when the
     # remaining cofactor is large and prime-free below the cutoff
     d = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
     while d * d <= m and d < _RHO_CUTOFF:
         while m % d == 0:
             pairs[d] = pairs.get(d, 0) + 1
             m //= d
-        d += increments[i]
+        d += _WHEEL_STEPS[i]
         i = (i + 1) % 8
     if d * d > m:
         # no prime factor below d is left, so m is 1 or a prime
@@ -238,3 +262,89 @@ def is_primitive_root(a: int, p: int | OddPrime) -> bool:
     if a == 0:
         return False
     return all(pow(a, (p - 1) // q, p) != 1 for q in factorize(p - 1).primes())
+
+
+def least_primitive_root(p: int | OddPrime) -> int:
+    """The least g >= 2 that generates the units mod the odd prime p."""
+    prime = odd_prime(p)
+    exponents = [(prime.p - 1) // q for q in factorize(prime.p - 1).primes()]
+    g = 2
+    while any(pow(g, e, prime.p) == 1 for e in exponents):
+        g += 1
+    return g
+
+
+def pow_mod_lanes(base, e, m):
+    """base**e mod m lane by lane: int64 arrays (or scalars) with
+    0 <= base < m < 2**31 and e >= 0, by one square-and-multiply ladder
+    over the bits of the largest exponent."""
+    import numpy as np
+
+    base, e = np.broadcast_arrays(np.asarray(base, dtype=np.int64), np.asarray(e, dtype=np.int64))
+    acc = np.ones_like(base) % m
+    while e.any():
+        acc = np.where(e & 1 == 1, acc * base % m, acc)
+        e = e >> 1
+        if e.any():
+            base = base * base % m
+    return acc
+
+
+def is_prime_lanes(ns):
+    """Deterministic Miller-Rabin on each lane of an int64 array with
+    entries in 0..2**31 - 1: witnesses 2, 3, 5 and 7, exact below
+    3,215,031,751."""
+    import numpy as np
+
+    n = np.asarray(ns, dtype=np.int64)
+    if n.size and (n.min() < 0 or n.max() >= _LANE_MODULUS_LIMIT):
+        raise ValueError("lane primality needs entries in [0, 2^31)")
+    prime = n == 2
+    odd = np.flatnonzero((n > 2) & (n & 1 == 1))
+    m = n[odd]
+    d, s = m - 1, np.zeros_like(m)
+    while True:
+        even = (d & 1 == 0) & (d > 0)
+        if not even.any():
+            break
+        d = np.where(even, d >> 1, d)
+        s += even
+    sure = np.ones(len(m), dtype=bool)
+    for a in _MR_LANE_WITNESSES:
+        x = pow_mod_lanes(a % m, d, m)
+        passed = (x == 1) | (x == m - 1) | (a % m == 0)
+        for r in range(1, int(s.max(initial=0))):
+            x = x * x % m
+            passed |= (x == m - 1) & (r < s)
+        sure &= passed
+    prime[odd] = sure
+    return prime
+
+
+def prime_factor_lanes(ns):
+    """The distinct prime factors of each entry n >= 1 of an int64 array,
+    by trial division over the wheel mod 30, all lanes at once: a pair of
+    arrays (lane, prime), one entry per factor.  A lane drops out once its
+    cofactor is below the square of the divisor, leaving 1 or a prime."""
+    import numpy as np
+
+    m = np.array(ns, dtype=np.int64)
+    if m.size and m.min() < 1:
+        raise ValueError("lane factorization needs entries >= 1")
+    lanes, primes = [], []
+    active = np.arange(len(m))
+    for d in _wheel_divisors(math.isqrt(int(m.max(initial=1)))):
+        active = active[m[active] >= d * d]
+        if not len(active):
+            break
+        hit = active[m[active] % d == 0]
+        if len(hit):
+            lanes.append(hit)
+            primes.append(np.full(len(hit), d, dtype=np.int64))
+        while len(hit):
+            m[hit] //= d
+            hit = hit[m[hit] % d == 0]
+    rest = np.flatnonzero(m > 1)
+    lanes.append(rest)
+    primes.append(m[rest])
+    return np.concatenate(lanes), np.concatenate(primes)

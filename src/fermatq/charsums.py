@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
-from .arith import OddPrime, is_primitive_root, odd_prime
+from .arith import OddPrime, least_primitive_root, odd_prime
 from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, quotient_table, value_histogram
 
 
 def unit_root(r: int, k: int) -> complex:
     """exp(2*pi*i*k/r) evaluated at the reduced argument k mod r."""
+    import numpy as np
+
     if r < 1:
         raise ValueError(f"root order must be >= 1, got {r}")
     return complex(np.exp(2j * np.pi * ((k % r) / r)))
@@ -27,6 +27,8 @@ def unit_root(r: int, k: int) -> complex:
 
 def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
     """Vector of exp(2*pi*i*k/r) over integer arguments, reduced mod r."""
+    import numpy as np
+
     if r < 1:
         raise ValueError(f"root order must be >= 1, got {r}")
     ks = np.asarray(ks, dtype=np.int64)
@@ -36,10 +38,10 @@ def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def discrete_log_table(p: int) -> tuple[int, np.ndarray]:
     """(least primitive root g, index table ind with g**ind[x] = x mod p)."""
+    import numpy as np
+
     prime = odd_prime(p)
-    g = 2
-    while not is_primitive_root(g, prime):
-        g += 1
+    g = least_primitive_root(prime)
     ind = np.zeros(prime.p, dtype=np.int64)
     x = 1
     for j in range(prime.p - 1):
@@ -57,6 +59,8 @@ class CharacterModP:
     """
 
     def __init__(self, p: int | OddPrime, k: int):
+        import numpy as np
+
         self.p = odd_prime(p)
         self.k = k % (self.p.p - 1)
         self.order = (self.p.p - 1) // math.gcd(self.k, self.p.p - 1)
@@ -101,7 +105,7 @@ class CharacterModP:
         return self._values
 
     def conjugate_array(self) -> np.ndarray:
-        return np.conj(self._values)
+        return self._values.conj()
 
 
 class CharacterModPSquared:
@@ -113,6 +117,8 @@ class CharacterModPSquared:
     """
 
     def __init__(self, p: int | OddPrime, a: int):
+        import numpy as np
+
         prime = odd_prime(p)
         if a % prime.p == 0:
             raise ValueError(f"twist {a} is divisible by {prime.p}; character would be trivial")
@@ -142,7 +148,7 @@ class CharacterModPSquared:
         return self._values
 
     def conjugate_array(self) -> np.ndarray:
-        return np.conj(self._values)
+        return self._values.conj()
 
 
 def hb_character(p: int | OddPrime, a: int) -> CharacterModPSquared:
@@ -152,6 +158,8 @@ def hb_character(p: int | OddPrime, a: int) -> CharacterModPSquared:
 
 def gauss_sum(r: int, chi) -> complex:
     """tau_r(chi) = sum over v of chi(v) e(v/r); r must be chi's modulus."""
+    import numpy as np
+
     if r != chi.modulus:
         raise ValueError(f"modulus mismatch: r={r}, character lives mod {chi.modulus}")
     values = chi.value_array()
@@ -160,6 +168,8 @@ def gauss_sum(r: int, chi) -> complex:
 
 def gauss_identity_residual(r: int, chi, b: int) -> float:
     """| chi(b) tau_r(conj chi) - sum_v conj(chi(v)) e(bv/r) |, gcd(b, r) = 1."""
+    import numpy as np
+
     if r != chi.modulus:
         raise ValueError(f"modulus mismatch: r={r}, character lives mod {chi.modulus}")
     if math.gcd(b, r) != 1:
@@ -185,18 +195,24 @@ def exp_sum_direct(p: int | OddPrime, a: int, n: int, *, table: QuotientTable | 
 
 def exp_sum_from_histogram(hist: ResidueHistogram, a: int) -> complex:
     """S_p(a; n) recovered from a value histogram: sum of counts[q] e(aq/p)."""
+    import numpy as np
+
     p = hist.p.p
     return complex(np.dot(hist.counts, unit_roots(p, (a % p) * np.arange(p))))
 
 
 def spectrum_from_histogram(hist: ResidueHistogram) -> np.ndarray:
     """|S_p(a; n)| for every a = 0..p-1 in one length-p transform."""
+    import numpy as np
+
     # fft computes sum counts[q] e(-aq/p); counts are real so magnitudes agree
     return np.abs(np.fft.fft(hist.counts.astype(np.float64)))
 
 
 def max_exp_sum(p: int | OddPrime, n: int, *, hist: ResidueHistogram | None = None) -> tuple[int, float]:
     """(a, |S_p(a; n)|) maximizing over a = 1..p-1; ties go to the least a."""
+    import numpy as np
+
     prime = odd_prime(p)
     if hist is None:
         hist = value_histogram(quotient_table(prime, n))

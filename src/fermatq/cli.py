@@ -13,11 +13,8 @@ import io
 import math
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .arith import BudgetError, odd_prime
 from .charsums import (
@@ -29,6 +26,7 @@ from .charsums import (
 )
 from .config import RunConfig, resolve_config
 from .primroots import (
+    charge_scan,
     convolution_length,
     nonres_row,
     quotient_sumset_experiment,
@@ -237,6 +235,8 @@ def cmd_avg(args, config: RunConfig):
 
 
 def cmd_sieve(args, config: RunConfig):
+    import numpy as np
+
     if args.K < 1:
         raise ValueError(f"K must be >= 1, got {args.K}")
     if args.K > config.max_table_entries:
@@ -305,7 +305,7 @@ def cmd_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
     n = smallest_primroot_quotient(prime, cap)
-    return SCAN_COLUMNS, [asdict(scan_row(prime, n))]
+    return SCAN_COLUMNS, [scan_row(prime, n)._asdict()]
 
 
 def cmd_nonres(args, config: RunConfig):
@@ -339,7 +339,8 @@ def cmd_doublesum(args, config: RunConfig):
 def cmd_scan(args, config: RunConfig):
     if args.pmax + 1 > config.max_table_entries:
         raise BudgetError(f"sieve of {args.pmax + 1} entries exceeds cap {config.max_table_entries}")
-    return SCAN_COLUMNS, [asdict(row) for row in theorem4_exponent_scan(args.pmin, args.pmax)]
+    charge_scan(args.pmin, args.pmax, config.budget_ops)
+    return SCAN_COLUMNS, [row._asdict() for row in theorem4_exponent_scan(args.pmin, args.pmax)]
 
 
 def cmd_selftest(args, config: RunConfig):

@@ -3,18 +3,17 @@
 The character-sum indicator for primitive roots mod p evaluates
 (phi(p-1)/(p-1)) * sum over d | p-1 of (mu(d)/phi(d)) * sum over the
 characters eta of exact order d of eta(a), which is 1 on primitive
-roots and 0 elsewhere.  The least-n searches share one walk that
-computes q_p(n) directly for n = 2, 3, ..., since the typical hit is a
-handful of steps in.
+roots and 0 elsewhere.  The least-n searches for one prime share one
+walk that computes q_p(n) directly for n = 2, 3, ..., since the typical
+hit is a handful of steps in.  A scan over a range of primes takes the
+same walk for every prime at once, one numpy lane per prime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .arith import (
     BudgetError,
@@ -22,14 +21,17 @@ from .arith import (
     arithmetic_functions,
     divisors,
     factorize,
+    is_prime_lanes,
     is_primitive_root,
     multiplicative_order,
     odd_prime,
-    primes_up_to,
+    pow_mod_lanes,
+    prime_factor_lanes,
+    smallest_prime_factors,
 )
 from .charsums import CharacterModP
 from .config import DEFAULT_TABLE_CAP
-from .quotients import UNDEFINED, fermat_quotient, quotient_table
+from .quotients import UNDEFINED, _pow_mod_p2, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
 
@@ -138,6 +140,8 @@ def double_char_sum(
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
     That is sum over s of eta(s) c(s), c = 1_A * 1_B the cyclic convolution
     mod p, taken by one real FFT of length convolution_length(p)."""
+    import numpy as np
+
     prime = odd_prime(p)
     if eta.modulus != prime.p:
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
@@ -160,6 +164,8 @@ def double_char_sum(
 def first_occurrence_set(p: int | OddPrime, cap: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> list[int]:
     """One representative n per distinct quotient value over 1..cap,
     each the least n attaining its value; undefined entries skipped."""
+    import numpy as np
+
     body = quotient_table(odd_prime(p), cap, max_entries=max_entries).values
     ns = np.flatnonzero(body != UNDEFINED)  # index 0 holds UNDEFINED
     _, first = np.unique(body[ns], return_index=True)
@@ -202,8 +208,7 @@ def quotient_sumset_experiment(
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     p: int
     n_min: int | None
     exponent: float | None
@@ -234,10 +239,147 @@ def nonres_row(p: int | OddPrime, d: int, n: int | None) -> dict:
     return {"p": prime.p, "d": d, "n_min": n, "exponent": math.log(n) / math.log(prime.p), "verified": verified}
 
 
+def _failed_lanes(lanes: int, pair_lane, q, exponent, p):
+    """Per lane and per candidate column of q, how many of the lane's
+    (lane, l) pairs have q**((p-1)/l) = 1 mod p; a unit q is a primitive
+    root exactly when none does.  exponent and p are columns."""
+    import numpy as np
+
+    ones = pow_mod_lanes(q[pair_lane], exponent, p[pair_lane]) == 1
+    width = ones.shape[1]
+    cell = pair_lane[:, None] * width + np.arange(width)
+    return np.bincount(cell[ones], minlength=lanes * width).reshape(lanes, width)
+
+
+# Distinct prime factors of a number below 2**31: the product of the
+# first ten primes, 6,469,693,230, is above it.
+_FACTOR_SLOTS = 9
+
+# Primes per block of a scan: a block is searched and verified before the
+# next starts, so the lane temporaries stay a few MB at any range.
+_SCAN_BLOCK = 1 << 14
+
+
+def _distinct_factors(spf, ms):
+    """The distinct prime factors of each m >= 2 in the rows of an int32
+    matrix of _FACTOR_SLOTS columns, ascending and padded with 0, read off
+    the least-prime-factor sieve.  The least prime factor never falls as
+    it is divided out, so a factor is new when it changes."""
+    import numpy as np
+
+    slots = np.zeros((len(ms), _FACTOR_SLOTS), dtype=np.int32)
+    count = np.zeros(len(ms), dtype=np.int64)
+    lane, prev = np.arange(len(ms)), np.zeros_like(ms)
+    while len(lane):
+        f = spf[ms]
+        new = f != prev
+        slots[lane[new], count[lane[new]]] = f[new]
+        count[lane[new]] += 1
+        ms = ms // f
+        keep = ms > 1
+        lane, ms, prev = lane[keep], ms[keep], f[keep]
+    return slots
+
+
+# Candidates per round are widened until the open lanes times the width
+# reach this many cells: below it a round costs about its fixed numpy
+# overhead, so later rounds try several n per lane at once.
+_ROUND_CELLS = 1 << 10
+
+
+def _least_primroot_lanes(primes, pair_lane, pair_prime):
+    """Least n <= p**2 with q_p(n) a primitive root mod p, for every prime
+    at once (0 where there is none).  A round takes the next few n on
+    every open lane: n**(p-1) mod p**2 by the two-digit ladder, whose high
+    digit is q_p(n) (0 when p | n), then the order test.  A lane leaves at
+    its least hit, or with none once n passes p**2."""
+    import numpy as np
+
+    n_min = np.zeros(len(primes), dtype=np.int64)
+    lane, p, p2 = np.arange(len(primes)), primes, primes * primes
+    exponent = (p[pair_lane] - 1) // pair_prime
+    n = 2
+    while len(lane):
+        ns = np.arange(n, n + max(1, _ROUND_CELLS // len(lane)))
+        n += len(ns)
+        col = p[:, None]
+        q = _pow_mod_p2(ns % p2[:, None], col - 1, col) // col
+        failed = _failed_lanes(len(lane), pair_lane, q, exponent[:, None], col)
+        hit = (q != 0) & (failed == 0) & (ns <= p2[:, None])
+        found = hit.any(axis=1)
+        n_min[lane[found]] = ns[hit[found].argmax(axis=1)]
+        keep = ~found & (p2 >= n)
+        if not keep.all():
+            slot = np.cumsum(keep) - 1
+            kept = keep[pair_lane]
+            pair_lane, exponent = slot[pair_lane[kept]], exponent[kept]
+            lane, p, p2 = lane[keep], p[keep], p2[keep]
+    return n_min
+
+
+def _verify_lanes(primes, n_min):
+    """Check every hit without the sieve or the search's factors: q_p(n) by
+    a Python pow mod p**2, p - 1 factored afresh by lane trial division,
+    then the order test."""
+    import numpy as np
+
+    hits = np.flatnonzero(n_min)
+    p = primes[hits]
+    # the high base-p digit of n**(p-1) mod p**2: q_p(n), or 0 when p | n
+    pows = (pow(a, b - 1, b * b) // b for a, b in zip(n_min[hits].tolist(), p.tolist()))
+    q = np.fromiter(pows, dtype=np.int64, count=len(hits))
+    pair_lane, pair_prime = prime_factor_lanes(p - 1)
+    verified = np.zeros(len(primes), dtype=bool)
+    failed = _failed_lanes(len(hits), pair_lane, q[:, None], ((p[pair_lane] - 1) // pair_prime)[:, None], p[:, None])
+    verified[hits] = (q != 0) & (failed[:, 0] == 0)
+    return verified
+
+
+def charge_scan(p_min: int, p_max: int, budget_ops: int) -> None:
+    """Refuse, before the sieve, a theorem4_exponent_scan that budget_ops
+    does not cover.  Its lanes are at most the odd numbers of the range and
+    at most 1.25506 x / ln x, a bound on the primes up to x (Rosser and
+    Schoenfeld, 1962).  Each lane, and each of the _ROUND_CELLS cells a
+    round keeps busy, is charged 32 lane steps (one ladder bit, one trial
+    divisor) per bit of p_max; scans from 3 to 10^4..10^7 count 22 to 24."""
+    lo = max(3, p_min)
+    if p_max < lo:
+        return
+    lanes = min((p_max - lo) // 2 + 1, int(1.25506 * p_max / math.log(p_max)) + 1)
+    steps = 32 * p_max.bit_length() * (lanes + _ROUND_CELLS)
+    if steps > budget_ops:
+        raise BudgetError(f"scan of up to {lanes} primes, about {steps} lane steps, exceeds budget {budget_ops}")
+
+
 def theorem4_exponent_scan(p_min: int, p_max: int) -> list[ScanRow]:
     """Least primitive-root quotient argument for every prime in the range,
-    searched up to p**2, with each hit verified once by scan_row."""
+    searched up to p**2 with one lane per prime.  One least-prime-factor
+    sieve lists the primes and the prime factors of each p - 1.  Block by
+    block, every prime is confirmed by Miller-Rabin, searched, and each hit
+    verified on its own."""
+    import numpy as np
+
     if p_min > p_max:
         raise ValueError(f"empty range [{p_min}, {p_max}]")
-    primes = [odd_prime(p) for p in primes_up_to(p_max) if p >= max(3, p_min)]
-    return [scan_row(prime, smallest_primroot_quotient(prime, prime.p2)) for prime in primes]
+    if p_max >= 1 << 31:
+        raise ValueError(f"scan range must stay below 2^31, got {p_max}")
+    lo = max(3, p_min)
+    if p_max < lo:
+        return []
+    spf = smallest_prime_factors(p_max)
+    primes = np.flatnonzero(spf[lo:] == np.arange(lo, p_max + 1)) + lo
+    factors = _distinct_factors(spf, primes - 1)
+    del spf
+    rows = []
+    for start in range(0, len(primes), _SCAN_BLOCK):
+        block = primes[start : start + _SCAN_BLOCK]
+        if not is_prime_lanes(block).all():
+            raise AssertionError(f"the sieve listed a composite in [{block[0]}, {block[-1]}]")
+        pair_lane, slot = np.nonzero(factors[start : start + _SCAN_BLOCK])
+        n_min = _least_primroot_lanes(block, pair_lane, factors[start + pair_lane, slot].astype(np.int64))
+        verified = _verify_lanes(block, n_min)
+        rows += [
+            ScanRow(p, n, math.log(n) / math.log(p), ok) if n else ScanRow(p, None, None, False)
+            for p, n, ok in zip(block.tolist(), n_min.tolist(), verified.tolist())
+        ]
+    return rows

@@ -8,7 +8,8 @@ every other entry is a sum of those, and indices past p**2 repeat.
 Those powers are taken together, in one numpy square-and-multiply
 ladder mod p**2, once a table has enough primes to pay for it
 (computing quotients in bulk: Ernvall and Metsankyla, Math. Comp. 66,
-1997).
+1997).  The same ladder takes one modulus and one exponent per lane, which
+is how primroots scans many primes at once.
 
 Undefined entries (p | n) carry an explicit sentinel and are never
 conflated with the value 0.
@@ -20,8 +21,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .arith import BudgetError, OddPrime, odd_prime, primes_up_to
 from .config import DEFAULT_TABLE_CAP
@@ -70,25 +69,33 @@ class QuotientTable:
         return body[body != UNDEFINED]
 
 
-def _mul_mod_p2(x0, x1, y0, y1, p: int):
+def _mul_mod_p2(x0, x1, y0, y1, p):
     """(x0 + p x1)(y0 + p y1) mod p**2 as its base-p digits (low, high).
 
     Every digit is below p < 2^31, so each product is below 2^62 and
     int64 arithmetic is exact."""
-    carry, low = np.divmod(x0 * y0, p)
+    carry, low = divmod(x0 * y0, p)
     return low, (carry + x0 * y1 % p + x1 * y0 % p) % p
 
 
-def _pow_mod_p2(units: np.ndarray, e: int, p: int) -> np.ndarray:
+def _pow_mod_p2(units: np.ndarray, e, p) -> np.ndarray:
     """units**e mod p**2 elementwise, for int64 units in 0..p**2-1, by one
-    square-and-multiply ladder over base-p digit pairs."""
+    square-and-multiply ladder over base-p digit pairs.  e and p are
+    scalars, or int64 arrays with one exponent and one prime per lane; a
+    lane takes the product only at its own one bits."""
+    import numpy as np
+
     base = np.divmod(units, p)[::-1]  # (low, high) digits
     acc = (np.ones_like(units), np.zeros_like(units))
-    while e:
-        if e & 1:
+    e = np.asarray(e)
+    while e.any():
+        odd = e & 1 == 1
+        if odd.all():
             acc = _mul_mod_p2(*acc, *base, p)
-        e >>= 1
-        if e:
+        elif odd.any():
+            acc = tuple(np.where(odd, x, y) for x, y in zip(_mul_mod_p2(*acc, *base, p), acc))
+        e = e >> 1
+        if e.any():
             base = _mul_mod_p2(*base, *base, p)
     return acc[0] + p * acc[1]
 
@@ -96,6 +103,8 @@ def _pow_mod_p2(units: np.ndarray, e: int, p: int) -> np.ndarray:
 def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> QuotientTable:
     """Batch table of q_p over 1..n: q_p(l) added at every multiple of each
     power of each prime l != p below p**2, then repeated with period p**2."""
+    import numpy as np
+
     prime = odd_prime(p)
     if n < 1:
         raise ValueError(f"table length must be >= 1, got {n}")
@@ -134,6 +143,8 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
 
 def image_size(table: QuotientTable) -> int:
     """Number of distinct quotient values attained over the table range."""
+    import numpy as np
+
     return len(np.unique(table.defined()))
 
 
@@ -154,6 +165,8 @@ class ResidueHistogram:
 
 def value_histogram(table: QuotientTable) -> ResidueHistogram:
     """Counts of each quotient value over the defined entries of the table."""
+    import numpy as np
+
     defined = table.defined()
     counts = np.bincount(defined, minlength=table.p.p)
     counts.setflags(write=False)
@@ -183,6 +196,8 @@ def dump_table(table: QuotientTable) -> bytes:
 
 def load_table(blob: bytes) -> QuotientTable:
     """Inverse of dump_table; validates magic, length, and entry ranges."""
+    import numpy as np
+
     if len(blob) < 20 or blob[:4] != _DUMP_MAGIC:
         raise ValueError("bad table header")
     _, p, n = struct.unpack_from("<4sQQ", blob)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .arith import (
     arithmetic_functions,
     is_primitive_root,
@@ -84,6 +82,8 @@ def _suite_core_arith(rng: np.random.Generator, fault: str | None):
 
 
 def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
+    import numpy as np
+
     checks, failures = 0, []
     for p in (5, 13, 101, 257):
         table = quotient_table(p, 1500)
@@ -122,6 +122,8 @@ def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
 
 
 def _suite_char_sums(rng: np.random.Generator, fault: str | None):
+    import numpy as np
+
     checks, failures = 0, []
     for p, a in ((5, 1), (7, 3), (13, 5)):
         chi = hb_character(p, a)
@@ -289,6 +291,8 @@ VALID_FAULTS = ("fermat-quotient",)
 
 def run_selftest(seed: int, fault: str | None, out) -> int:
     """Run every suite; write one line per suite to out; 0 when all pass."""
+    import numpy as np
+
     if fault is not None and fault not in VALID_FAULTS:
         raise ValueError(f"unknown fault target {fault!r}; expected one of {VALID_FAULTS}")
     rng = np.random.default_rng(seed)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .arith import BudgetError, primes_up_to
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
@@ -34,6 +32,8 @@ class TrigPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("coefficient vector must be one-dimensional and nonempty")
@@ -46,11 +46,15 @@ class TrigPolynomial:
 
     @property
     def energy(self) -> float:
+        import numpy as np
+
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def trig_poly_eval(poly: TrigPolynomial, u: Fraction | float) -> complex:
     """T(u) = sum_k alpha_k e(ku); Fractions evaluate via reduced integers."""
+    import numpy as np
+
     ks = np.arange(1, poly.k_max + 1, dtype=np.int64)
     if isinstance(u, Fraction):
         phases = unit_roots(u.denominator, int(u.numerator) * ks)
@@ -61,6 +65,8 @@ def trig_poly_eval(poly: TrigPolynomial, u: Fraction | float) -> complex:
 
 def fold_coefficients(poly: TrigPolynomial, m: int) -> np.ndarray:
     """c_j = sum of alpha_k over k = j mod m, the length-m alias of the poly."""
+    import numpy as np
+
     if m < 1:
         raise ValueError(f"fold length must be >= 1, got {m}")
     c = np.zeros(m, dtype=np.complex128)
@@ -70,11 +76,15 @@ def fold_coefficients(poly: TrigPolynomial, m: int) -> np.ndarray:
 
 def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
     """T(a/r2) for a = 0..r2-1 via one inverse transform of the folded coeffs."""
+    import numpy as np
+
     return r2 * np.fft.ifft(fold_coefficients(poly, r2))
 
 
 def large_sieve_lhs(poly: TrigPolynomial, r_max: int, *, budget_ops: int = DEFAULT_BUDGET_OPS) -> float:
     """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2."""
+    import numpy as np
+
     if r_max < 1:
         raise ValueError(f"R must be >= 1, got {r_max}")
     points = sum(r * r for r in range(1, r_max + 1))
@@ -102,6 +112,8 @@ def zhao_conjecture_rhs(k_max: int, r_max: int, energy: float) -> float:
 
 def parseval_check(poly: TrigPolynomial, m: int) -> float:
     """| sum_a |T(a/m)|^2 - m * sum_j |c_j|^2 | over the full residue grid."""
+    import numpy as np
+
     if m < 1:
         raise ValueError(f"grid length must be >= 1, got {m}")
     lhs = sum(abs(trig_poly_eval(poly, Fraction(a, m))) ** 2 for a in range(m))
@@ -154,6 +166,8 @@ def _divisors_upto(n: int, cap: int) -> tuple[int, ...]:
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
     """sum of e(b*(m_1 + ... + m_nu)/M) over ordered factorizations of k
     into nu factors, each in [1, M]."""
+    import numpy as np
+
     if m_max < 1:
         raise ValueError(f"M must be >= 1, got {m_max}")
     if nu < 1:
@@ -254,6 +268,8 @@ def theorem1_average(
     max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Theorem1Result:
     """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P]."""
+    import numpy as np
+
     if p_scale < 3:
         raise ValueError(f"P must be >= 3, got {p_scale}")
     if nu < 1:

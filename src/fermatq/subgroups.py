@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import BudgetError, OddPrime, odd_prime
+from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
 from .config import DEFAULT_BUDGET_OPS
 from .quotients import collision_count, quotient_table
 
@@ -102,9 +100,11 @@ def generated_within(m: int, g: int, budget_ops: int | float) -> SubgroupModM:
 
 
 def pth_power_residues(p: int | OddPrime) -> SubgroupModM:
-    """The p-th powers mod p**2: the p-1 solutions of w**(p-1) = 1 mod p**2."""
+    """The p-th powers mod p**2: the p-1 solutions of w**(p-1) = 1 mod p**2.
+    They form the cyclic group generated by r**p for a primitive root r
+    mod p, walked at one multiplication per element."""
     prime = odd_prime(p)
-    return SubgroupModM._closed(prime.p2, (pow(n, prime.p, prime.p2) for n in range(1, prime.p)))
+    return SubgroupModM.generated(prime.p2, pow(least_primitive_root(prime), prime.p, prime.p2))
 
 
 def _admitted_order(m: int, budget_ops: int | float) -> int | float:
@@ -132,6 +132,8 @@ def _floor_sums(n, m, a, b) -> np.ndarray:
     shared by every lane; a and b are arrays, 0 <= a < m and b >= 0,
     that the reduction overwrites.
     """
+    import numpy as np
+
     total = np.zeros_like(a)
     lane = np.arange(len(a))
     while len(lane):
@@ -164,6 +166,8 @@ def count_ratios(
     of one _floor_sums call.
     Exact for every m: int64 lanes below 2**31, Python ints above.
     """
+    import numpy as np
+
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
     if not 1 <= z < m / 2:
@@ -188,6 +192,8 @@ def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
     to the counts.  Exact for every m: w*x in int64 below 2**31,
     Python ints above.
     """
+    import numpy as np
+
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
     if not 1 <= z_max < m / 2:

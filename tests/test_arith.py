@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,14 @@ from fermatq.arith import (
     divisors,
     factorize,
     is_prime,
+    is_prime_lanes,
     is_primitive_root,
+    least_primitive_root,
     mod_pow,
     multiplicative_order,
     odd_prime,
+    pow_mod_lanes,
+    prime_factor_lanes,
     primes_up_to,
     smallest_prime_factors,
 )
@@ -193,3 +199,45 @@ def test_factorization_primes_ascending():
     fac = factorize(75600)
     assert isinstance(fac, Factorization)
     assert fac.primes() == sorted(fac.primes())
+
+
+def test_least_primitive_root_matches_first_generator():
+    for p in primes_up_to(2000)[1:] + [1000003, 2147483647]:
+        g = least_primitive_root(p)
+        assert is_primitive_root(g, p) and not any(is_primitive_root(a, p) for a in range(2, g)), p
+
+
+def test_pow_mod_lanes_matches_pow():
+    rng = random.Random(5)
+    m = [rng.randrange(1, 1 << 31) for _ in range(400)] + [1, 2, 2**31 - 1, 2**31 - 1]
+    base = [rng.randrange(mod) for mod in m[:-2]] + [2**31 - 2, 0]
+    e = [rng.randrange(1 << 40) for _ in m[:-4]] + [5, 0, 2**31 - 2, 0]
+    got = pow_mod_lanes(np.array(base), np.array(e), np.array(m))
+    assert got.tolist() == [pow(b, k, mod) for b, k, mod in zip(base, e, m)]
+    # a scalar exponent and modulus broadcast over the lanes
+    assert pow_mod_lanes(np.arange(7), 3, 7).tolist() == [x**3 % 7 for x in range(7)]
+
+
+def test_is_prime_lanes_matches_sieve_and_pseudoprimes():
+    n = np.arange(100_000)
+    expect = np.zeros(len(n), dtype=bool)
+    expect[primes_up_to(len(n) - 1)] = True
+    assert (is_prime_lanes(n) == expect).all()
+    # a Carmichael number, strong pseudoprimes to base 2, to bases 2 and 3,
+    # and to 2, 3 and 5 (those to 2, 3, 5 and 7 start at 3,215,031,751)
+    liars = [561, 2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 161304001, 960946321, 1157839381]
+    near_top = [2**31 - 1, 2147483629, 2147483587, 2147483579, 2**31 - 3, 2**31 - 9]
+    sample = np.array(liars + near_top)
+    assert is_prime_lanes(sample).tolist() == [is_prime(int(x)) for x in sample]
+    with pytest.raises(ValueError):
+        is_prime_lanes(np.array([1 << 31]))
+
+
+def test_prime_factor_lanes_matches_factorize():
+    rng = random.Random(11)
+    ns = [1, 2, 3, 4, 30, 2**30, 223092870, 2**31 - 2, 2**31 - 1] + [rng.randrange(1, 1 << 31) for _ in range(500)]
+    lane, prime = prime_factor_lanes(np.array(ns))
+    for i, n in enumerate(ns):
+        assert sorted(prime[lane == i].tolist()) == factorize(n).primes(), n
+    with pytest.raises(ValueError):
+        prime_factor_lanes(np.array([0]))

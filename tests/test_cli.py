@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -118,6 +119,8 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         # the group's order is charged before its p - 1 powers, or its walk stops at the budget
         ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
         ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
+        # the scan's lanes are charged before its sieve
+        ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
     ],
 )
 def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
@@ -200,6 +203,51 @@ def test_modules_import_only_what_they_use():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False ['fermatq', 'fermatq.arith']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("quotient", "--p", "1000003", "--u", "5"),
+        ("primroot", "--p", "1000003"),
+        ("nonres", "--p", "1000003", "--d", "2"),
+    ],
+)
+def test_integer_subcommands_never_load_numpy(argv):
+    # numpy is imported only where arrays are built; these calls build none
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = (
+        "import sys, fermatq.cli; "
+        f"rc = fermatq.cli.main({list(argv)!r}) if {bool(argv)} else 0; "
+        "print(rc, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stderr.strip().splitlines()[-1] == "0 False", done.stderr
+
+
+def test_avg_loads_numpy_before_its_pool_forks():
+    # forked workers inherit the parent's numpy instead of each importing it
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = (
+        "import sys, concurrent.futures as cf, fermatq.cli\n"
+        "seen = []\n"
+        "init = cf.ProcessPoolExecutor.__init__\n"
+        "def spy(self, *a, **k):\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "    init(self, *a, **k)\n"
+        "cf.ProcessPoolExecutor.__init__ = spy\n"
+        "rc = fermatq.cli.main(['avg', '--P', '256', '--N-rule', '100', '--threads', '2', '--out', sys.argv[1]])\n"
+        "print(rc, seen)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(tmp, "avg.csv")], env=env, capture_output=True, text=True, timeout=60
+        )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ("0 [True]" if (os.cpu_count() or 1) > 1 else "0 []")
 
 
 def test_import_sets_one_blas_thread_unless_set():

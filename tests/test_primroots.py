@@ -1,14 +1,20 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fermatq.arith import BudgetError, arithmetic_functions, is_primitive_root, primes_up_to
+from fermatq import primroots
+from fermatq.arith import BudgetError, arithmetic_functions, factorize, is_prime, is_primitive_root, primes_up_to
 from fermatq.charsums import CharacterModP
+from fermatq.config import DEFAULT_BUDGET_OPS
 from fermatq.primroots import (
     IndicatorReport,
     ScanRow,
+    charge_scan,
     double_char_sum,
     first_occurrence_set,
     lemma3_envelope,
@@ -16,11 +22,12 @@ from fermatq.primroots import (
     nonres_row,
     primroot_indicator,
     quotient_sumset_experiment,
+    scan_row,
     smallest_dth_nonresidue_quotient,
     smallest_primroot_quotient,
     theorem4_exponent_scan,
 )
-from fermatq.quotients import fermat_quotient, quotient_table
+from fermatq.quotients import _pow_mod_p2, fermat_quotient, quotient_table
 
 
 def test_indicator_examples():
@@ -239,3 +246,65 @@ def test_theorem4_scan_range():
 def test_theorem4_scan_empty_range():
     with pytest.raises(ValueError):
         theorem4_exponent_scan(10, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p_min=st.integers(-5, 198_000), width=st.integers(0, 2000))
+@example(p_min=4_000_000, width=2000)
+def test_theorem4_scan_lanes_match_per_prime_search(p_min, width):
+    rows = theorem4_exponent_scan(p_min, p_min + width)
+    assert [r.p for r in rows] == [p for p in primes_up_to(p_min + width) if p >= max(3, p_min)]
+    for row in rows:
+        assert row == scan_row(row.p, smallest_primroot_quotient(row.p, row.p * row.p)), row
+
+
+def test_theorem4_scan_blocks_join_seamlessly(monkeypatch):
+    whole = theorem4_exponent_scan(3, 3000)
+    monkeypatch.setattr(primroots, "_SCAN_BLOCK", 7)
+    assert theorem4_exponent_scan(3, 3000) == whole
+
+
+def test_scan_lanes_exact_below_2_31():
+    # the search and the verification, on the largest primes a lane can hold
+    primes = np.array([p for p in range(2**31 - 1, 2**31 - 400, -2) if is_prime(p)][:12])
+    pair_lane, pair_prime = zip(*[(i, ell) for i, p in enumerate(primes.tolist()) for ell in factorize(p - 1).primes()])
+    n_min = primroots._least_primroot_lanes(primes, np.array(pair_lane), np.array(pair_prime))
+    assert n_min.tolist() == [smallest_primroot_quotient(p, 1000) for p in primes.tolist()]
+    assert primroots._verify_lanes(primes, n_min).all()
+    # a wrong hit does not verify: q_p(n_min - 1) is not a primitive root, or n_min would be smaller
+    assert not primroots._verify_lanes(primes, np.where(n_min > 2, n_min - 1, 0)).any()
+
+
+def test_wieferich_zeros_of_the_lane_ladder():
+    # zeros of q_p(2) below 10^5 and of q_p(3) in [3, 10^5] and [10^6, 1.01 10^6]
+    # (Dorais and Klyve, J. Integer Seq. 14, 2011)
+    def zeros(base, primes):
+        primes = np.array([p for p in primes if base % p], dtype=np.int64)
+        return primes[_pow_mod_p2(np.full(len(primes), base), primes - 1, primes) // primes == 0].tolist()
+
+    assert zeros(2, primes_up_to(10**5)[1:]) == [1093, 3511]
+    window = [p for p in primes_up_to(1_010_000) if p >= 10**6]
+    assert zeros(3, primes_up_to(10**5)[1:] + window) == [11, 1006003]
+
+
+def test_theorem4_scan_memory_within_memcap_charge():
+    # cli charges the scan 24 bytes per integer up to pmax against --memcap
+    tracemalloc.start()
+    try:
+        rows = theorem4_exponent_scan(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 78497 and all(r.verified for r in rows)
+    assert max(r.n_min for r in rows) == 33
+    assert peak <= 24 * 10**6
+
+
+def test_charge_scan_refuses_before_the_sieve():
+    for p_max in (10, 30000, 10**6, 10**7):
+        charge_scan(3, p_max, DEFAULT_BUDGET_OPS)
+    charge_scan(10, 5, 1)  # empty ranges cost nothing
+    with pytest.raises(BudgetError, match="lane steps"):
+        charge_scan(3, 5 * 10**6, 1)
+    with pytest.raises(BudgetError):
+        charge_scan(3, 10**8, DEFAULT_BUDGET_OPS)

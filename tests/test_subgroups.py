@@ -73,6 +73,11 @@ def test_pth_power_residues_examples():
             assert pow(w, p - 1, p * p) == 1
 
 
+def test_pth_power_residues_walk_equals_the_pth_powers():
+    for p in (3, 5, 7, 41, 1093, 1009, 3511, 10007, 65537):
+        assert set(pth_power_residues(p).elements) == {pow(n, p, p * p) for n in range(1, p)}, p
+
+
 def test_count_ratios_examples():
     assert count_ratios(25, SubgroupModM(25, (1, 24)), 2) == 8
     assert count_ratios(25, SubgroupModM(25, (1,)), 1) == 2
