@@ -5,7 +5,8 @@ precision, so modular products never overflow.  Primality for 64-bit
 inputs is decided by Miller-Rabin with a fixed witness set that is
 known to be deterministic for n < 3.3e24.  The lane functions apply
 the same arithmetic to every entry of an int64 array at once, for
-moduli below 2**31, where each product of two residues is below 2**62.
+moduli below 2**31, where each product of two residues is below 2**62,
+and mod p**2 for p < 2**31 on pairs of base-p digits, both by one ladder.
 numpy is imported only by the functions that build arrays.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 # Deterministic for all n < 3,317,044,064,679,887,385,961,981 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -23,8 +25,6 @@ _MR_LANE_WITNESSES = (2, 3, 5, 7)
 _LANE_MODULUS_LIMIT = 1 << 31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
-MAX_MODULUS = 1 << 63
 
 
 class BudgetError(RuntimeError):
@@ -72,9 +72,6 @@ class OddPrime:
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"not an odd prime: {p}")
         object.__setattr__(self, "p2", p * p)
-
-    def __int__(self) -> int:
-        return self.p
 
 
 def odd_prime(p: int | OddPrime) -> OddPrime:
@@ -175,25 +172,17 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     pairs: dict[int, int] = {}
     m = n
-    for p in (2, 3, 5):
-        while m % p == 0:
-            pairs[p] = pairs.get(p, 0) + 1
-            m //= p
-    # wheel over 30 covers trial division; switch to rho when the
-    # remaining cofactor is large and prime-free below the cutoff
-    d = 7
-    i = 0
-    while d * d <= m and d < _RHO_CUTOFF:
+    # trial division over the wheel; switch to rho when the remaining
+    # cofactor is large and prime-free below the cutoff
+    for d in _wheel_divisors(_RHO_CUTOFF - 1):
+        if d * d > m:
+            # no prime factor below d is left, so m is 1 or a prime
+            if m > 1:
+                pairs[m] = pairs.get(m, 0) + 1
+            return Factorization(n, tuple(sorted(pairs.items())))
         while m % d == 0:
             pairs[d] = pairs.get(d, 0) + 1
             m //= d
-        d += _WHEEL_STEPS[i]
-        i = (i + 1) % 8
-    if d * d > m:
-        # no prime factor below d is left, so m is 1 or a prime
-        if m > 1:
-            pairs[m] = pairs.get(m, 0) + 1
-        return Factorization(n, tuple(sorted(pairs.items())))
     stack = [m]
     while stack:
         m = stack.pop()
@@ -227,15 +216,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for exponent >= 0 and 1 <= modulus < 2**63."""
-    if exponent < 0:
-        raise ValueError(f"negative exponent: {exponent}")
-    if not 1 <= modulus < MAX_MODULUS:
-        raise ValueError(f"modulus out of range [1, 2^63): {modulus}")
-    return pow(base, exponent, modulus)
-
-
 def multiplicative_order(a: int, modulus: int) -> int:
     """Least k >= 1 with a**k = 1 mod modulus; requires gcd(a, modulus) = 1.
 
@@ -255,39 +235,80 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return order
 
 
+def primitive_root_test(p: int | OddPrime) -> Callable[[int], bool]:
+    """The order test mod the odd prime p: a unit a generates the units
+    exactly when a**((p-1)/q) != 1 for every prime q | p - 1.  Each call
+    factors p - 1 afresh."""
+    p = odd_prime(p).p
+    exponents = [(p - 1) // q for q in factorize(p - 1).primes()]
+    return lambda a: all(pow(a, e, p) != 1 for e in exponents)
+
+
 def is_primitive_root(a: int, p: int | OddPrime) -> bool:
     """True when a generates the full unit group mod the odd prime p."""
-    p = odd_prime(p).p
-    a %= p
-    if a == 0:
-        return False
-    return all(pow(a, (p - 1) // q, p) != 1 for q in factorize(p - 1).primes())
+    prime = odd_prime(p)
+    a %= prime.p
+    return a != 0 and primitive_root_test(prime)(a)
 
 
 def least_primitive_root(p: int | OddPrime) -> int:
     """The least g >= 2 that generates the units mod the odd prime p."""
-    prime = odd_prime(p)
-    exponents = [(prime.p - 1) // q for q in factorize(prime.p - 1).primes()]
+    generates = primitive_root_test(p)
     g = 2
-    while any(pow(g, e, prime.p) == 1 for e in exponents):
+    while not generates(g):
         g += 1
     return g
 
 
+def _square_and_multiply(base: tuple, e, one: tuple, mul) -> tuple:
+    """base**e lane by lane under the product mul, by one ladder over the
+    bits of the largest exponent: base and one are tuples of int64 arrays
+    (the digits of a residue), e an int64 array or scalar.  A lane takes
+    the product only at its own one bits; a bit that no lane has costs no
+    product, and one that every lane has needs no np.where."""
+    import numpy as np
+
+    acc = one
+    while e.any():
+        odd = e & 1 == 1
+        if odd.all():
+            acc = mul(acc, base)
+        elif odd.any():
+            acc = tuple(np.where(odd, x, y) for x, y in zip(mul(acc, base), acc))
+        e = e >> 1
+        if e.any():
+            base = mul(base, base)
+    return acc
+
+
 def pow_mod_lanes(base, e, m):
     """base**e mod m lane by lane: int64 arrays (or scalars) with
-    0 <= base < m < 2**31 and e >= 0, by one square-and-multiply ladder
-    over the bits of the largest exponent."""
+    0 <= base < m < 2**31 and e >= 0."""
     import numpy as np
 
     base, e = np.broadcast_arrays(np.asarray(base, dtype=np.int64), np.asarray(e, dtype=np.int64))
-    acc = np.ones_like(base) % m
-    while e.any():
-        acc = np.where(e & 1 == 1, acc * base % m, acc)
-        e = e >> 1
-        if e.any():
-            base = base * base % m
-    return acc
+    return _square_and_multiply((base,), e, (np.ones_like(base) % m,), lambda x, y: (x[0] * y[0] % m,))[0]
+
+
+def _mul_mod_p2(x, y, p):
+    """(x0 + p x1)(y0 + p y1) mod p**2 as its base-p digits (low, high).
+
+    Every digit is below p < 2^31, so each product is below 2^62 and
+    int64 arithmetic is exact."""
+    (x0, x1), (y0, y1) = x, y
+    carry, low = divmod(x0 * y0, p)
+    return low, (carry + x0 * y1 % p + x1 * y0 % p) % p
+
+
+def pow_mod_p2_lanes(units, e, p):
+    """units**e mod p**2 elementwise, for int64 units in 0..p**2-1, on
+    base-p digit pairs.  e and p are scalars, or int64 arrays with one
+    exponent and one prime per lane."""
+    import numpy as np
+
+    one = (np.ones_like(units), np.zeros_like(units))
+    low, high = _square_and_multiply(np.divmod(units, p)[::-1], np.asarray(e), one, lambda x, y: _mul_mod_p2(x, y, p))
+    return low + p * high
 
 
 def is_prime_lanes(ns):

@@ -72,10 +72,6 @@ class CharacterModP:
         self._values = values
 
     @classmethod
-    def principal(cls, p: int | OddPrime) -> "CharacterModP":
-        return cls(p, 0)
-
-    @classmethod
     def quadratic(cls, p: int | OddPrime) -> "CharacterModP":
         prime = odd_prime(p)
         return cls(prime, (prime.p - 1) // 2)
@@ -103,9 +99,6 @@ class CharacterModP:
     def value_array(self) -> np.ndarray:
         """chi(v) for v = 0..p-1; index 0 holds 0."""
         return self._values
-
-    def conjugate_array(self) -> np.ndarray:
-        return self._values.conj()
 
 
 class CharacterModPSquared:
@@ -147,9 +140,6 @@ class CharacterModPSquared:
         """chi(v) for v = 0..p**2-1."""
         return self._values
 
-    def conjugate_array(self) -> np.ndarray:
-        return self._values.conj()
-
 
 def hb_character(p: int | OddPrime, a: int) -> CharacterModPSquared:
     """The primitive character mod p**2 whose partial sums are S_p(a; N)."""
@@ -174,7 +164,7 @@ def gauss_identity_residual(r: int, chi, b: int) -> float:
         raise ValueError(f"modulus mismatch: r={r}, character lives mod {chi.modulus}")
     if math.gcd(b, r) != 1:
         raise ValueError(f"gcd({b}, {r}) != 1")
-    conj = chi.conjugate_array()
+    conj = chi.value_array().conj()
     tau_bar = complex(np.dot(conj, unit_roots(r, np.arange(r))))
     # b*v stays within int64 for r < 2^31.5; moduli here are p or p^2
     twisted = complex(np.dot(conj, unit_roots(r, (b % r) * np.arange(r))))

@@ -47,6 +47,9 @@ from .report import emit, write_atomic
 from .selftest import VALID_FAULTS, run_selftest
 from .sieve import (
     TrigPolynomial,
+    charge_rho,
+    charge_sieve,
+    charge_window,
     constant_rule,
     exceptional_counts,
     power_rule,
@@ -114,9 +117,24 @@ def _load_n_table(path: str) -> dict[int, int]:
     return mapping
 
 
+def _rows(columns: tuple[str, ...], rows) -> tuple[tuple[str, ...], list[dict]]:
+    """A report: the columns, and each row of values in column order as a dict."""
+    return columns, [dict(zip(columns, row, strict=True)) for row in rows]
+
+
 def _build_table(p, n: int, config: RunConfig):
     prime = odd_prime(p)
     return prime, quotient_table(prime, n, max_entries=config.max_table_entries)
+
+
+def _histogram_table(p, n: int, config: RunConfig):
+    """_build_table for a histogram of p counts, charged before the table.
+    The traced peak at n = 10 and p = 10^6 is 24 bytes per p for image and
+    48 for maxsum (its length-p FFT), against the 24 charged."""
+    prime = odd_prime(p)
+    if prime.p > config.max_table_entries:
+        raise BudgetError(f"histogram of {prime.p} residues exceeds cap {config.max_table_entries}")
+    return _build_table(prime, n, config)
 
 
 def cmd_quotient(args, config: RunConfig):
@@ -124,56 +142,39 @@ def cmd_quotient(args, config: RunConfig):
     if args.u < 0:
         raise ValueError(f"u must be nonnegative, got {args.u}")
     q = fermat_quotient(prime, args.u)
-    return ("p", "u", "q"), [{"p": prime.p, "u": args.u, "q": q}]
+    return _rows(("p", "u", "q"), [(prime.p, args.u, q)])
 
 
 def cmd_table(args, config: RunConfig):
     prime, table = _build_table(args.p, args.n, config)
     if args.dump:
         write_table(table, args.dump)
-    defined = int(len(table.defined()))
-    return ("p", "n", "defined"), [{"p": prime.p, "n": table.n, "defined": defined}]
+    return _rows(("p", "n", "defined"), [(prime.p, table.n, len(table.defined()))])
 
 
 def cmd_image(args, config: RunConfig):
-    prime, table = _build_table(args.p, args.n, config)
+    prime, table = _histogram_table(args.p, args.n, config)
     img = image_size(table)
     bound = cauchy_lower_bound(value_histogram(table))
     # ratio against the Cauchy floor is diagnostic only, never a report column
     print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
-    return ("p", "n", "image"), [{"p": prime.p, "n": table.n, "image": img}]
+    return _rows(("p", "n", "image"), [(prime.p, table.n, img)])
+
+
+def _sum_row(prime, a: int, n: int, s: complex):
+    return _rows(SUM_COLUMNS, [(prime.p, a, n, s.real, s.imag, abs(s), hb_bound_rhs(prime, n, 2))])
 
 
 def cmd_expsum(args, config: RunConfig):
     prime, table = _build_table(args.p, args.n, config)
-    s = exp_sum_direct(prime, args.a, args.n, table=table)
-    row = {
-        "p": prime.p,
-        "a": args.a,
-        "N": args.n,
-        "re": s.real,
-        "im": s.imag,
-        "abs": abs(s),
-        "rhs_eq1_nu2": hb_bound_rhs(prime, args.n, 2),
-    }
-    return SUM_COLUMNS, [row]
+    return _sum_row(prime, args.a, args.n, exp_sum_direct(prime, args.a, args.n, table=table))
 
 
 def cmd_maxsum(args, config: RunConfig):
-    prime, table = _build_table(args.p, args.n, config)
+    prime, table = _histogram_table(args.p, args.n, config)
     hist = value_histogram(table)
     a_star, _ = max_exp_sum(prime, args.n, hist=hist)
-    s = exp_sum_from_histogram(hist, a_star)
-    row = {
-        "p": prime.p,
-        "a": a_star,
-        "N": args.n,
-        "re": s.real,
-        "im": s.imag,
-        "abs": abs(s),
-        "rhs_eq1_nu2": hb_bound_rhs(prime, args.n, 2),
-    }
-    return SUM_COLUMNS, [row]
+    return _sum_row(prime, a_star, args.n, exp_sum_from_histogram(hist, a_star))
 
 
 def _window_scales(args) -> list[int]:
@@ -195,7 +196,9 @@ def _window_scales(args) -> list[int]:
 def cmd_avg(args, config: RunConfig):
     scales = _window_scales(args)
     rule = parse_n_rule(args.n_rule)
-    rows, kappa_rows = [], []
+    for p_scale in scales:  # every window is charged before the first is computed
+        charge_window(p_scale, args.nu, rule(p_scale), config.budget_ops, config.max_table_entries)
+    rows = []
     for p_scale in scales:
         res = theorem1_average(
             p_scale,
@@ -205,33 +208,14 @@ def cmd_avg(args, config: RunConfig):
             budget_ops=config.budget_ops,
             max_entries=config.max_table_entries,
         )
-        rows.append(
-            {
-                "P": res.p_scale,
-                "nu": res.nu,
-                "N": res.n_ref,
-                "lhs": res.lhs,
-                "rhs_envelope": res.rhs_envelope,
-                "trivial_bound": res.trivial_bound,
-                "ratio": res.ratio,
-                "prime_count": res.prime_count,
-                "wall_seconds": res.wall_seconds if config.timings else 0.0,
-            }
-        )
-        for kappa, exceeded in exceptional_counts(res, args.kappa or []):
-            kappa_rows.append(
-                {
-                    "P": res.p_scale,
-                    "nu": res.nu,
-                    "N": res.n_ref,
-                    "kappa": kappa,
-                    "exceeded": exceeded,
-                    "prime_count": res.prime_count,
-                }
-            )
-    if args.kappa:
-        return KAPPA_COLUMNS, kappa_rows
-    return AVG_COLUMNS, rows
+        window = (res.p_scale, res.nu, res.n_ref)
+        if args.kappa:
+            counts = exceptional_counts(res, args.kappa)
+            rows += [(*window, kappa, exceeded, res.prime_count) for kappa, exceeded in counts]
+        else:
+            wall = res.wall_seconds if config.timings else 0.0
+            rows.append((*window, res.lhs, res.rhs_envelope, res.trivial_bound, res.ratio, res.prime_count, wall))
+    return _rows(KAPPA_COLUMNS if args.kappa else AVG_COLUMNS, rows)
 
 
 def cmd_sieve(args, config: RunConfig):
@@ -241,38 +225,31 @@ def cmd_sieve(args, config: RunConfig):
         raise ValueError(f"K must be >= 1, got {args.K}")
     if args.K > config.max_table_entries:
         raise BudgetError(f"{args.K} coefficients exceed cap {config.max_table_entries}")
+    charge_sieve(max(args.R), config.budget_ops)  # the largest R, before the first is summed
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = TrigPolynomial(coeffs)
     rows = []
     for r_max in args.R:
         rep = sieve_report(poly, r_max, budget_ops=config.budget_ops)
-        rows.append(
-            {
-                "R": rep.r_max,
-                "K": rep.k_max,
-                "A": rep.energy,
-                "lhs": rep.lhs,
-                "rhs_bz": rep.rhs_bz,
-                "rhs_zhao": rep.rhs_zhao,
-                "ratio_bz": rep.ratio_bz,
-                "ratio_zhao": rep.ratio_zhao,
-            }
-        )
-    return SIEVE_COLUMNS, rows
+        rows.append((rep.r_max, rep.k_max, rep.energy, rep.lhs, rep.rhs_bz, rep.rhs_zhao, rep.ratio_bz, rep.ratio_zhao))
+    return _rows(SIEVE_COLUMNS, rows)
 
 
 def cmd_rho(args, config: RunConfig):
     if args.k is not None and args.kmax is not None:
         raise ValueError("give either --k or --kmax, not both")
-    ks = args.k if args.k is not None else list(range(1, (args.kmax or 0) + 1))
+    ks = args.k if args.k is not None else range(1, (args.kmax or 0) + 1)
     if not ks:
         raise ValueError("rho requires --k or --kmax")
+    if len(ks) > config.max_table_entries:
+        raise BudgetError(f"{len(ks)} rows exceed cap {config.max_table_entries}")
+    charge_rho(args.M, args.nu, len(ks), max(args.k or [args.kmax]), config.budget_ops)
     rows = []
     for k in ks:
         c = rho_coefficient(args.M, args.b, args.nu, k)
-        rows.append({"M": args.M, "b": args.b, "nu": args.nu, "k": k, "re": c.real, "im": c.imag, "abs": abs(c)})
-    return RHO_COLUMNS, rows
+        rows.append((args.M, args.b, args.nu, k, c.real, c.imag, abs(c)))
+    return _rows(RHO_COLUMNS, rows)
 
 
 def cmd_ratios(args, config: RunConfig):
@@ -288,24 +265,14 @@ def cmd_ratios(args, config: RunConfig):
         m, group = args.m, generated_within(args.m, args.gen, config.budget_ops)
     count = count_ratios(m, group, args.Z, budget_ops=config.budget_ops)
     rhs = lemma7_rhs(m, group.t, args.Z, args.nu)
-    row = {
-        "m": m,
-        "t": group.t,
-        "Z": args.Z,
-        "nu": args.nu,
-        "count": count,
-        "lemma7_rhs": rhs,
-        "ratio": count / rhs,
-        "t_over_sqrt_m": group.t / math.sqrt(m),
-    }
-    return RATIO_COLUMNS, [row]
+    return _rows(RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))])
 
 
 def cmd_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
     n = smallest_primroot_quotient(prime, cap)
-    return SCAN_COLUMNS, [scan_row(prime, n)._asdict()]
+    return _rows(SCAN_COLUMNS, [scan_row(prime, n)])
 
 
 def cmd_nonres(args, config: RunConfig):
@@ -324,23 +291,15 @@ def cmd_doublesum(args, config: RunConfig):
     if eta.is_trivial:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
     rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta, max_entries=config.max_table_entries)
-    row = {
-        "p": rep.p,
-        "order_of_eta": rep.eta_order,
-        "card_A": rep.card_u,
-        "card_B": rep.card_v,
-        "abs_sum": rep.abs_sum,
-        "lemma3_envelope": rep.envelope,
-        "ratio": rep.ratio,
-    }
-    return DOUBLESUM_COLUMNS, [row]
+    row = (rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)
+    return _rows(DOUBLESUM_COLUMNS, [row])
 
 
 def cmd_scan(args, config: RunConfig):
     if args.pmax + 1 > config.max_table_entries:
         raise BudgetError(f"sieve of {args.pmax + 1} entries exceeds cap {config.max_table_entries}")
     charge_scan(args.pmin, args.pmax, config.budget_ops)
-    return SCAN_COLUMNS, [row._asdict() for row in theorem4_exponent_scan(args.pmin, args.pmax)]
+    return _rows(SCAN_COLUMNS, theorem4_exponent_scan(args.pmin, args.pmax))
 
 
 def cmd_selftest(args, config: RunConfig):

@@ -20,18 +20,19 @@ from .arith import (
     OddPrime,
     arithmetic_functions,
     divisors,
-    factorize,
     is_prime_lanes,
     is_primitive_root,
     multiplicative_order,
     odd_prime,
     pow_mod_lanes,
+    pow_mod_p2_lanes,
     prime_factor_lanes,
+    primitive_root_test,
     smallest_prime_factors,
 )
 from .charsums import CharacterModP
 from .config import DEFAULT_TABLE_CAP
-from .quotients import UNDEFINED, _pow_mod_p2, fermat_quotient, quotient_table
+from .quotients import UNDEFINED, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
 
@@ -89,8 +90,7 @@ def smallest_primroot_quotient(p: int | OddPrime, cap: int) -> int | None:
     prime = odd_prime(p)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    exponents = [(prime.p - 1) // r for r in factorize(prime.p - 1).primes()]
-    return _least_n(prime, cap, lambda q: all(pow(q, e, prime.p) != 1 for e in exponents))
+    return _least_n(prime, cap, primitive_root_test(prime))
 
 
 def smallest_dth_nonresidue_quotient(p: int | OddPrime, d: int, cap: int) -> int | None:
@@ -303,7 +303,7 @@ def _least_primroot_lanes(primes, pair_lane, pair_prime):
         ns = np.arange(n, n + max(1, _ROUND_CELLS // len(lane)))
         n += len(ns)
         col = p[:, None]
-        q = _pow_mod_p2(ns % p2[:, None], col - 1, col) // col
+        q = pow_mod_p2_lanes(ns % p2[:, None], col - 1, col) // col
         failed = _failed_lanes(len(lane), pair_lane, q, exponent[:, None], col)
         hit = (q != 0) & (failed == 0) & (ns <= p2[:, None])
         found = hit.any(axis=1)

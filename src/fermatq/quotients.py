@@ -5,11 +5,10 @@ for gcd(u, p) = 1 and depends on u only through u mod p**2.  It is
 additive, q_p(uv) = q_p(u) + q_p(v) mod p, which lets a batch table
 over 1..N get away with one modular power per prime below min(N, p**2);
 every other entry is a sum of those, and indices past p**2 repeat.
-Those powers are taken together, in one numpy square-and-multiply
-ladder mod p**2, once a table has enough primes to pay for it
+Those powers are taken together, by the numpy square-and-multiply
+ladder mod p**2 of arith, once a table has enough primes to pay for it
 (computing quotients in bulk: Ernvall and Metsankyla, Math. Comp. 66,
-1997).  The same ladder takes one modulus and one exponent per lane, which
-is how primroots scans many primes at once.
+1997).
 
 Undefined entries (p | n) carry an explicit sentinel and are never
 conflated with the value 0.
@@ -22,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BudgetError, OddPrime, odd_prime, primes_up_to
+from .arith import BudgetError, OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
 from .config import DEFAULT_TABLE_CAP
 from .report import write_atomic
 
@@ -69,37 +68,6 @@ class QuotientTable:
         return body[body != UNDEFINED]
 
 
-def _mul_mod_p2(x0, x1, y0, y1, p):
-    """(x0 + p x1)(y0 + p y1) mod p**2 as its base-p digits (low, high).
-
-    Every digit is below p < 2^31, so each product is below 2^62 and
-    int64 arithmetic is exact."""
-    carry, low = divmod(x0 * y0, p)
-    return low, (carry + x0 * y1 % p + x1 * y0 % p) % p
-
-
-def _pow_mod_p2(units: np.ndarray, e, p) -> np.ndarray:
-    """units**e mod p**2 elementwise, for int64 units in 0..p**2-1, by one
-    square-and-multiply ladder over base-p digit pairs.  e and p are
-    scalars, or int64 arrays with one exponent and one prime per lane; a
-    lane takes the product only at its own one bits."""
-    import numpy as np
-
-    base = np.divmod(units, p)[::-1]  # (low, high) digits
-    acc = (np.ones_like(units), np.zeros_like(units))
-    e = np.asarray(e)
-    while e.any():
-        odd = e & 1 == 1
-        if odd.all():
-            acc = _mul_mod_p2(*acc, *base, p)
-        elif odd.any():
-            acc = tuple(np.where(odd, x, y) for x, y in zip(_mul_mod_p2(*acc, *base, p), acc))
-        e = e >> 1
-        if e.any():
-            base = _mul_mod_p2(*base, *base, p)
-    return acc[0] + p * acc[1]
-
-
 def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> QuotientTable:
     """Batch table of q_p over 1..n: q_p(l) added at every multiple of each
     power of each prime l != p below p**2, then repeated with period p**2."""
@@ -115,7 +83,7 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
     ells = np.array(primes_up_to(last), dtype=np.int64)  # its sieve is freed before the table is allocated
     ells = ells[ells != pp]
     if len(ells) >= _LADDER_MIN_PRIMES:
-        quots = (_pow_mod_p2(ells, pp - 1, pp) - 1) // pp
+        quots = (pow_mod_p2_lanes(ells, pp - 1, pp) - 1) // pp
     else:
         quots = np.array([(pow(ell, pp - 1, p2) - 1) // pp for ell in ells.tolist()], dtype=np.int64)
     values = np.zeros(last + 1, dtype=np.int64)

@@ -13,9 +13,9 @@ import math
 from typing import Callable
 
 from .arith import (
+    OddPrime,
     arithmetic_functions,
     is_primitive_root,
-    mod_pow,
     multiplicative_order,
     primes_up_to,
 )
@@ -62,11 +62,12 @@ def _suite_core_arith(rng: np.random.Generator, fault: str | None):
             failures.append(f"core-arith arithmetic_functions n={n}: mu divisor sum {mu_sum}")
         checks += 2
     for p in primes_up_to(101)[1:]:
+        prime = OddPrime(p)
         for a in rng.integers(1, p, size=4):
-            if mod_pow(int(a), p - 1, p) != 1:
-                failures.append(f"core-arith mod_pow p={p} a={a}: Fermat test failed")
+            if pow(int(a), p - 1, p) != 1:
+                failures.append(f"core-arith pow p={p} a={a}: Fermat test failed")
             checks += 1
-        count = sum(is_primitive_root(a, p) for a in range(1, p))
+        count = sum(is_primitive_root(a, prime) for a in range(1, p))
         if count != arithmetic_functions(p - 1)[0]:
             failures.append(f"core-arith is_primitive_root p={p}: {count} primitive roots")
         checks += 1
@@ -86,13 +87,14 @@ def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
 
     checks, failures = 0, []
     for p in (5, 13, 101, 257):
-        table = quotient_table(p, 1500)
+        prime = OddPrime(p)
+        table = quotient_table(prime, 1500)
         values = table.values.copy()
         if fault == "fermat-quotient" and p == 13:
             values[77] = (values[77] + 1) % p  # planted fault
         for n in range(1, 1501):
             v = int(values[n])
-            direct = fermat_quotient(p, n)
+            direct = fermat_quotient(prime, n)
             if (None if v == -1 else v) != direct:
                 failures.append(f"fermat-quotient quotient_table p={p} n={n}: table={v} direct={direct}")
                 break
@@ -108,14 +110,14 @@ def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
         if not np.array_equal(back.values, table.values):
             failures.append(f"fermat-quotient dump/load p={p}: roundtrip mismatch")
         checks += 4
+    p, prime = 101, OddPrime(101)
     for _ in range(2000):
-        p = 101
         u, v = (int(x) for x in rng.integers(1, p * p, size=2))
         if u % p == 0 or v % p == 0:
             continue
-        if fermat_quotient(p, u * v % (p * p)) != (fermat_quotient(p, u) + fermat_quotient(p, v)) % p:
+        if fermat_quotient(prime, u * v % (p * p)) != (fermat_quotient(prime, u) + fermat_quotient(prime, v)) % p:
             failures.append(f"fermat-quotient additivity p={p} u={u} v={v}")
-        if fermat_quotient(p, u + p * p) != fermat_quotient(p, u):
+        if fermat_quotient(prime, u + p * p) != fermat_quotient(prime, u):
             failures.append(f"fermat-quotient periodicity p={p} u={u}")
         checks += 2
     return checks, failures
@@ -126,11 +128,12 @@ def _suite_char_sums(rng: np.random.Generator, fault: str | None):
 
     checks, failures = 0, []
     for p, a in ((5, 1), (7, 3), (13, 5)):
-        chi = hb_character(p, a)
-        table = quotient_table(p, p * p)
+        prime = OddPrime(p)
+        chi = hb_character(prime, a)
+        table = quotient_table(prime, p * p)
         for n in (1, p, p * p):
             partial = sum(chi(m) for m in range(1, n + 1))
-            if abs(partial - exp_sum_direct(p, a, n, table=table)) > 1e-9 * n:
+            if abs(partial - exp_sum_direct(prime, a, n, table=table)) > 1e-9 * n:
                 failures.append(f"char-sums hb_character p={p} a={a} N={n}: partial sum mismatch")
             checks += 1
         for _ in range(200):
@@ -145,16 +148,17 @@ def _suite_char_sums(rng: np.random.Generator, fault: str | None):
         checks += 2
         h = value_histogram(table)
         for b in range(p):
-            if abs(exp_sum_from_histogram(h, b) - exp_sum_direct(p, b, p * p, table=table)) > 1e-6:
+            if abs(exp_sum_from_histogram(h, b) - exp_sum_direct(prime, b, p * p, table=table)) > 1e-6:
                 failures.append(f"char-sums exp_sum_from_histogram p={p} b={b}")
             checks += 1
-        a_star, m_val = max_exp_sum(p, 3 * p)
+        a_star, m_val = max_exp_sum(prime, 3 * p)
         if not 1 <= a_star < p or m_val < 0:
             failures.append(f"char-sums max_exp_sum p={p}")
         checks += 1
     for p in (7, 11):
-        eta = CharacterModP.quadratic(p)
-        s = eta_quotient_sum(p, eta, p * p)
+        prime = OddPrime(p)
+        eta = CharacterModP.quadratic(prime)
+        s = eta_quotient_sum(prime, eta, p * p)
         if abs(s) > p * p:
             failures.append(f"char-sums eta_quotient_sum p={p}: |sum| too large")
         checks += 1
@@ -210,11 +214,12 @@ def _suite_sieve_lab(rng: np.random.Generator, fault: str | None):
 def _suite_subgroup_ratios(rng: np.random.Generator, fault: str | None):
     checks, failures = 0, []
     for p in (3, 5, 7, 11, 13):
-        grp = pth_power_residues(p)
+        prime = OddPrime(p)
+        grp = pth_power_residues(prime)
         if grp.t != p - 1:
             failures.append(f"subgroup-ratios pth_power_residues p={p}: order {grp.t}")
         checks += 1
-        chk = collision_vs_ratio_check(p, min(40, (p * p - 2) // 2))
+        chk = collision_vs_ratio_check(prime, min(40, (p * p - 2) // 2))
         if not chk.ok:
             failures.append(f"subgroup-ratios containment p={p}: {chk.collisions} > {chk.ratio_count}")
         checks += 1
@@ -245,10 +250,11 @@ def _suite_subgroup_ratios(rng: np.random.Generator, fault: str | None):
 def _suite_prim_root(rng: np.random.Generator, fault: str | None):
     checks, failures = 0, []
     for p in (7, 11, 13):
+        prime = OddPrime(p)
         total = 0
         for a in range(p):
-            rep = primroot_indicator(p, a)
-            if rep.indicator != int(is_primitive_root(a, p)):
+            rep = primroot_indicator(prime, a)
+            if rep.indicator != int(is_primitive_root(a, prime)):
                 failures.append(f"prim-root primroot_indicator p={p} a={a}")
             total += rep.indicator
             checks += 1
@@ -261,14 +267,16 @@ def _suite_prim_root(rng: np.random.Generator, fault: str | None):
         if row.n_min is None:
             failures.append(f"prim-root theorem4_exponent_scan p={row.p}: no hit below p^2")
         else:
-            q = fermat_quotient(row.p, row.n_min)
-            if not is_primitive_root(q, row.p):
+            prime = OddPrime(row.p)
+            q = fermat_quotient(prime, row.n_min)
+            if not is_primitive_root(q, prime):
                 failures.append(f"prim-root smallest_primroot_quotient p={row.p}: q={q} not primitive")
         checks += 2
     for p in (13, 31):
+        prime = OddPrime(p)
         hits = {}
         for d in [d for d in range(2, p) if (p - 1) % d == 0]:
-            hits[d] = smallest_dth_nonresidue_quotient(p, d, p * p)
+            hits[d] = smallest_dth_nonresidue_quotient(prime, d, p * p)
             checks += 1
         for d, n in hits.items():
             for d2, n2 in hits.items():

@@ -81,15 +81,20 @@ def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
     return r2 * np.fft.ifft(fold_coefficients(poly, r2))
 
 
+def charge_sieve(r_max: int, budget_ops: int) -> None:
+    """Refuse a large_sieve_lhs whose R(R + 1)(2R + 1)/6 evaluation points, r*r for each r <= R, exceed budget_ops."""
+    points = r_max * (r_max + 1) * (2 * r_max + 1) // 6
+    if points > budget_ops:
+        raise BudgetError(f"{points} evaluation points exceed budget {budget_ops}")
+
+
 def large_sieve_lhs(poly: TrigPolynomial, r_max: int, *, budget_ops: int = DEFAULT_BUDGET_OPS) -> float:
     """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2."""
     import numpy as np
 
     if r_max < 1:
         raise ValueError(f"R must be >= 1, got {r_max}")
-    points = sum(r * r for r in range(1, r_max + 1))
-    if points > budget_ops:
-        raise BudgetError(f"{points} evaluation points exceed budget {budget_ops}")
+    charge_sieve(r_max, budget_ops)
     total = 0.0
     for r in range(1, r_max + 1):
         vals = _poly_at_square_modulus(poly, r * r)
@@ -161,6 +166,18 @@ def _divisors_upto(n: int, cap: int) -> tuple[int, ...]:
     cofactor on every level and for every k sharing it."""
     small = [d for d in range(1, min(cap, math.isqrt(n)) + 1) if n % d == 0]
     return tuple(small + [n // d for d in small if d * d < n and n // d <= cap])
+
+
+def charge_rho(m_max: int, nu: int, rows: int, k_max: int, budget_ops: int) -> None:
+    """Refuse, before any k is listed, rho_coefficient rows that budget_ops
+    does not cover, at (nu - 1)(min(M, isqrt(k_max)) + 1) + 2 steps a row;
+    a step is one trial division or one (cofactor, divisor) visit.  Over
+    k = 1..K (M 1 to 10^6, nu 1 to 20, K up to 10^5) that is 0.8 to 1.9
+    times the counted steps; one highly composite k into many factors can
+    take thousands of times its charge (k = 735134400, M = 1000, nu = 6)."""
+    steps = rows * ((nu - 1) * (min(m_max, math.isqrt(max(k_max, 0))) + 1) + 2)
+    if steps > budget_ops:
+        raise BudgetError(f"{rows} rho rows, about {steps} steps, exceed budget {budget_ops}")
 
 
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
@@ -258,25 +275,16 @@ def _moment_task(args: tuple[int, int, int]) -> float:
     return m
 
 
-def theorem1_average(
-    p_scale: int,
-    nu: int,
-    selector: NSelector,
-    *,
-    threads: int = 1,
-    budget_ops: int = DEFAULT_BUDGET_OPS,
-    max_entries: int = DEFAULT_TABLE_CAP,
-) -> Theorem1Result:
-    """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P]."""
-    import numpy as np
-
+def charge_window(p_scale: int, nu: int, selector: NSelector, budget_ops: int, max_entries: int) -> tuple[list, int]:
+    """(the (p, N_p) pairs of the window, N) after every check and charge
+    of theorem1_average: 2P + 1 sieve entries against max_entries, then a
+    table of N_p entries and one length-p FFT per prime against budget_ops."""
     if p_scale < 3:
         raise ValueError(f"P must be >= 3, got {p_scale}")
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
     if 2 * p_scale + 1 > max_entries:
         raise BudgetError(f"sieve of {2 * p_scale + 1} entries exceeds cap {max_entries}")
-    start = time.monotonic()
     primes = [p for p in primes_up_to(2 * p_scale) if p > p_scale]
     n_by_p = [(p, selector(p)) for p in primes]
     n_max = max(n for _, n in n_by_p)
@@ -289,10 +297,26 @@ def theorem1_average(
         # the all-ones rule is the lone waiver: no integer window holds N_p = 1
         if n_p <= n_ref and n_max > 1:
             raise ValueError(f"N_p = {n_p} at p={p} falls outside the dyadic window ({n_ref}, {2 * n_ref}]")
-    # a table of N_p entries and one length-p FFT per prime
     cost = sum(n_p + p for p, n_p in n_by_p)
     if cost > budget_ops:
         raise BudgetError(f"estimated cost {cost} exceeds budget {budget_ops}")
+    return n_by_p, n_ref
+
+
+def theorem1_average(
+    p_scale: int,
+    nu: int,
+    selector: NSelector,
+    *,
+    threads: int = 1,
+    budget_ops: int = DEFAULT_BUDGET_OPS,
+    max_entries: int = DEFAULT_TABLE_CAP,
+) -> Theorem1Result:
+    """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P]."""
+    import numpy as np
+
+    start = time.monotonic()
+    n_by_p, n_ref = charge_window(p_scale, nu, selector, budget_ops, max_entries)
     tasks = [(p, n_p, max_entries) for p, n_p in n_by_p]
     workers = min(threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
@@ -317,7 +341,7 @@ def theorem1_average(
         rhs,
         trivial,
         lhs / rhs,
-        len(primes),
+        len(n_by_p),
         time.monotonic() - start,
         tuple((p, n_p, m) for (p, n_p), m in zip(n_by_p, maxima)),
     )

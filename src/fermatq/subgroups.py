@@ -20,11 +20,6 @@ from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
 from .config import DEFAULT_BUDGET_OPS
 from .quotients import collision_count, quotient_table
 
-# every int64 lane value of _floor_sums, and every product w*x of
-# count_ratios_upto, stays below m * (Z + 1) < 2**61 when m < 2**31;
-# larger moduli run the same code on Python ints
-_INT64_LANES_BELOW = 1 << 31
-
 # group elements per _floor_sums call: keeps the lanes in cache; of
 # 4,096 to 32,768, 8,192 ran fastest at t = 100,002
 _LANE_BLOCK = 1 << 13
@@ -55,14 +50,10 @@ class SubgroupModM:
             for b in elems:
                 if a * b % m not in members:
                     raise ValueError(f"product {a}*{b} escapes the subgroup")
-        object.__setattr__(self, "_members", members)
 
     @property
     def t(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x % self.m in self._members
 
     @classmethod
     def _closed(cls, m: int, elements) -> "SubgroupModM":
@@ -73,7 +64,6 @@ class SubgroupModM:
         elems = tuple(sorted(elements))
         object.__setattr__(group, "m", m)
         object.__setattr__(group, "elements", elems)
-        object.__setattr__(group, "_members", frozenset(elems))
         return group
 
     @classmethod
@@ -131,6 +121,13 @@ def _floor_sums(n, m, a, b) -> np.ndarray:
     together and finished lanes drop out.  n and m start as scalars
     shared by every lane; a and b are arrays, 0 <= a < m and b >= 0,
     that the reduction overwrites.
+
+    With b < 2m every value stays below m*(n + 1).  Each floor is of a
+    value below (m*(n - 1) + 2m) / m = n + 1, so the total is at most n*n,
+    and so are n*(n - 1) and each nonnegative term added to the total.
+    After the first reduction a, b < m, so y = a*n + b < m*(n + 1); the
+    next round has modulus a < m and n = y // m <= n, so the bound holds
+    in every round, and q*m and r*m never exceed a and b.
     """
     import numpy as np
 
@@ -151,6 +148,14 @@ def _floor_sums(n, m, a, b) -> np.ndarray:
     return total
 
 
+def _lane_dtype(m: int, z: int):
+    """int64 when m * (Z + 1) < 2**62, which bounds every lane value (see
+    _floor_sums); Python ints otherwise."""
+    import numpy as np
+
+    return np.int64 if m * (z + 1) < 1 << 62 else object
+
+
 def count_ratios(
     m: int,
     group: SubgroupModM,
@@ -164,7 +169,7 @@ def count_ratios(
     Z + F(Z) - F(m-Z-1) of them, where F(b) = sum of floor((w*x + b) / m)
     over x = 1..Z; both floor sums of a block of elements run as lanes
     of one _floor_sums call.
-    Exact for every m: int64 lanes below 2**31, Python ints above.
+    Exact for every m, on the lanes of _lane_dtype.
     """
     import numpy as np
 
@@ -174,7 +179,7 @@ def count_ratios(
         raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z}, m={m}")
     t = group.t
     charge_ratios(m, t, budget_ops)
-    w = np.array(group.elements, dtype=np.int64 if m < _INT64_LANES_BELOW else object)
+    w = np.array(group.elements, dtype=_lane_dtype(m, z))
     half = t * z
     for start in range(0, t, _LANE_BLOCK):
         wb = w[start : start + _LANE_BLOCK]
@@ -189,8 +194,8 @@ def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
 
     A pair (w, x) first becomes admissible at Z = max(x, min(r, m - r))
     with r = w*x mod m, so a histogram of those thresholds integrates
-    to the counts.  Exact for every m: w*x in int64 below 2**31,
-    Python ints above.
+    to the counts.  Exact for every m, on the lanes of _lane_dtype:
+    w*x < m * (Z + 1).
     """
     import numpy as np
 
@@ -200,7 +205,7 @@ def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
         raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z_max}, m={m}")
     if group.t * z_max > DEFAULT_BUDGET_OPS:
         raise BudgetError(f"{group.t} * {z_max} products exceed budget {DEFAULT_BUDGET_OPS}")
-    xs = np.arange(1, z_max + 1, dtype=np.int64 if m < _INT64_LANES_BELOW else object)
+    xs = np.arange(1, z_max + 1, dtype=_lane_dtype(m, z_max))
     thresholds = np.zeros(z_max + 1, dtype=np.int64)
     for w in group.elements:
         r = w * xs % m

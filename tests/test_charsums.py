@@ -107,7 +107,7 @@ def test_character_multiplicative():
 
 
 def test_principal_character():
-    eta = CharacterModP.principal(7)
+    eta = CharacterModP(7, 0)
     assert eta.is_trivial
     assert eta(0) == 0 and eta(3) == 1
 
@@ -224,7 +224,7 @@ def test_spectrum_matches_histogram_sums():
 
 def test_gauss_sum_principal_is_minus_one():
     for p in (3, 7, 13):
-        tau = gauss_sum(p, CharacterModP.principal(p))
+        tau = gauss_sum(p, CharacterModP(p, 0))
         assert abs(tau - (-1)) < 1e-9
 
 
@@ -277,7 +277,7 @@ def test_eta_quotient_sum_skips_zero_quotients():
 
 def test_eta_quotient_sum_rejects_trivial():
     with pytest.raises(ValueError):
-        eta_quotient_sum(7, CharacterModP.principal(7), 6)
+        eta_quotient_sum(7, CharacterModP(7, 0), 6)
     with pytest.raises(ValueError):
         eta_quotient_sum(7, CharacterModP.quadratic(5), 6)
 

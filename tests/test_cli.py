@@ -121,6 +121,17 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
         # the scan's lanes are charged before its sieve
         ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
+        # R(R + 1)(2R + 1)/6 evaluation points, not a loop over r, and the largest R before the first
+        ("sieve", "--R", "30000000", "--K", "4"),
+        ("sieve", "--R", "400", "30000000", "--K", "4"),
+        # every scale's sieve and cost are charged before the first window
+        ("avg", "--pmin", "256", "--pmax", "100000000", "--N-rule", "100", "--memcap", "2400000"),
+        # k rows against --memcap and their steps against --budget, before the k list
+        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "100000000"),
+        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000000", "--budget", "1000"),
+        # the length-p histogram is charged before the table
+        ("image", "--p", "2147483647", "--n", "10"),
+        ("maxsum", "--p", "2147483647", "--n", "10", "--memcap", "1000000"),
     ],
 )
 def test_refusal_comes_before_the_work(capsys, tmp_path, argv):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatq import quotients
-from fermatq.arith import BudgetError, is_prime, primes_up_to
+from fermatq.arith import BudgetError, is_prime, pow_mod_p2_lanes, primes_up_to
 from fermatq.config import _TABLE_BYTES_PER_ENTRY, RunConfig
 from fermatq.quotients import (
     QuotientTable,
@@ -141,11 +141,11 @@ def test_pow_mod_p2_ladder_matches_pow():
     units = [1, 2, p - 1, p + 1, 2 * p - 1, p2 - p - 1, p2 - 1]
     arr = np.array(units, dtype=np.int64)
     for e in (0, 1, 2, p - 1, p, 2**40 + 3):
-        got = quotients._pow_mod_p2(arr, e, p)
+        got = pow_mod_p2_lanes(arr, e, p)
         assert got.tolist() == [pow(u, e, p2) for u in units], e
     small = np.arange(9, dtype=np.int64)  # every residue mod 3**2
     for e in range(7):
-        assert quotients._pow_mod_p2(small, e, 3).tolist() == [pow(u, e, 9) for u in range(9)]
+        assert pow_mod_p2_lanes(small, e, 3).tolist() == [pow(u, e, 9) for u in range(9)]
 
 
 def test_quotient_table_ladder_matches_per_prime_pow(monkeypatch):

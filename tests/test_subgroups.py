@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fermatq import subgroups
 from fermatq.arith import BudgetError, primes_up_to
 from fermatq.subgroups import (
     ContainmentCheck,
@@ -49,7 +50,7 @@ def test_subgroup_axioms_enforced():
 def test_subgroup_generated():
     g = SubgroupModM.generated(25, 7)
     assert g.elements == (1, 7, 18, 24)
-    assert 18 in g and 5 not in g and g.t == 4
+    assert 18 in g.elements and 5 not in g.elements and g.t == 4
     # 2 * 4 lanes * 8 steps: the budgeted walk builds the same group at 64 ops and stops at 63
     assert generated_within(25, 7, 64) == g
     with pytest.raises(BudgetError):
@@ -119,9 +120,9 @@ def test_count_ratios_against_bruteforce_random():
 @settings(max_examples=150, deadline=None)
 @given(g=st.integers(2, 1 << 21), k=st.integers(1, 3), with_minus_one=st.booleans(), z=st.integers(1, 12))
 @example(g=3, k=19, with_minus_one=True, z=12)  # m = 3**19 - 1 < 2**31: int64 lanes
-@example(g=2, k=31, with_minus_one=False, z=5)  # m = 2**31 - 1, the largest int64-lane modulus
-@example(g=(1 << 31) + 1, k=1, with_minus_one=True, z=7)  # m = 2**31: Python-int lanes
-@example(g=2, k=62, with_minus_one=True, z=12)  # m near 2**62
+@example(g=2, k=31, with_minus_one=False, z=5)  # m = 2**31 - 1: int64 lanes
+@example(g=(1 << 31) + 1, k=1, with_minus_one=True, z=7)  # m = 2**31: int64 lanes, m * (Z + 1) = 2**34
+@example(g=2, k=62, with_minus_one=True, z=12)  # m near 2**62: Python-int lanes
 def test_count_ratios_matches_triple_loop_across_lane_widths(g, k, with_minus_one, z):
     # g has order k mod m = g**k - 1, so its powers, with or without -1,
     # form a small group whatever the size of m
@@ -131,6 +132,28 @@ def test_count_ratios_matches_triple_loop_across_lane_widths(g, k, with_minus_on
     powers = {pow(g, i, m) for i in range(k)}
     grp = SubgroupModM(m, powers | ({m - w for w in powers} if with_minus_one else set()))
     assert count_ratios(m, grp, z) == brute_count(m, grp.elements, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 4), bits=st.integers(51, 60), offset=st.integers(0, 1000), with_minus_one=st.booleans())
+def test_count_ratios_exact_on_both_sides_of_the_int64_lane_bound(k, bits, offset, with_minus_one):
+    # g has order k mod m = g**k - 1, near 2**bits; z0 is the least Z with
+    # m * (Z + 1) >= 2**62, the first on Python-int lanes, and from 2 * z0 + 1
+    # on products reach 2**63, which int64 lanes would wrap
+    g = round(2 ** (bits / k)) + offset
+    m = g**k - 1
+    z0 = -(-(1 << 62) // m) - 1
+    assert subgroups._lane_dtype(m, z0 - 1) is np.int64 and subgroups._lane_dtype(m, z0) is object
+    powers = {pow(g, i, m) for i in range(k)}
+    grp = SubgroupModM(m, powers | ({m - w for w in powers} if with_minus_one else set()))
+
+    def near_zero(z):  # (w, x, y) with x > 0, doubled for the signs
+        return 2 * sum(1 for w in grp.elements for x in range(1, z + 1) if not z < w * x % m < m - z)
+
+    counts = {z: near_zero(z) for z in (z0 - 1, z0, 2 * z0 + 1)}
+    assert {z: count_ratios(m, grp, z) for z in counts} == counts
+    assert count_ratios_upto(m, grp, z0 - 1)[-1] == counts[z0 - 1]
+    assert count_ratios_upto(m, grp, 2 * z0 + 1)[[z0 - 2, z0 - 1, 2 * z0]].tolist() == list(counts.values())
 
 
 def test_count_ratios_budget_charges_floor_sum_steps_not_products():
