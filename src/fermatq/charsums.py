@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .arith import OddPrime, least_primitive_root, odd_prime
-from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, quotient_table, value_histogram
+from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
+from .config import DEFAULT_TABLE_CAP
+from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, period_histogram, quotient_table
 
 
 def unit_root(r: int, k: int) -> complex:
@@ -200,12 +201,19 @@ def spectrum_from_histogram(hist: ResidueHistogram) -> np.ndarray:
 
 
 def max_exp_sum(p: int | OddPrime, n: int, *, hist: ResidueHistogram | None = None) -> tuple[int, float]:
-    """(a, |S_p(a; n)|) maximizing over a = 1..p-1; ties go to the least a."""
+    """(a, |S_p(a; n)|) maximizing over a = 1..p-1.  The counts are real,
+    so |S(a)| = |S(p - a)| and every maximum is tied with its mirror; FFT
+    rounding, not the least a, decides which one is returned (maxsum
+    --p 311 --n 1555 returns 247, where 64 is the least).  Without hist,
+    n is capped at DEFAULT_TABLE_CAP as a table of n entries would be: the
+    float spectrum of the folded counts loses digits as n / p**2 grows."""
     import numpy as np
 
     prime = odd_prime(p)
     if hist is None:
-        hist = value_histogram(quotient_table(prime, n))
+        if n > DEFAULT_TABLE_CAP:
+            raise BudgetError(f"table of {n} entries exceeds cap {DEFAULT_TABLE_CAP}")
+        hist = period_histogram(prime, n)
     mags = spectrum_from_histogram(hist)
     a_star = 1 + int(np.argmax(mags[1:]))
     return a_star, float(mags[a_star])

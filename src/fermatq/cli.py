@@ -38,9 +38,8 @@ from .primroots import (
 from .quotients import (
     cauchy_lower_bound,
     fermat_quotient,
-    image_size,
+    period_histogram,
     quotient_table,
-    value_histogram,
     write_table,
 )
 from .report import emit, write_atomic
@@ -127,14 +126,22 @@ def _build_table(p, n: int, config: RunConfig):
     return prime, quotient_table(prime, n, max_entries=config.max_table_entries)
 
 
-def _histogram_table(p, n: int, config: RunConfig):
-    """_build_table for a histogram of p counts, charged before the table.
-    The traced peak at n = 10 and p = 10^6 is 24 bytes per p for image and
-    48 for maxsum (its length-p FFT), against the 24 charged."""
+def _histogram_table(p, n: int, config: RunConfig, whole: bool):
+    """(prime, value histogram over 1..n), built by period_histogram from
+    a table of the n mod p^2 tail.  Charged before any of it: p counts,
+    then that tail, or all n entries when whole is set.  The traced peak at
+    n = 10 and p = 10^6 is 24 bytes per p for image and 48 for maxsum (its
+    length-p FFT), against the 24 charged; the tail's table adds its
+    builder's peak of about 17 bytes per entry (maxsum --p 211 --n 800000:
+    0.8 MiB, where a table of all n took 13 MiB)."""
     prime = odd_prime(p)
-    if prime.p > config.max_table_entries:
-        raise BudgetError(f"histogram of {prime.p} residues exceeds cap {config.max_table_entries}")
-    return _build_table(prime, n, config)
+    cap = config.max_table_entries
+    if prime.p > cap:
+        raise BudgetError(f"histogram of {prime.p} residues exceeds cap {cap}")
+    entries = n if whole or n < 1 else n % prime.p2
+    if entries > cap:
+        raise BudgetError(f"table of {entries} entries exceeds cap {cap}")
+    return prime, period_histogram(prime, n, max_entries=cap)
 
 
 def cmd_quotient(args, config: RunConfig):
@@ -149,16 +156,16 @@ def cmd_table(args, config: RunConfig):
     prime, table = _build_table(args.p, args.n, config)
     if args.dump:
         write_table(table, args.dump)
-    return _rows(("p", "n", "defined"), [(prime.p, table.n, len(table.defined()))])
+    return _rows(("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)])
 
 
 def cmd_image(args, config: RunConfig):
-    prime, table = _histogram_table(args.p, args.n, config)
-    img = image_size(table)
-    bound = cauchy_lower_bound(value_histogram(table))
+    prime, hist = _histogram_table(args.p, args.n, config, whole=False)
+    img = hist.image
+    bound = cauchy_lower_bound(hist)
     # ratio against the Cauchy floor is diagnostic only, never a report column
     print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
-    return _rows(("p", "n", "image"), [(prime.p, table.n, img)])
+    return _rows(("p", "n", "image"), [(prime.p, args.n, img)])
 
 
 def _sum_row(prime, a: int, n: int, s: complex):
@@ -171,8 +178,9 @@ def cmd_expsum(args, config: RunConfig):
 
 
 def cmd_maxsum(args, config: RunConfig):
-    prime, table = _histogram_table(args.p, args.n, config)
-    hist = value_histogram(table)
+    # charged n entries, as a whole table was: the float spectrum of the
+    # folded counts loses digits as n / p^2 grows
+    prime, hist = _histogram_table(args.p, args.n, config, whole=True)
     a_star, _ = max_exp_sum(prime, args.n, hist=hist)
     return _sum_row(prime, a_star, args.n, exp_sum_from_histogram(hist, a_star))
 
@@ -244,7 +252,7 @@ def cmd_rho(args, config: RunConfig):
         raise ValueError("rho requires --k or --kmax")
     if len(ks) > config.max_table_entries:
         raise BudgetError(f"{len(ks)} rows exceed cap {config.max_table_entries}")
-    charge_rho(args.M, args.nu, len(ks), max(args.k or [args.kmax]), config.budget_ops)
+    charge_rho(args.M, args.nu, ks, config.budget_ops)
     rows = []
     for k in ks:
         c = rho_coefficient(args.M, args.b, args.nu, k)

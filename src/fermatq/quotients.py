@@ -111,9 +111,7 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
 
 def image_size(table: QuotientTable) -> int:
     """Number of distinct quotient values attained over the table range."""
-    import numpy as np
-
-    return len(np.unique(table.defined()))
+    return value_histogram(table).image
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,13 @@ class ResidueHistogram:
         if int(self.counts.sum()) != self.total:
             raise ValueError("histogram total does not match its counts")
 
+    @property
+    def image(self) -> int:
+        """Number of residues with a nonzero count."""
+        import numpy as np
+
+        return int(np.count_nonzero(self.counts))
+
 
 def value_histogram(table: QuotientTable) -> ResidueHistogram:
     """Counts of each quotient value over the defined entries of the table."""
@@ -139,6 +144,27 @@ def value_histogram(table: QuotientTable) -> ResidueHistogram:
     counts = np.bincount(defined, minlength=table.p.p)
     counts.setflags(write=False)
     return ResidueHistogram(table.p, counts, len(defined))
+
+
+def period_histogram(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> ResidueHistogram:
+    """value_histogram(quotient_table(p, n)) from one period: q_p maps
+    (Z/p**2)* onto Z/p, so each run of p**2 consecutive integers takes
+    every value exactly p - 1 times, and only the n mod p**2 tail needs a
+    table (all of n when n < p**2).  Exact for every n below 2**63, where
+    the int64 counts end; max_entries caps the tail's table."""
+    import numpy as np
+
+    prime = odd_prime(p)
+    if n < 1:
+        raise ValueError(f"table length must be >= 1, got {n}")
+    if n >= 1 << 63:
+        raise ValueError(f"histogram over {n} entries overflows its int64 counts")
+    periods, tail = divmod(n, prime.p2)
+    counts = np.full(prime.p, periods * (prime.p - 1), dtype=np.int64)
+    if tail:
+        counts += value_histogram(quotient_table(prime, tail, max_entries=max_entries)).counts
+    counts.setflags(write=False)
+    return ResidueHistogram(prime, counts, n - n // prime.p)
 
 
 def collision_count(table: QuotientTable) -> int:
@@ -155,11 +181,15 @@ def cauchy_lower_bound(hist: ResidueHistogram) -> Fraction:
     return Fraction(hist.total * hist.total, denom)
 
 
+def _dump_parts(table: QuotientTable) -> tuple[bytes, np.ndarray]:
+    """The 20-byte header and the little-endian u32 body of a dump."""
+    header = struct.pack("<4sQQ", _DUMP_MAGIC, table.p.p, table.n)
+    return header, table.values[1:].astype("<u4")  # UNDEFINED (-1) wraps to 0xFFFFFFFF
+
+
 def dump_table(table: QuotientTable) -> bytes:
     """Serialize: magic 'FQT1', u64 p, u64 n, then n little-endian u32 entries."""
-    header = struct.pack("<4sQQ", _DUMP_MAGIC, table.p.p, table.n)
-    body = table.values[1:].astype("<u4")  # UNDEFINED (-1) wraps to 0xFFFFFFFF
-    return header + body.tobytes()
+    return b"".join(_dump_parts(table))
 
 
 def load_table(blob: bytes) -> QuotientTable:
@@ -184,7 +214,9 @@ def load_table(blob: bytes) -> QuotientTable:
 
 
 def write_table(table: QuotientTable, path: str) -> None:
-    write_atomic(dump_table(table), path)
+    """dump_table's bytes, written from the header and body buffers without
+    joining them."""
+    write_atomic(_dump_parts(table), path)
 
 
 def read_table(path: str) -> QuotientTable:

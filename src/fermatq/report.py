@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 
 from . import __version__
 from .config import RunConfig
@@ -72,13 +73,16 @@ def attach_metadata(rows: list[dict], config: RunConfig, wall_seconds: float) ->
     return out
 
 
-def write_atomic(data: str | bytes, path: str) -> None:
-    """Write data to path through a temp file and a rename."""
+def write_atomic(data: str | bytes | Sequence, path: str) -> None:
+    """Write data (text, bytes, or byte buffers in order) to path through
+    a temp file and a rename."""
+    chunks = [data] if isinstance(data, (str, bytes)) else data
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

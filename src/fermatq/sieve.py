@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .arith import BudgetError, primes_up_to
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
-from .quotients import quotient_table, value_histogram
+from .quotients import period_histogram
 
 
 @dataclass(frozen=True)
@@ -168,16 +168,91 @@ def _divisors_upto(n: int, cap: int) -> tuple[int, ...]:
     return tuple(small + [n // d for d in small if d * d < n and n // d <= cap])
 
 
-def charge_rho(m_max: int, nu: int, rows: int, k_max: int, budget_ops: int) -> None:
-    """Refuse, before any k is listed, rho_coefficient rows that budget_ops
-    does not cover, at (nu - 1)(min(M, isqrt(k_max)) + 1) + 2 steps a row;
-    a step is one trial division or one (cofactor, divisor) visit.  Over
-    k = 1..K (M 1 to 10^6, nu 1 to 20, K up to 10^5) that is 0.8 to 1.9
-    times the counted steps; one highly composite k into many factors can
-    take thousands of times its charge (k = 735134400, M = 1000, nu = 6)."""
-    steps = rows * ((nu - 1) * (min(m_max, math.isqrt(max(k_max, 0))) + 1) + 2)
+def _smooth_exponents(k: int, m_max: int) -> list[int]:
+    """Exponents of the primes at most m_max in k, by trial division up to
+    min(m_max, sqrt(k)): no more than the first level of rho_coefficient
+    makes.  Every factor of a rho row divides this m_max-smooth part."""
+    exps, d = [], 2
+    while d <= m_max and d * d <= k:
+        e = 0
+        while k % d == 0:
+            k //= d
+            e += 1
+        if e:
+            exps.append(e)
+        d += 1 if d == 2 else 2
+    if 1 < k <= m_max:  # no factor below sqrt(k) is left, so k is prime
+        exps.append(1)
+    return exps
+
+
+def _ordered_factorizations(exps: list[int], r: int) -> int:
+    """tau_r(s): ordered factorizations of s = prod p_i^exps[i] into r factors."""
+    return math.prod(math.comb(e + r - 1, r - 1) for e in exps)
+
+
+def _rho_level_steps(levels: int, first: float, trial: float, values: int, tau: Callable[[int], float]) -> float:
+    """Steps of rho rows whose smooth parts have tau(r) ordered
+    factorizations into r factors, summed over the rows: `first` trial
+    divisions on the first level (k alone) and `trial` on each later one;
+    on level j, one visit per (j + 1)-tuple of factors, at most
+    values * tau(3) (a cofactor c carries at most `values` factor sums and
+    tau(c) divisors); then one visit per final state, at most
+    values * tau(2)."""
+    steps = first + (levels - 1) * trial if levels else 0
+    cap = values * tau(3)
+    for j in range(1, levels + 1):
+        if tau(j + 1) >= cap:
+            # tau grows with j: every later level is capped too, and the
+            # final states by values * tau(2) <= cap; tau(levels + 1) is
+            # not evaluated, since a float tau overflows at deep nu
+            return steps + (levels - j + 1) * cap + values * tau(2)
+        steps += tau(j + 1)
+    return steps + min(tau(levels + 1), values * tau(2))
+
+
+def charge_rho(m_max: int, nu: int, ks: Sequence[int], budget_ops: int) -> None:
+    """Refuse, before any row is computed, the rho_coefficient rows of ks
+    (a list of k, or range(1, K + 1)) that budget_ops does not cover.  A
+    step is one trial division or one (cofactor, divisor, factor sum)
+    visit; the charge bounds the counted steps from above.
+
+    Each factor of a row divides s, the M-smooth part of k, so a level
+    holds at most tau(s) cofactors and visits at most the tau_(j+1)(s)
+    tuples of its first j + 1 factors.  An explicit k is factored up to
+    min(M, sqrt(k)) and charged min(M, isqrt(k)) + 1 trial divisions a
+    cofactor.  A range 1..K is charged in closed form before the k list
+    exists, from sum_(k <= K) tau_r(k) <= K (ln K + r - 1)^(r - 1) / (r - 1)!
+    and sum_(c <= K) floor(K/c) min(M, sqrt(c)) <= K (2 min(M, sqrt(K)) +
+    M ln(K / M^2)).  Measured over k = 1..K (M 1 to 10^6, nu 1 to 40, K up
+    to 10^5) the charge is 1.0 to 290 times the counted steps: 13 for
+    M = 12, nu = 3, K = 3000, and loosest at M <= 2, where few k split at
+    all.  For single k it is 1.0 to 140 times: 17 for k = 735134400 at
+    M = 1000, nu = 6 (1.3 * 10^7 steps, 15 s), whose M = 10^5 run the default
+    budget now refuses."""
+    m, levels = max(m_max, 1), max(nu - 1, 0)
+    if isinstance(ks, range):
+        big_k = len(ks)
+        log_k = math.log(big_k)
+
+        def tau(r: int) -> float:
+            return big_k * (log_k + r - 1) ** (r - 1) / math.factorial(r - 1)
+
+        roots = 2 * min(m, math.isqrt(big_k)) + (m * math.log(big_k / (m * m)) if m * m < big_k else 0.0)
+        first = big_k * (min(m, math.isqrt(big_k)) + 1)
+        steps = _rho_level_steps(levels, first, big_k * roots + tau(2), min(m, big_k), tau)
+    else:
+        steps = 0
+        for k in ks:
+            k = max(k, 1)
+            root = min(m, math.isqrt(k)) + 1
+            if steps + levels * root > budget_ops:
+                steps += levels * root
+                break  # refused before factoring k, which costs up to root / 2 divisions
+            tau = functools.partial(_ordered_factorizations, _smooth_exponents(k, m) if levels else [])
+            steps += _rho_level_steps(levels, root, tau(2) * root, min(m, k), tau)
     if steps > budget_ops:
-        raise BudgetError(f"{rows} rho rows, about {steps} steps, exceed budget {budget_ops}")
+        raise BudgetError(f"{len(ks)} rho rows, about {steps:.3g} steps, exceed budget {budget_ops}")
 
 
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
@@ -269,9 +344,8 @@ class Theorem1Result:
 
 def _moment_task(args: tuple[int, int, int]) -> float:
     p, n_p, max_entries = args
-    table = quotient_table(p, n_p, max_entries=max_entries)
-    hist = value_histogram(table)
-    _, m = max_exp_sum(p, n_p, hist=hist)
+    # n_p <= P^2 < p^2: the histogram comes from one table of all n_p entries
+    _, m = max_exp_sum(p, n_p, hist=period_histogram(p, n_p, max_entries=max_entries))
     return m
 
 

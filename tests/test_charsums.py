@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatq.arith import arithmetic_functions, multiplicative_order, primes_up_to
+from fermatq.arith import BudgetError, arithmetic_functions, multiplicative_order, primes_up_to
 from fermatq.charsums import (
     CharacterModP,
     CharacterModPSquared,
@@ -24,6 +24,7 @@ from fermatq.charsums import (
     unit_root,
     unit_roots,
 )
+from fermatq.config import DEFAULT_TABLE_CAP
 from fermatq.quotients import fermat_quotient, quotient_table, value_histogram
 
 
@@ -192,6 +193,14 @@ def test_exp_sum_from_histogram_matches_direct():
 
 def test_max_exp_sum_single_entry():
     assert max_exp_sum(5, 1) == (1, 1.0)
+
+
+def test_max_exp_sum_keeps_the_table_cap():
+    # the folded counts need no table of n, but their float spectrum loses
+    # digits as n / p**2 grows, so n stays capped as a table of n was
+    assert max_exp_sum(7, DEFAULT_TABLE_CAP)[1] > 0
+    with pytest.raises(BudgetError):
+        max_exp_sum(7, DEFAULT_TABLE_CAP + 1)
 
 
 def naive_max(p, n):

@@ -132,6 +132,10 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         # the length-p histogram is charged before the table
         ("image", "--p", "2147483647", "--n", "10"),
         ("maxsum", "--p", "2147483647", "--n", "10", "--memcap", "1000000"),
+        # maxsum charges all n entries although it folds them into one period
+        ("maxsum", "--p", "7", "--n", "100000000"),
+        # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
+        ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
     ],
 )
 def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
@@ -425,6 +429,35 @@ def test_sieve_seed_changes_rows(capsys):
     assert out1 != out2
 
 
+def test_image_counts_by_period_beyond_a_table(capsys, tmp_path):
+    # 10^12 entries fold into a 16-entry tail; the parent refused a table of n
+    started = time.monotonic()
+    rc, out, err = run(capsys, "image", "--p", "7", "--n", str(10**12))
+    assert rc == 0, err
+    assert time.monotonic() - started < 1.0
+    assert parse_csv(out)[1][0][:3] == ["7", str(10**12), "7"]
+    # int64 counts end at 2^63: a bad input, not an internal fault
+    for n in (1 << 63, 10**30):
+        out_path = tmp_path / "report.csv"
+        rc, _, err = run(capsys, "image", "--p", "7", "--n", str(n), "--out", str(out_path))
+        assert rc == 2 and err.startswith("error:"), err
+        assert not os.listdir(tmp_path)
+
+
+def test_maxsum_peak_memory_is_one_period(capsys):
+    # 800,000 entries at p = 211 fold into a 43,143-entry tail; a whole
+    # table and its copy peaked at 13 MiB
+    run(capsys, "maxsum", "--p", "211", "--n", "1000")  # numpy and the FFT module load outside the trace
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, "maxsum", "--p", "211", "--n", "800000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and parse_csv(out)[1][0][:3] == ["211", "21", "800000"]
+    assert peak < 1 << 20
+
+
 def test_table_dump_loads_back(capsys, tmp_path):
     dump = tmp_path / "t.bin"
     rc, out, _ = run(capsys, "table", "--p", "7", "--n", "50", "--dump", str(dump))
@@ -454,6 +487,20 @@ def test_rho_deep_nu(capsys):
     _, rows = parse_csv(out)
     expect = 3000 * 2999 * 1j + 3000 * complex(math.cos(math.pi / 6), math.sin(math.pi / 6))
     assert complex(float(rows[0][4]), float(rows[0][5])) == pytest.approx(expect, rel=1e-12)
+
+
+def test_rho_deep_nu_over_a_range(capsys):
+    # the closed-form charge of a --kmax range stays finite at deep nu,
+    # and its rows are the --k rows
+    rc, out, err = run(capsys, "rho", "--M", "12", "--b", "5", "--nu", "3000", "--kmax", "6")
+    assert rc == 0, err
+    _, rows = parse_csv(out)
+    rc, out, err = run(capsys, "rho", "--M", "12", "--b", "5", "--nu", "3000", "--k", *map(str, range(1, 7)))
+    assert rc == 0, err
+    assert [r[:7] for r in rows] == [r[:7] for r in parse_csv(out)[1]]
+    rc, out, err = run(capsys, "rho", "--M", "12", "--b", "5", "--nu", "200", "--kmax", "1")
+    assert rc == 0, err
+    assert parse_csv(out)[1][0][3] == "1"
 
 
 def test_ratios_subgroup_modes(capsys):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from fermatq.quotients import (
     fermat_quotient,
     image_size,
     load_table,
+    period_histogram,
     quotient_table,
     read_table,
     value_histogram,
@@ -196,6 +198,40 @@ def test_value_histogram_example():
     assert list(h.counts) == [1, 2, 0, 1, 0]
 
 
+@st.composite
+def _prime_and_length(draw):
+    p = draw(st.sampled_from([q for q in ODD_PRIMES if q <= 97]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((k * p * p - 1, k * p * p, k * p * p + 1)) | st.integers(1, 5 * p * p))
+    return p, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_and_length())
+def test_period_histogram_equals_table_histogram(case):
+    p, n = case
+    want = value_histogram(quotient_table(p, n))
+    got = period_histogram(p, n)
+    assert np.array_equal(got.counts, want.counts) and got.counts.dtype == want.counts.dtype
+    assert got.total == want.total == n - n // p
+    assert got.image == image_size(quotient_table(p, n)) == len(np.unique(quotient_table(p, n).defined()))
+
+
+def test_period_histogram_beyond_a_table():
+    # 10^12 entries: one full-period count per value, plus a 16-entry tail
+    h = period_histogram(7, 10**12)
+    periods = 10**12 // 49
+    assert h.total == 10**12 - 10**12 // 7 and h.image == 7
+    assert np.array_equal(h.counts, periods * 6 + value_histogram(quotient_table(7, 10**12 % 49)).counts)
+    for bad in (0, -3, 1 << 63):
+        with pytest.raises(ValueError):
+            period_histogram(7, bad)
+    with pytest.raises(BudgetError):  # the cap applies to the tail's table
+        period_histogram(101, 101 * 101 + 500, max_entries=499)
+    n = 101 * 101 + 499
+    assert period_histogram(101, n, max_entries=499).total == n - n // 101
+
+
 def test_value_histogram_excludes_undefined():
     h = value_histogram(quotient_table(5, 25))
     assert h.total == 25 - 5
@@ -280,6 +316,15 @@ def test_write_read_roundtrip(tmp_path):
     write_table(t, path)
     back = read_table(path)
     assert np.array_equal(back.values, t.values)
+
+
+def test_write_table_writes_dump_bytes(tmp_path):
+    # header and body go to the file as two buffers; the bytes are dump_table's
+    for p, n in ((5, 4), (5, 5), (101, 250)):
+        t = quotient_table(p, n)
+        write_table(t, str(tmp_path / "t.bin"))
+        assert (tmp_path / "t.bin").read_bytes() == dump_table(t)
+    assert os.listdir(tmp_path) == ["t.bin"]
 
 
 def test_table_values_are_frozen():
