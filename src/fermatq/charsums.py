@@ -16,6 +16,44 @@ from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
 from .config import DEFAULT_TABLE_CAP
 from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, period_histogram, quotient_table
 
+# pocketfft takes a prime length n by Bluestein at length n2 = good_size(2n - 1),
+# at most 2.08n for n > 64.  A transform then holds about 64n + 56 n2 <= 181n
+# bytes at once: the float64 input, its complex copy, the output and the
+# magnitudes (48n), Bluestein's chirps (16n + 8 n2), the plan's twiddles and
+# two length-n2 work arrays (48 n2).  glibc trims the heap top once more than
+# twice the mmap threshold is free, so the threshold must reach about 91n
+# plus half the 128 KiB top pad; 256 bytes a point covers that from n = 400.
+# Measured with ru_minflt over the 464 primes in (4096, 8192]: 96 bytes a
+# point left 51 faults a transform, 112 left 2, 256 about 1.
+_RESIDENT_BYTES_PER_POINT = 256
+_MMAP_THRESHOLD_DEFAULT = 128 * 1024
+# a freed mmapped chunk moves the threshold only up to 32 MiB; the 64 KiB
+# margin covers the chunk header rounded up to any page size
+_RESIDENT_CAP = 32 * 1024 * 1024 - 64 * 1024
+# the largest block freed so far; process-wide, like the threshold it raised
+_resident_bytes = _MMAP_THRESHOLD_DEFAULT
+
+
+def resident_transform_memory(n: int) -> None:
+    """Keep the work buffers of an n-point transform on the heap.
+
+    glibc serves a block above its mmap threshold (128 KiB at start) by
+    mmap and unmaps it on free, so each transform would fault its buffers
+    in afresh.  Freeing an mmapped block raises that threshold to the
+    block's size, and the heap-trim threshold to twice it (mallopt(3)), so
+    one untouched block sized for n, allocated and freed here, leaves the
+    transform's buffers on reused heap pages.  Only a block larger than any
+    freed before is made, and none of 128 KiB or less; the size stops below
+    32 MiB, glibc's ceiling for the dynamic threshold.  Other allocators
+    pay one untouched allocation and keep their own policy."""
+    global _resident_bytes
+    import numpy as np
+
+    size = min(n * _RESIDENT_BYTES_PER_POINT, _RESIDENT_CAP)
+    if size > _resident_bytes:
+        np.empty(size, dtype=np.uint8)  # freed at once, never written
+        _resident_bytes = size
+
 
 def unit_root(r: int, k: int) -> complex:
     """exp(2*pi*i*k/r) evaluated at the reduced argument k mod r."""
@@ -196,6 +234,7 @@ def spectrum_from_histogram(hist: ResidueHistogram) -> np.ndarray:
     """|S_p(a; n)| for every a = 0..p-1 in one length-p transform."""
     import numpy as np
 
+    resident_transform_memory(hist.p.p)
     # fft computes sum counts[q] e(-aq/p); counts are real so magnitudes agree
     return np.abs(np.fft.fft(hist.counts.astype(np.float64)))
 

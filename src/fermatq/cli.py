@@ -24,7 +24,7 @@ from .charsums import (
     hb_bound_rhs,
     max_exp_sum,
 )
-from .config import RunConfig, resolve_config
+from .config import RHO_ROW_BYTES, RunConfig, resolve_config
 from .primroots import (
     charge_scan,
     convolution_length,
@@ -250,8 +250,9 @@ def cmd_rho(args, config: RunConfig):
     ks = args.k if args.k is not None else range(1, (args.kmax or 0) + 1)
     if not ks:
         raise ValueError("rho requires --k or --kmax")
-    if len(ks) > config.max_table_entries:
-        raise BudgetError(f"{len(ks)} rows exceed cap {config.max_table_entries}")
+    row_bytes = RHO_ROW_BYTES[config.format]
+    if len(ks) * row_bytes > config.memory_cap_bytes:
+        raise BudgetError(f"{len(ks)} rows of {row_bytes} bytes exceed cap {config.memory_cap_bytes}")
     charge_rho(args.M, args.nu, ks, config.budget_ops)
     rows = []
     for k in ks:

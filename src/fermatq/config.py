@@ -24,6 +24,12 @@ _TABLE_BYTES_PER_ENTRY = 24
 
 DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 
+# bytes per rho report row, by format: the traced peak of rho --M 1 --nu 1
+# --kmax 200000 and rho --M 1000 --nu 2 --kmax 100000 over the row count,
+# 808 to 885 for csv and 2,834 to 2,871 for json (its payload dicts and
+# indented text); the row tuple, its dict and its rendered text in both
+RHO_ROW_BYTES = {"csv": 896, "json": 2880}
+
 
 @dataclass(frozen=True)
 class RunConfig:

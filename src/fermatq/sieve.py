@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .arith import BudgetError, primes_up_to
-from .charsums import max_exp_sum, unit_roots
+from .arith import BudgetError, odd_prime, primes_up_to
+from .charsums import max_exp_sum, resident_transform_memory, unit_roots
 from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
 from .quotients import period_histogram
 
@@ -78,6 +78,7 @@ def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
     """T(a/r2) for a = 0..r2-1 via one inverse transform of the folded coeffs."""
     import numpy as np
 
+    resident_transform_memory(r2)
     return r2 * np.fft.ifft(fold_coefficients(poly, r2))
 
 
@@ -344,8 +345,9 @@ class Theorem1Result:
 
 def _moment_task(args: tuple[int, int, int]) -> float:
     p, n_p, max_entries = args
+    prime = odd_prime(p)  # validated once for both calls
     # n_p <= P^2 < p^2: the histogram comes from one table of all n_p entries
-    _, m = max_exp_sum(p, n_p, hist=period_histogram(p, n_p, max_entries=max_entries))
+    _, m = max_exp_sum(prime, n_p, hist=period_histogram(prime, n_p, max_entries=max_entries))
     return m
 
 

@@ -267,6 +267,7 @@ def test_criterion_14_reports_thread_invariant(tmp_path, capfd):
     with criterion(capfd, "14 byte-identical reports at 1 and 8 threads"):
         jobs = {
             "avg": ["avg", "--P", "256", "512", "1024", "--nu", "2", "--N-rule", "P^0.5"],
+            "avg-window": ["avg", "--P", "1024", "--N-rule", "P^1/2"],
             "scan": ["scan", "--pmin", "3", "--pmax", "10000"],
         }
         for name, argv in jobs.items():

@@ -1,5 +1,10 @@
 import cmath
 import math
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermatq
 from fermatq.arith import BudgetError, arithmetic_functions, multiplicative_order, primes_up_to
 from fermatq.charsums import (
     CharacterModP,
@@ -20,6 +26,7 @@ from fermatq.charsums import (
     hb_bound_rhs,
     hb_character,
     max_exp_sum,
+    resident_transform_memory,
     spectrum_from_histogram,
     unit_root,
     unit_roots,
@@ -229,6 +236,45 @@ def test_spectrum_matches_histogram_sums():
     mags = spectrum_from_histogram(h)
     for a in range(11):
         assert abs(mags[a] - abs(exp_sum_from_histogram(h, a))) < 1e-9
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the dynamic mmap threshold is glibc's")
+def test_window_transforms_reuse_resident_memory():
+    # without the warm-up, glibc maps each transform's work buffers afresh:
+    # about 224 minor faults a transform at p in (4096, 8192]
+    code = (
+        "import resource\n"
+        "from fermatq.arith import primes_up_to\n"
+        "from fermatq.charsums import spectrum_from_histogram\n"
+        "from fermatq.quotients import period_histogram\n"
+        "hists = [period_histogram(p, 64) for p in primes_up_to(8192) if p > 4096][:41]\n"
+        "spectrum_from_histogram(hists[0])  # loads the transform code\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for hist in hists[1:]:\n"
+        "    spectrum_from_histogram(hist)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fermatq.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 16
+
+
+def test_resident_transform_memory_allocates_only_what_it_must():
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            resident_transform_memory(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 256 bytes a point reach glibc's default 128 KiB threshold at n = 512
+    assert traced_peak(1) < 1024 and traced_peak(512) < 1024
+    # above 32 MiB a freed block no longer moves the threshold: the block stops below it
+    assert traced_peak(10**30) < 32 * 1024 * 1024
+    # the largest block so far is not made again, nor a smaller one
+    assert traced_peak(10**30) < 1024 and traced_peak(8192) < 1024
 
 
 def test_gauss_sum_principal_is_minus_one():

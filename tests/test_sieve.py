@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatq.arith import BudgetError
+from fermatq import arith
+from fermatq.arith import BudgetError, primes_up_to
 from fermatq.quotients import quotient_table
 from fermatq.sieve import (
     Theorem1Result,
@@ -182,6 +183,17 @@ def naive_moment_sum(p_scale, nu, n_p):
         )
         total += best ** (2 * nu)
     return total, count
+
+
+def test_window_validates_each_prime_once(monkeypatch):
+    # one OddPrime serves a task's histogram and its spectrum
+    calls = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    res = theorem1_average(256, 1, power_rule(Fraction(1, 2), 256))
+    primes = [p for p in primes_up_to(512) if p > 256]
+    assert res.prime_count == len(primes) == 43
+    assert calls == primes
 
 
 def test_theorem1_average_small_oracle():
