@@ -22,9 +22,9 @@ from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, period_histog
 # magnitudes (48n), Bluestein's chirps (16n + 8 n2), the plan's twiddles and
 # two length-n2 work arrays (48 n2).  glibc trims the heap top once more than
 # twice the mmap threshold is free, so the threshold must reach about 91n
-# plus half the 128 KiB top pad; 256 bytes a point covers that from n = 400.
-# Measured with ru_minflt over the 464 primes in (4096, 8192]: 96 bytes a
-# point left 51 faults a transform, 112 left 2, 256 about 1.
+# plus half the 128 KiB top pad.  Measured with ru_minflt over the 464 primes
+# in (4096, 8192]: 96 bytes a point left 51 faults a transform, 112 left 2,
+# 256 about 1; 256 also left 3.6 at p in (32768, 65536], where none left 2,255.
 _RESIDENT_BYTES_PER_POINT = 256
 _MMAP_THRESHOLD_DEFAULT = 128 * 1024
 # a freed mmapped chunk moves the threshold only up to 32 MiB; the 64 KiB
