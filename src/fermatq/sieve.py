@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .arith import BudgetError, odd_prime, primes_up_to
+from .arith import BudgetError, OddPrime, primes_up_to
 from .charsums import max_exp_sum, resident_transform_memory, unit_roots
 from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
 from .quotients import period_histogram
@@ -345,7 +345,7 @@ class Theorem1Result:
 
 def _moment_task(args: tuple[int, int, int]) -> float:
     p, n_p, max_entries = args
-    prime = odd_prime(p)  # validated once for both calls
+    prime = OddPrime(p)  # validated once for both calls
     # n_p <= P^2 < p^2: the histogram comes from one table of all n_p entries
     _, m = max_exp_sum(prime, n_p, hist=period_histogram(prime, n_p, max_entries=max_entries))
     return m
