@@ -26,12 +26,12 @@ from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, period_histog
 # in (4096, 8192]: 96 bytes a point left 51 faults a transform, 112 left 2,
 # 256 about 1; 256 also left 3.6 at p in (32768, 65536], where none left 2,255.
 _RESIDENT_BYTES_PER_POINT = 256
-_MMAP_THRESHOLD_DEFAULT = 128 * 1024
 # a freed mmapped chunk moves the threshold only up to 32 MiB; the 64 KiB
 # margin covers the chunk header rounded up to any page size
 _RESIDENT_CAP = 32 * 1024 * 1024 - 64 * 1024
-# the largest block freed so far; process-wide, like the threshold it raised
-_resident_bytes = _MMAP_THRESHOLD_DEFAULT
+# the largest block freed so far, from glibc's default mmap threshold on;
+# process-wide, like the threshold it raised
+_resident_bytes = 128 * 1024
 
 
 def resident_transform_memory(n: int) -> None:
