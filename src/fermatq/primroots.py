@@ -30,7 +30,7 @@ from .arith import (
     primitive_root_test,
     smallest_prime_factors,
 )
-from .charsums import CharacterModP, resident_transform_memory
+from .charsums import CharacterModP
 from .config import DEFAULT_TABLE_CAP
 from .quotients import UNDEFINED, fermat_quotient, quotient_table
 
@@ -153,7 +153,6 @@ def double_char_sum(
     ind[1, np.fromiter(b_set, dtype=np.int64) % prime.p] = 1.0
     if not (ind[0].any() and ind[1].any()):
         raise ValueError("both summation sets must be nonempty")
-    resident_transform_memory(n)
     full = np.fft.irfft(np.fft.rfft(ind[0], n) * np.fft.rfft(ind[1], n), n)
     counts = np.rint(full[: prime.p] + full[prime.p : 2 * prime.p]).astype(np.int64)
     pairs = int(ind[0].sum()) * int(ind[1].sum())

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .arith import BudgetError, OddPrime, primes_up_to
-from .charsums import max_exp_sum, resident_transform_memory, unit_roots
+from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
 from .quotients import period_histogram
 
@@ -78,7 +78,6 @@ def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
     """T(a/r2) for a = 0..r2-1 via one inverse transform of the folded coeffs."""
     import numpy as np
 
-    resident_transform_memory(r2)
     return r2 * np.fft.ifft(fold_coefficients(poly, r2))
 
 

@@ -128,7 +128,7 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         ("avg", "--pmin", "256", "--pmax", "100000000", "--N-rule", "100", "--memcap", "2400000"),
         # k rows against --memcap and their steps against --budget, before the k list
         ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "100000000"),
-        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "300000", "--budget", "1000"),
+        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000000", "--budget", "1000", "--memcap", "3000000000"),
         # rows at their traced size: 3000 rows at 24 bytes fit 10^5 bytes, at about 900 they do not
         ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000", "--memcap", "100000"),
         # the length-p histogram is charged before the table
@@ -405,20 +405,17 @@ def test_window_bytes_do_not_depend_on_resident_transforms(tmp_path):
         "if sys.argv[2] == 'off':\n"
         "    fermatq.charsums.resident_transform_memory = lambda n: None\n"
         "import fermatq.cli\n"
-        "argv = ['avg', '--P', '1024', '--N-rule', 'P^1/2', '--threads', sys.argv[3], '--out', sys.argv[1]]\n"
+        "argv = ['avg', '--P', '1024', '--N-rule', 'P^1/2', '--out', sys.argv[1]]\n"
         "sys.exit(fermatq.cli.main(argv))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    blobs = set()
+    blobs = []
     for mode in ("on", "off"):
-        for threads in ("1", "2"):
-            path = tmp_path / f"avg-{mode}-t{threads}.csv"
-            done = subprocess.run(
-                [sys.executable, "-c", code, str(path), mode, threads], env=env, capture_output=True, text=True, timeout=60
-            )
-            assert done.returncode == 0, done.stderr
-            blobs.add(path.read_bytes())
-    assert len(blobs) == 1
+        path = tmp_path / f"avg-{mode}.csv"
+        done = subprocess.run([sys.executable, "-c", code, str(path), mode], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_scan_threads_do_not_change_bytes(capsys, tmp_path):
