@@ -8,7 +8,8 @@ every other entry is a sum of those, and indices past p**2 repeat.
 Those powers are taken together, by the numpy square-and-multiply
 ladder mod p**2 of arith, once a table has enough primes to pay for it
 (computing quotients in bulk: Ernvall and Metsankyla, Math. Comp. 66,
-1997).
+1997).  Tables of several primes over one range share that sieve and
+ladder as the rows of one block.
 
 Undefined entries (p | n) carry an explicit sentinel and are never
 conflated with the value 0.
@@ -20,6 +21,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .arith import BudgetError, OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
 from .config import DEFAULT_TABLE_CAP
@@ -31,11 +33,11 @@ UNDEFINED = -1
 _DUMP_SENTINEL = 0xFFFFFFFF
 _DUMP_MAGIC = b"FQT1"
 
-# Fewest primes for which quotient_table takes its powers by the numpy
-# ladder rather than one Python pow each.  The ladder's cost is about
-# 2 log2(p) vector products whatever the prime count; break-even is near
-# 190 primes at p ~ 10^3..10^4 and near 64 at p ~ 2^31, and from 256
-# primes on the ladder is the faster at every p measured.
+# Fewest (p, l) lanes for which quotient_rows takes its powers by the
+# numpy ladder rather than one Python pow each.  The ladder's cost is
+# about 2 log2(p) vector products whatever the lane count; break-even is
+# near 190 lanes at p ~ 10^3..10^4 and near 64 at p ~ 2^31, and from 256
+# lanes on the ladder is the faster at every p measured.
 _LADDER_MIN_PRIMES = 256
 
 
@@ -68,9 +70,52 @@ class QuotientTable:
         return body[body != UNDEFINED]
 
 
+def quotient_rows(primes: Sequence[int | OddPrime], last: int) -> np.ndarray:
+    """Quotients over 0..last for a block of primes, one int64 row each,
+    for 1 <= last < p**2 at every p: q_p(l) of every prime l <= last from
+    one sieve and one ladder over the (p, l) lanes, added at each
+    multiple of each power of l as a column, then reduced row by row.
+    UNDEFINED sits at the multiples of each row's p, index 0 included."""
+    import numpy as np
+
+    primes = [odd_prime(p) for p in primes]
+    if not primes or not 1 <= last < min(prime.p2 for prime in primes):
+        raise ValueError(f"need a prime and 1 <= last < p^2 at every prime, got last = {last}")
+    ps = np.array([prime.p for prime in primes], dtype=np.int64)[:, None]
+    ells = np.array(primes_up_to(last), dtype=np.int64)  # its sieve is freed before the table is allocated
+    lanes = np.broadcast_to(ells, (len(primes), len(ells)))  # one (p, l) pair per lane
+    if lanes.size >= _LADDER_MIN_PRIMES:
+        pows = pow_mod_p2_lanes(lanes, ps - 1, ps)
+    else:
+        pows = np.array([[pow(ell, p.p - 1, p.p2) for ell in ells.tolist()] for p in primes], dtype=np.int64)
+    quots = (pows - 1) // ps
+    # the lane (p, p) adds only at multiples of p, which become UNDEFINED below
+    values = np.zeros((len(primes), last + 1), dtype=np.int64)
+    # at most 62 terms below p < 2^31 land on one entry: no overflow
+    split = int(np.searchsorted(ells, math.isqrt(last), side="right"))
+    for j, ell in enumerate(ells[:split].tolist()):
+        power = ell
+        while power <= last:
+            values[:, power::power] += quots[:, j, None]
+            power *= ell
+    # a prime above sqrt(last) has no higher power in range: add it at
+    # k*l for each cofactor k, all such primes at once (distinct indices),
+    # through flat indices, which numpy adds faster than a row-by-column pair
+    big, big_quots = ells[split:], quots[:, split:]
+    if len(big):
+        flat, starts = values.reshape(-1), np.arange(0, values.size, last + 1)[:, None]
+        for k in range(1, last // int(big[0]) + 1):
+            count = int(np.searchsorted(big, last // k, side="right"))
+            flat[(starts + k * big[:count]).ravel()] += big_quots[:, :count].ravel()
+    values %= ps
+    for row, prime in zip(values, primes):
+        row[:: prime.p] = UNDEFINED
+    return values
+
+
 def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> QuotientTable:
-    """Batch table of q_p over 1..n: q_p(l) added at every multiple of each
-    power of each prime l != p below p**2, then repeated with period p**2."""
+    """Batch table of q_p over 1..n: the one-row quotient_rows over
+    1..min(n, p**2 - 1), repeated with period p**2."""
     import numpy as np
 
     prime = odd_prime(p)
@@ -78,32 +123,8 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
         raise ValueError(f"table length must be >= 1, got {n}")
     if n > max_entries:
         raise BudgetError(f"table of {n} entries exceeds cap {max_entries}")
-    pp, p2 = prime.p, prime.p2
-    last = min(n, p2 - 1)
-    ells = np.array(primes_up_to(last), dtype=np.int64)  # its sieve is freed before the table is allocated
-    ells = ells[ells != pp]
-    if len(ells) >= _LADDER_MIN_PRIMES:
-        quots = (pow_mod_p2_lanes(ells, pp - 1, pp) - 1) // pp
-    else:
-        quots = np.array([(pow(ell, pp - 1, p2) - 1) // pp for ell in ells.tolist()], dtype=np.int64)
-    values = np.zeros(last + 1, dtype=np.int64)
-    # at most 62 terms below p < 2^31 land on one entry: no overflow
-    split = int(np.searchsorted(ells, math.isqrt(last), side="right"))
-    for ell, q in zip(ells[:split].tolist(), quots[:split].tolist()):
-        power = ell
-        while power <= last:
-            values[power::power] += q
-            power *= ell
-    # a prime above sqrt(last) has no higher power in range: add it at
-    # k*l for each cofactor k, all such primes at once (distinct indices)
-    big, big_quots = ells[split:], quots[split:]
-    if len(big):
-        for k in range(1, last // int(big[0]) + 1):
-            count = int(np.searchsorted(big, last // k, side="right"))
-            values[k * big[:count]] += big_quots[:count]
-    values %= pp
-    values[::pp] = UNDEFINED
-    if n >= p2:
+    values = quotient_rows([prime], min(n, prime.p2 - 1))[0]
+    if n >= prime.p2:
         values = np.resize(values, n + 1)
     values.setflags(write=False)
     return QuotientTable(prime, n, values)

@@ -53,9 +53,14 @@ from .subgroups import SubgroupModM, collision_vs_ratio_check, count_ratios, lem
 
 def _suite_core_arith(rng: np.random.Generator, fault: str | None):
     checks, failures = 0, []
+    phi_sums, mu_sums = [0] * 2001, [0] * 2001
+    for d in range(1, 2001):  # each d's phi and mu added into its multiples
+        phi, mu, _ = arithmetic_functions(d)
+        for n in range(d, 2001, d):
+            phi_sums[n] += phi
+            mu_sums[n] += mu
     for n in range(1, 2001):
-        phi_sum = sum(arithmetic_functions(d)[0] for d in range(1, n + 1) if n % d == 0)
-        mu_sum = sum(arithmetic_functions(d)[1] for d in range(1, n + 1) if n % d == 0)
+        phi_sum, mu_sum = phi_sums[n], mu_sums[n]
         if phi_sum != n:
             failures.append(f"core-arith arithmetic_functions n={n}: phi divisor sum {phi_sum}")
         if mu_sum != (1 if n == 1 else 0):

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .arith import BudgetError, OddPrime, primes_up_to
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
-from .quotients import period_histogram
+from .quotients import QuotientTable, quotient_rows, value_histogram
 
 
 @dataclass(frozen=True)
@@ -342,18 +342,29 @@ class Theorem1Result:
     per_prime: tuple[tuple[int, int, float], ...]  # (p, N_p, max |S|)
 
 
-def _moment_task(args: tuple[int, int, int]) -> float:
-    p, n_p, max_entries = args
-    prime = OddPrime(p)  # validated once for both calls
-    # n_p <= P^2 < p^2: the histogram comes from one table of all n_p entries
-    _, m = max_exp_sum(prime, n_p, hist=period_histogram(prime, n_p, max_entries=max_entries))
-    return m
+# Most entries, rows x (largest N_p + 1), in the table one window task
+# builds, and no more than the table cap; a task has one row at least
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """max_a |S_p(a; N_p)| for each (p, N_p) of a block, in order, from one
+    table of the block's quotients (N_p <= P^2 < p^2) and one length-p
+    histogram and transform at a time."""
+    primes = [OddPrime(p) for p, _ in pairs]  # validated once for the table and the spectrum
+    rows = quotient_rows(primes, max(n_p for _, n_p in pairs))
+    maxima = []
+    for prime, (_, n_p), row in zip(primes, pairs, rows):
+        hist = value_histogram(QuotientTable(prime, n_p, row[: n_p + 1]))
+        maxima.append(max_exp_sum(prime, n_p, hist=hist)[1])
+    return maxima
 
 
 def charge_window(p_scale: int, nu: int, selector: NSelector, budget_ops: int, max_entries: int) -> tuple[list, int]:
     """(the (p, N_p) pairs of the window, N) after every check and charge
-    of theorem1_average: 2P + 1 sieve entries against max_entries, then a
-    table of N_p entries and one length-p FFT per prime against budget_ops."""
+    of theorem1_average: 2P + 1 sieve entries and the largest N_p against
+    max_entries, then a table of N_p entries and one length-p FFT per
+    prime against budget_ops."""
     if p_scale < 3:
         raise ValueError(f"P must be >= 3, got {p_scale}")
     if nu < 1:
@@ -372,6 +383,8 @@ def charge_window(p_scale: int, nu: int, selector: NSelector, budget_ops: int, m
         # the all-ones rule is the lone waiver: no integer window holds N_p = 1
         if n_p <= n_ref and n_max > 1:
             raise ValueError(f"N_p = {n_p} at p={p} falls outside the dyadic window ({n_ref}, {2 * n_ref}]")
+    if n_max > max_entries:
+        raise BudgetError(f"table of {n_max} entries exceeds cap {max_entries}")
     cost = sum(n_p + p for p, n_p in n_by_p)
     if cost > budget_ops:
         raise BudgetError(f"estimated cost {cost} exceeds budget {budget_ops}")
@@ -392,17 +405,22 @@ def theorem1_average(
 
     start = time.monotonic()
     n_by_p, n_ref = charge_window(p_scale, nu, selector, budget_ops, max_entries)
-    tasks = [(p, n_p, max_entries) for p, n_p in n_by_p]
-    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    workers = min(threads, os.cpu_count() or 1, len(n_by_p))
+    n_max = max(n_p for _, n_p in n_by_p)
+    rows = max(1, min(_BLOCK_ENTRIES, max_entries) // (n_max + 1))
+    if workers > 1:
+        rows = min(rows, -(-len(n_by_p) // (4 * workers)))  # at least four blocks a worker
+    blocks = [n_by_p[i : i + rows] for i in range(0, len(n_by_p), rows)]
     if workers > 1:
         # imported here: the pool module pulls in multiprocessing, which
         # every other subcommand would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            maxima = list(pool.map(_moment_task, tasks, chunksize=8))
+            done = list(pool.map(_moment_block, blocks))
     else:
-        maxima = [_moment_task(t) for t in tasks]
+        done = [_moment_block(b) for b in blocks]
+    maxima = [m for block in done for m in block]  # ascending prime order
     moments = np.array([m ** (2 * nu) for m in maxima], dtype=np.float64)
     lhs = float(moments.sum())  # fixed ascending-prime order
     n, p = float(n_ref), float(p_scale)

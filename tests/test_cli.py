@@ -136,6 +136,8 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         ("maxsum", "--p", "2147483647", "--n", "10", "--memcap", "1000000"),
         # maxsum charges all n entries although it folds them into one period
         ("maxsum", "--p", "7", "--n", "100000000"),
+        # the largest N_p against the table cap, before any table's sieve
+        ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
         # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
         ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
     ],
@@ -149,6 +151,19 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
     assert time.monotonic() - started < 1.0
     assert discrete_log_table.cache_info().misses == dlog_builds
     assert not os.listdir(tmp_path)
+
+
+def test_table_rule_window_bytes_do_not_depend_on_threads(tmp_path):
+    # N_p from 65 to 128 over p in (64, 128]: the blocks differ with the worker count
+    table = tmp_path / "np.csv"
+    table.write_text("p,N\n" + "".join(f"{p},{65 + 9 * p % 64}\n" for p in primes_up_to(128) if p > 64))
+    blobs = set()
+    for threads in (1, 2, 8):
+        out = tmp_path / f"t{threads}.csv"
+        argv = ["avg", "--P", "64", "--nu", "2", "--N-rule", f"@{table}", "--threads", str(threads), "--out", str(out)]
+        assert main(argv) == 0
+        blobs.add(out.read_bytes())
+    assert len(blobs) == 1
 
 
 def test_memcap_bounds_avg_and_doublesum(capsys, tmp_path):

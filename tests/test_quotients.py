@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermatq import quotients
@@ -21,6 +21,7 @@ from fermatq.quotients import (
     image_size,
     load_table,
     period_histogram,
+    quotient_rows,
     quotient_table,
     read_table,
     value_histogram,
@@ -157,6 +158,35 @@ def test_quotient_table_ladder_matches_per_prime_pow(monkeypatch):
     monkeypatch.setattr(quotients, "_LADDER_MIN_PRIMES", 0)
     for (p, n), want in zip(cases, per_prime):
         assert np.array_equal(quotient_table(p, n).values, want), (p, n)
+
+
+@st.composite
+def row_blocks(draw):
+    """(primes, last) with 1 <= last < p^2 at every prime: small primes put
+    multiples of p, and so UNDEFINED, inside their rows."""
+    primes = draw(st.lists(st.sampled_from(ODD_PRIMES + [65537, 2**31 - 19, 2**31 - 1]), min_size=1, max_size=6))
+    return primes, draw(st.integers(1, min(min(primes) ** 2 - 1, 2000)))
+
+
+@given(row_blocks(), st.booleans())
+@example(([7, 11, 13], 48), False)
+@example(([7, 11, 13], 48), True)
+@settings(max_examples=150, deadline=None)
+def test_quotient_rows_match_per_prime_tables(case, ladder):
+    primes, last = case
+    with pytest.MonkeyPatch.context() as mp:
+        # every block on one side of the lane crossover
+        mp.setattr(quotients, "_LADDER_MIN_PRIMES", 0 if ladder else 1 << 62)
+        rows = quotient_rows(primes, last)
+    assert rows.shape == (len(primes), last + 1)
+    for p, row in zip(primes, rows):
+        assert np.array_equal(row, quotient_table(p, last).values), (p, last)
+
+
+def test_quotient_rows_validation():
+    for primes, last in (([], 5), ([5], 0), ([5], 25), ([101, 5], 30), ([9], 5)):
+        with pytest.raises(ValueError):
+            quotient_rows(primes, last)
 
 
 def test_quotient_table_peak_memory_within_cap_rate():

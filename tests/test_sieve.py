@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatq import arith
+from fermatq import arith, sieve
 from fermatq.arith import BudgetError, primes_up_to
-from fermatq.quotients import quotient_table
+from fermatq.quotients import period_histogram, quotient_table
 from fermatq.sieve import (
     Theorem1Result,
     TrigPolynomial,
@@ -186,7 +187,7 @@ def naive_moment_sum(p_scale, nu, n_p):
 
 
 def test_window_validates_each_prime_once(monkeypatch):
-    # one OddPrime serves a task's histogram and its spectrum
+    # one OddPrime serves its block's table and its own histogram and spectrum
     calls = []
     is_prime = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
@@ -194,6 +195,52 @@ def test_window_validates_each_prime_once(monkeypatch):
     primes = [p for p in primes_up_to(512) if p > 256]
     assert res.prime_count == len(primes) == 43
     assert calls == primes
+
+
+def uneven_rule(p_scale, low):
+    """A table_rule over the window (P, 2P] whose N_p run through (low, 2 low]."""
+    return table_rule({p: low + 1 + 9 * p % low for p in primes_up_to(2 * p_scale) if p > p_scale})
+
+
+# N_p in (32, 64] below every p in (64, 128], and in (64, 128] above every p in (16, 32]
+UNEVEN_WINDOWS = ((64, 32), (16, 64))
+
+
+def test_window_histograms_match_period_histograms(monkeypatch):
+    seen = []
+    spectrum = sieve.max_exp_sum
+    monkeypatch.setattr(sieve, "max_exp_sum", lambda prime, n, hist: seen.append(hist) or spectrum(prime, n, hist=hist))
+    for p_scale, low in UNEVEN_WINDOWS:
+        seen.clear()
+        res = theorem1_average(p_scale, 2, uneven_rule(p_scale, low))
+        assert len({n for _, n, _ in res.per_prime}) > 1
+        assert [h.p.p for h in seen] == [p for p, _, _ in res.per_prime]
+        for hist, (p, n_p, _) in zip(seen, res.per_prime):
+            want = period_histogram(p, n_p)
+            assert np.array_equal(hist.counts, want.counts) and hist.total == want.total, (p, n_p)
+
+
+def test_window_result_does_not_depend_on_block_size(monkeypatch):
+    for p_scale, low in UNEVEN_WINDOWS:
+        rule = uneven_rule(p_scale, low)
+        want = replace(theorem1_average(p_scale, 2, rule), wall_seconds=0.0)
+        n_max = max(n for _, n, _ in want.per_prime)
+        for rows in (1, 3):
+            monkeypatch.setattr(sieve, "_BLOCK_ENTRIES", rows * (n_max + 1))
+            assert replace(theorem1_average(p_scale, 2, rule), wall_seconds=0.0) == want, (p_scale, rows)
+
+
+def test_window_sieves_once_per_block(monkeypatch):
+    # one least-prime-factor sieve for the window's primes and one per
+    # block of tables, never one per prime
+    sieves, blocks = [], []
+    spf, rows = arith.smallest_prime_factors, sieve.quotient_rows
+    monkeypatch.setattr(arith, "smallest_prime_factors", lambda n: sieves.append(n) or spf(n))
+    monkeypatch.setattr(sieve, "quotient_rows", lambda primes, last: blocks.append(len(primes)) or rows(primes, last))
+    res = theorem1_average(1024, 1, power_rule(1, 1024))
+    assert res.prime_count == sum(blocks) == 137
+    assert len(blocks) == 3  # 63 rows of 1,025 entries fit 2^16
+    assert len(sieves) <= 1 + len(blocks)
 
 
 def test_theorem1_average_small_oracle():
