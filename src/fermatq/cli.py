@@ -24,13 +24,13 @@ from .charsums import (
     hb_bound_rhs,
     max_exp_sum,
 )
-from .config import RHO_ROW_BYTES, RunConfig, resolve_config
+from .config import RunConfig, resolve_config, rho_row_entries
 from .primroots import (
-    charge_scan,
     convolution_length,
     nonres_row,
     quotient_sumset_experiment,
     scan_row,
+    scan_steps,
     smallest_dth_nonresidue_quotient,
     smallest_primroot_quotient,
     theorem4_exponent_scan,
@@ -46,18 +46,19 @@ from .report import emit, write_atomic
 from .selftest import VALID_FAULTS, run_selftest
 from .sieve import (
     TrigPolynomial,
-    charge_rho,
-    charge_sieve,
-    charge_window,
     constant_rule,
     exceptional_counts,
     power_rule,
     rho_coefficient,
+    rho_steps,
+    sieve_points,
     sieve_report,
     table_rule,
     theorem1_average,
+    window_cost,
+    window_pairs,
 )
-from .subgroups import charge_ratios, count_ratios, generated_within, lemma7_rhs, pth_power_residues
+from .subgroups import check_ratio_bound, count_ratios, generated_within, lemma7_rhs, pth_power_residues, ratio_steps
 
 SUM_COLUMNS = ("p", "a", "N", "re", "im", "abs", "rhs_eq1_nu2")
 AVG_COLUMNS = ("P", "nu", "N", "lhs", "rhs_envelope", "trivial_bound", "ratio", "prime_count", "wall_seconds")
@@ -123,7 +124,8 @@ def _rows(columns: tuple[str, ...], rows) -> tuple[tuple[str, ...], list[dict]]:
 
 def _build_table(p, n: int, config: RunConfig):
     prime = odd_prime(p)
-    return prime, quotient_table(prime, n, max_entries=config.max_table_entries)
+    config.charge("table", entries=n)
+    return prime, quotient_table(prime, n)
 
 
 def _histogram_table(p, n: int, config: RunConfig, whole: bool):
@@ -135,13 +137,9 @@ def _histogram_table(p, n: int, config: RunConfig, whole: bool):
     builder's peak of about 17 bytes per entry (maxsum --p 211 --n 800000:
     0.8 MiB, where a table of all n took 13 MiB)."""
     prime = odd_prime(p)
-    cap = config.max_table_entries
-    if prime.p > cap:
-        raise BudgetError(f"histogram of {prime.p} residues exceeds cap {cap}")
-    entries = n if whole or n < 1 else n % prime.p2
-    if entries > cap:
-        raise BudgetError(f"table of {entries} entries exceeds cap {cap}")
-    return prime, period_histogram(prime, n, max_entries=cap)
+    config.charge("histogram", entries=prime.p)
+    config.charge("table", entries=n if whole or n < 1 else n % prime.p2)
+    return prime, period_histogram(prime, n)
 
 
 def cmd_quotient(args, config: RunConfig):
@@ -186,9 +184,14 @@ def cmd_maxsum(args, config: RunConfig):
 
 
 def _window_scales(args) -> list[int]:
+    """The window scales, each P >= 3 and nu >= 1 checked before any is charged."""
+    if args.nu < 1:
+        raise ValueError(f"nu must be >= 1, got {args.nu}")
     if args.P:
         if args.pmin is not None or args.pmax is not None:
             raise ValueError("give either --P or --pmin/--pmax, not both")
+        if min(args.P) < 3:
+            raise ValueError(f"P must be >= 3, got {min(args.P)}")
         return list(args.P)
     if args.pmin is None or args.pmax is None:
         raise ValueError("avg requires --P or both --pmin and --pmax")
@@ -205,16 +208,13 @@ def cmd_avg(args, config: RunConfig):
     scales = _window_scales(args)
     rule = parse_n_rule(args.n_rule)
     for p_scale in scales:  # every window is charged before the first is computed
-        charge_window(p_scale, args.nu, rule(p_scale), config.budget_ops, config.max_table_entries)
+        config.charge("sieve", entries=2 * p_scale + 1)  # before the sieve that lists its primes
+        entries, steps = window_cost(window_pairs(p_scale, args.nu, rule(p_scale))[0])
+        config.charge("window", entries=entries, steps=steps)
     rows = []
     for p_scale in scales:
         res = theorem1_average(
-            p_scale,
-            args.nu,
-            rule(p_scale),
-            threads=config.threads,
-            budget_ops=config.budget_ops,
-            max_entries=config.max_table_entries,
+            p_scale, args.nu, rule(p_scale), threads=config.threads, max_entries=config.max_table_entries
         )
         window = (res.p_scale, res.nu, res.n_ref)
         if args.kappa:
@@ -231,15 +231,14 @@ def cmd_sieve(args, config: RunConfig):
 
     if args.K < 1:
         raise ValueError(f"K must be >= 1, got {args.K}")
-    if args.K > config.max_table_entries:
-        raise BudgetError(f"{args.K} coefficients exceed cap {config.max_table_entries}")
-    charge_sieve(max(args.R), config.budget_ops)  # the largest R, before the first is summed
+    config.charge("coefficients", entries=args.K)
+    config.charge("evaluation points", steps=sieve_points(max(args.R)))  # the largest R, before the first
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = TrigPolynomial(coeffs)
     rows = []
     for r_max in args.R:
-        rep = sieve_report(poly, r_max, budget_ops=config.budget_ops)
+        rep = sieve_report(poly, r_max)
         rows.append((rep.r_max, rep.k_max, rep.energy, rep.lhs, rep.rhs_bz, rep.rhs_zhao, rep.ratio_bz, rep.ratio_zhao))
     return _rows(SIEVE_COLUMNS, rows)
 
@@ -250,10 +249,8 @@ def cmd_rho(args, config: RunConfig):
     ks = args.k if args.k is not None else range(1, (args.kmax or 0) + 1)
     if not ks:
         raise ValueError("rho requires --k or --kmax")
-    row_bytes = RHO_ROW_BYTES[config.format]
-    if len(ks) * row_bytes > config.memory_cap_bytes:
-        raise BudgetError(f"{len(ks)} rows of {row_bytes} bytes exceed cap {config.memory_cap_bytes}")
-    charge_rho(args.M, args.nu, ks, config.budget_ops)
+    steps = rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
+    config.charge("rho rows", entries=rho_row_entries(len(ks), config.format), steps=steps)
     rows = []
     for k in ks:
         c = rho_coefficient(args.M, args.b, args.nu, k)
@@ -266,13 +263,17 @@ def cmd_ratios(args, config: RunConfig):
         if args.m is not None or args.gen is not None:
             raise ValueError("give either --p or --m/--gen, not both")
         prime = odd_prime(args.p)
-        charge_ratios(prime.p2, prime.p - 1, config.budget_ops)
-        m, group = prime.p2, pth_power_residues(prime)
+        m = prime.p2
+        check_ratio_bound(m, args.Z)  # before the group is built
+        config.charge("floor-sum lanes", steps=ratio_steps(m, prime.p - 1))
+        group = pth_power_residues(prime)
     else:
         if args.m is None or args.gen is None:
             raise ValueError("ratios requires --p or both --m and --gen")
-        m, group = args.m, generated_within(args.m, args.gen, config.budget_ops)
-    count = count_ratios(m, group, args.Z, budget_ops=config.budget_ops)
+        m = args.m
+        check_ratio_bound(m, args.Z)
+        group = generated_within(m, args.gen, config.budget_ops)  # its walk stops at the budget
+    count = count_ratios(m, group, args.Z)
     rhs = lemma7_rhs(m, group.t, args.Z, args.nu)
     return _rows(RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))])
 
@@ -295,19 +296,20 @@ def cmd_doublesum(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.order < 1 or (prime.p - 1) % args.order != 0:
         raise ValueError(f"order {args.order} does not divide {prime.p - 1}")
-    convolution_length(prime, config.max_table_entries)  # before the character's discrete-log loop
-    eta = CharacterModP(prime, (prime.p - 1) // args.order)
-    if eta.is_trivial:
+    # both charges come before the character's discrete-log loop
+    config.charge("convolution", entries=convolution_length(prime))
+    if args.order == 1:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
-    rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta, max_entries=config.max_table_entries)
+    config.charge("table", entries=max(args.ucap, args.vcap))
+    eta = CharacterModP(prime, (prime.p - 1) // args.order)
+    rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
     row = (rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)
     return _rows(DOUBLESUM_COLUMNS, [row])
 
 
 def cmd_scan(args, config: RunConfig):
-    if args.pmax + 1 > config.max_table_entries:
-        raise BudgetError(f"sieve of {args.pmax + 1} entries exceeds cap {config.max_table_entries}")
-    charge_scan(args.pmin, args.pmax, config.budget_ops)
+    config.charge("sieve", entries=args.pmax + 1)
+    config.charge("scan lane steps", steps=scan_steps(args.pmin, args.pmax))
     return _rows(SCAN_COLUMNS, theorem4_exponent_scan(args.pmin, args.pmax))
 
 

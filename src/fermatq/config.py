@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .arith import BudgetError
+
 ENV_THREADS = "FERMATQ_THREADS"
 ENV_BUDGET = "FERMATQ_BUDGET"
 ENV_MEMCAP = "FERMATQ_MEMCAP"
@@ -13,13 +15,16 @@ DEFAULT_THREADS = 1
 DEFAULT_BUDGET_OPS = 1_000_000_000
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 
-# bytes per table entry: 17 at the builder's peak (int64 least-prime-factor
-# sieve, int64 index ramp, bool mask), freed before its int64 table; the
+# bytes per entry that RunConfig.charge counts against --memcap: a quotient
+# table peaks at 17 bytes an entry in its builder (int64 least-prime-factor
+# sieve, int64 index ramp, bool mask, freed before its int64 table; the
 # power ladder's temporaries, a few arrays of pi(n) entries, stay below
-# that; plus slack.  doublesum's pair-count convolution of transform length
-# n is charged n entries; its traced peak, 57 to 81 bytes per p at p = 10^4
-# to 10^6, is within a factor of 1.2 of those 24 * n bytes.  The int64
-# least-prime-factor sieves of scan and avg are charged one entry per integer.
+# that), plus slack.  Every other --memcap charge is counted in these units:
+# doublesum's pair-count convolution of transform length n is n entries
+# (its traced peak, 57 to 81 bytes per p at p = 10^4 to 10^6, is within a
+# factor of 1.2 of those 24 * n bytes), the int64 least-prime-factor sieves
+# of scan and avg one entry per integer, and rho's rows their RHO_ROW_BYTES
+# rounded up to whole entries.
 _TABLE_BYTES_PER_ENTRY = 24
 
 DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
@@ -29,6 +34,12 @@ DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 # 808 to 885 for csv and 2,834 to 2,871 for json (its payload dicts and
 # indented text); the row tuple, its dict and its rendered text in both
 RHO_ROW_BYTES = {"csv": 896, "json": 2880}
+
+
+def rho_row_entries(rows: int, format: str) -> int:
+    """Entries charged for rows rho report rows in format: their bytes,
+    rounded up to whole table entries."""
+    return -(-rows * RHO_ROW_BYTES[format] // _TABLE_BYTES_PER_ENTRY)
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,16 @@ class RunConfig:
     @property
     def max_table_entries(self) -> int:
         return max(1, self.memory_cap_bytes // _TABLE_BYTES_PER_ENTRY)
+
+    def charge(self, what: str, entries: int = 0, steps: int | float = 0) -> None:
+        """Refuse work of `entries` table entries or `steps` steps that passes
+        --memcap or --budget.  The one place a count meets a cap: each
+        handler charges what it will build and run, before it starts."""
+        if entries > self.max_table_entries:
+            raise BudgetError(f"{what}: {entries} entries exceed cap {self.max_table_entries}")
+        if steps > self.budget_ops:
+            shown = f"{steps:.3g}" if isinstance(steps, float) else steps
+            raise BudgetError(f"{what}: {shown} steps exceed budget {self.budget_ops}")
 
 
 def _env_int(name: str, fallback: int) -> int:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .arith import (
-    BudgetError,
     OddPrime,
     arithmetic_functions,
     divisors,
@@ -31,8 +30,7 @@ from .arith import (
     smallest_prime_factors,
 )
 from .charsums import CharacterModP
-from .config import DEFAULT_TABLE_CAP
-from .quotients import UNDEFINED, fermat_quotient, quotient_table
+from .quotients import UNDEFINED, QuotientTable, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
 
@@ -124,19 +122,14 @@ def lemma3_envelope_min(card_a: int, card_b: int, p: int | OddPrime) -> float:
     return min(lemma3_envelope(card_a, card_b, p, nu) for nu in (1, 2, 3))
 
 
-def convolution_length(p: int | OddPrime, max_entries: int) -> int:
+def convolution_length(p: int | OddPrime) -> int:
     """Length of double_char_sum's pair-count convolution mod p: the power
-    of two n >= 2p - 1 (a length 2p has the prime factor p).  Its n entries
-    count against the cap."""
-    n = 1 << (2 * odd_prime(p).p - 2).bit_length()
-    if n > max_entries:
-        raise BudgetError(f"length-{n} convolution exceeds cap {max_entries}")
-    return n
+    of two n >= 2p - 1 (a length 2p has the prime factor p).  doublesum
+    charges its n entries."""
+    return 1 << (2 * odd_prime(p).p - 2).bit_length()
 
 
-def double_char_sum(
-    p: int | OddPrime, eta: CharacterModP, a_set, b_set, *, max_entries: int = DEFAULT_TABLE_CAP
-) -> complex:
+def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> complex:
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
     That is sum over s of eta(s) c(s), c = 1_A * 1_B the cyclic convolution
     mod p, taken by one real FFT of length convolution_length(p)."""
@@ -147,7 +140,7 @@ def double_char_sum(
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
     if eta.is_trivial:
         raise ValueError("trivial character degenerates to counting nonzero sums")
-    n = convolution_length(prime, max_entries)
+    n = convolution_length(prime)
     ind = np.zeros((2, prime.p))  # assigning 1 per residue drops duplicates mod p
     ind[0, np.fromiter(a_set, dtype=np.int64) % prime.p] = 1.0
     ind[1, np.fromiter(b_set, dtype=np.int64) % prime.p] = 1.0
@@ -161,12 +154,14 @@ def double_char_sum(
     return complex(np.dot(eta.value_array(), counts))
 
 
-def first_occurrence_set(p: int | OddPrime, cap: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> list[int]:
-    """One representative n per distinct quotient value over 1..cap,
-    each the least n attaining its value; undefined entries skipped."""
+def first_occurrence_set(table: QuotientTable, cap: int) -> list[int]:
+    """One representative n per distinct quotient value over 1..cap of the
+    table, each the least n attaining its value; undefined entries skipped."""
     import numpy as np
 
-    body = quotient_table(odd_prime(p), cap, max_entries=max_entries).values
+    if not 1 <= cap <= table.n:
+        raise ValueError(f"cap must lie in 1..{table.n}, got {cap}")
+    body = table.values[: cap + 1]
     ns = np.flatnonzero(body != UNDEFINED)  # index 0 holds UNDEFINED
     _, first = np.unique(body[ns], return_index=True)
     return np.sort(ns[first]).tolist()
@@ -186,18 +181,15 @@ class SumsetReport:
         return self.abs_sum / self.envelope
 
 
-def quotient_sumset_experiment(
-    p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP, *, max_entries: int = DEFAULT_TABLE_CAP
-) -> SumsetReport:
-    """Double character sum over quotient values realized below the caps;
-    its tables and its pair-count convolution each stay within max_entries."""
+def quotient_sumset_experiment(p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP) -> SumsetReport:
+    """Double character sum over quotient values realized below the caps,
+    both value sets read off the prefixes of one table of max(u_cap, v_cap)
+    entries."""
     prime = odd_prime(p)
-    u_reps = first_occurrence_set(prime, u_cap, max_entries=max_entries)
-    v_reps = first_occurrence_set(prime, v_cap, max_entries=max_entries)
-    table = quotient_table(prime, max(u_cap, v_cap), max_entries=max_entries)
-    u_vals = [int(table.values[n]) for n in u_reps]
-    v_vals = [int(table.values[n]) for n in v_reps]
-    s = double_char_sum(prime, eta, u_vals, v_vals, max_entries=max_entries)
+    table = quotient_table(prime, max(u_cap, v_cap))
+    u_vals = [int(table.values[n]) for n in first_occurrence_set(table, u_cap)]
+    v_vals = [int(table.values[n]) for n in first_occurrence_set(table, v_cap)]
+    s = double_char_sum(prime, eta, u_vals, v_vals)
     return SumsetReport(
         prime.p,
         eta.order,
@@ -335,20 +327,18 @@ def _verify_lanes(primes, n_min):
     return verified
 
 
-def charge_scan(p_min: int, p_max: int, budget_ops: int) -> None:
-    """Refuse, before the sieve, a theorem4_exponent_scan that budget_ops
-    does not cover.  Its lanes are at most the odd numbers of the range and
+def scan_steps(p_min: int, p_max: int) -> int:
+    """Lane steps charged for theorem4_exponent_scan(p_min, p_max), 0 for
+    an empty range.  Its lanes are at most the odd numbers of the range and
     at most 1.25506 x / ln x, a bound on the primes up to x (Rosser and
     Schoenfeld, 1962).  Each lane, and each of the _ROUND_CELLS cells a
     round keeps busy, is charged 32 lane steps (one ladder bit, one trial
     divisor) per bit of p_max; scans from 3 to 10^4..10^7 count 22 to 24."""
     lo = max(3, p_min)
     if p_max < lo:
-        return
+        return 0
     lanes = min((p_max - lo) // 2 + 1, int(1.25506 * p_max / math.log(p_max)) + 1)
-    steps = 32 * p_max.bit_length() * (lanes + _ROUND_CELLS)
-    if steps > budget_ops:
-        raise BudgetError(f"scan of up to {lanes} primes, about {steps} lane steps, exceeds budget {budget_ops}")
+    return 32 * p_max.bit_length() * (lanes + _ROUND_CELLS)
 
 
 def theorem4_exponent_scan(p_min: int, p_max: int) -> list[ScanRow]:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import BudgetError, OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
-from .config import DEFAULT_TABLE_CAP
+from .arith import OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
 from .report import write_atomic
 
 # Sentinel for entries with p | n.  Distinct from every quotient value
@@ -113,7 +112,7 @@ def quotient_rows(primes: Sequence[int | OddPrime], last: int) -> np.ndarray:
     return values
 
 
-def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> QuotientTable:
+def quotient_table(p: int | OddPrime, n: int) -> QuotientTable:
     """Batch table of q_p over 1..n: the one-row quotient_rows over
     1..min(n, p**2 - 1), repeated with period p**2."""
     import numpy as np
@@ -121,8 +120,6 @@ def quotient_table(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABL
     prime = odd_prime(p)
     if n < 1:
         raise ValueError(f"table length must be >= 1, got {n}")
-    if n > max_entries:
-        raise BudgetError(f"table of {n} entries exceeds cap {max_entries}")
     values = quotient_rows([prime], min(n, prime.p2 - 1))[0]
     if n >= prime.p2:
         values = np.resize(values, n + 1)
@@ -167,12 +164,12 @@ def value_histogram(table: QuotientTable) -> ResidueHistogram:
     return ResidueHistogram(table.p, counts, len(defined))
 
 
-def period_histogram(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TABLE_CAP) -> ResidueHistogram:
+def period_histogram(p: int | OddPrime, n: int) -> ResidueHistogram:
     """value_histogram(quotient_table(p, n)) from one period: q_p maps
     (Z/p**2)* onto Z/p, so each run of p**2 consecutive integers takes
     every value exactly p - 1 times, and only the n mod p**2 tail needs a
     table (all of n when n < p**2).  Exact for every n below 2**63, where
-    the int64 counts end; max_entries caps the tail's table."""
+    the int64 counts end."""
     import numpy as np
 
     prime = odd_prime(p)
@@ -183,7 +180,7 @@ def period_histogram(p: int | OddPrime, n: int, *, max_entries: int = DEFAULT_TA
     periods, tail = divmod(n, prime.p2)
     counts = np.full(prime.p, periods * (prime.p - 1), dtype=np.int64)
     if tail:
-        counts += value_histogram(quotient_table(prime, tail, max_entries=max_entries)).counts
+        counts += value_histogram(quotient_table(prime, tail)).counts
     counts.setflags(write=False)
     return ResidueHistogram(prime, counts, n - n // prime.p)
 

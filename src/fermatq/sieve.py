@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .arith import BudgetError, OddPrime, primes_up_to
+from .arith import OddPrime, primes_up_to
 from .charsums import max_exp_sum, unit_roots
-from .config import DEFAULT_BUDGET_OPS, DEFAULT_TABLE_CAP
+from .config import DEFAULT_TABLE_CAP
 from .quotients import QuotientTable, quotient_rows, value_histogram
 
 
@@ -81,20 +81,17 @@ def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
     return r2 * np.fft.ifft(fold_coefficients(poly, r2))
 
 
-def charge_sieve(r_max: int, budget_ops: int) -> None:
-    """Refuse a large_sieve_lhs whose R(R + 1)(2R + 1)/6 evaluation points, r*r for each r <= R, exceed budget_ops."""
-    points = r_max * (r_max + 1) * (2 * r_max + 1) // 6
-    if points > budget_ops:
-        raise BudgetError(f"{points} evaluation points exceed budget {budget_ops}")
+def sieve_points(r_max: int) -> int:
+    """The R(R + 1)(2R + 1)/6 evaluation points of large_sieve_lhs, r*r for each r <= R."""
+    return r_max * (r_max + 1) * (2 * r_max + 1) // 6
 
 
-def large_sieve_lhs(poly: TrigPolynomial, r_max: int, *, budget_ops: int = DEFAULT_BUDGET_OPS) -> float:
+def large_sieve_lhs(poly: TrigPolynomial, r_max: int) -> float:
     """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2."""
     import numpy as np
 
     if r_max < 1:
         raise ValueError(f"R must be >= 1, got {r_max}")
-    charge_sieve(r_max, budget_ops)
     total = 0.0
     for r in range(1, r_max + 1):
         vals = _poly_at_square_modulus(poly, r * r)
@@ -145,8 +142,8 @@ class SieveReport:
         return self.lhs / self.rhs_zhao
 
 
-def sieve_report(poly: TrigPolynomial, r_max: int, *, budget_ops: int = DEFAULT_BUDGET_OPS) -> SieveReport:
-    lhs = large_sieve_lhs(poly, r_max, budget_ops=budget_ops)
+def sieve_report(poly: TrigPolynomial, r_max: int) -> SieveReport:
+    lhs = large_sieve_lhs(poly, r_max)
     a = poly.energy
     return SieveReport(
         r_max,
@@ -211,11 +208,13 @@ def _rho_level_steps(levels: int, first: float, trial: float, values: int, tau: 
     return steps + min(tau(levels + 1), values * tau(2))
 
 
-def charge_rho(m_max: int, nu: int, ks: Sequence[int], budget_ops: int) -> None:
-    """Refuse, before any row is computed, the rho_coefficient rows of ks
-    (a list of k, or range(1, K + 1)) that budget_ops does not cover.  A
-    step is one trial division or one (cofactor, divisor, factor sum)
-    visit; the charge bounds the counted steps from above.
+def rho_steps(m_max: int, nu: int, ks: Sequence[int], stop: float = math.inf) -> float:
+    """Steps charged for the rho_coefficient rows of ks (a list of k, or
+    range(1, K + 1)), from the arguments alone.  A step is one trial
+    division or one (cofactor, divisor, factor sum) visit; the charge
+    bounds the counted steps from above.  For a list, the sum is returned
+    as soon as it is known to pass stop, before the next k is factored,
+    which costs up to min(M, sqrt(k)) / 2 divisions.
 
     Each factor of a row divides s, the M-smooth part of k, so a level
     holds at most tau(s) cofactors and visits at most the tau_(j+1)(s)
@@ -246,13 +245,11 @@ def charge_rho(m_max: int, nu: int, ks: Sequence[int], budget_ops: int) -> None:
         for k in ks:
             k = max(k, 1)
             root = min(m, math.isqrt(k)) + 1
-            if steps + levels * root > budget_ops:
-                steps += levels * root
-                break  # refused before factoring k, which costs up to root / 2 divisions
+            if steps + levels * root > stop:
+                return steps + levels * root
             tau = functools.partial(_ordered_factorizations, _smooth_exponents(k, m) if levels else [])
             steps += _rho_level_steps(levels, root, tau(2) * root, min(m, k), tau)
-    if steps > budget_ops:
-        raise BudgetError(f"{len(ks)} rho rows, about {steps:.3g} steps, exceed budget {budget_ops}")
+    return steps
 
 
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
@@ -360,17 +357,13 @@ def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
     return maxima
 
 
-def charge_window(p_scale: int, nu: int, selector: NSelector, budget_ops: int, max_entries: int) -> tuple[list, int]:
-    """(the (p, N_p) pairs of the window, N) after every check and charge
-    of theorem1_average: 2P + 1 sieve entries and the largest N_p against
-    max_entries, then a table of N_p entries and one length-p FFT per
-    prime against budget_ops."""
+def window_pairs(p_scale: int, nu: int, selector: NSelector) -> tuple[list, int]:
+    """(the (p, N_p) pairs of the window, N) after every check of
+    theorem1_average.  Its primes come from a sieve of 2P + 1 entries."""
     if p_scale < 3:
         raise ValueError(f"P must be >= 3, got {p_scale}")
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    if 2 * p_scale + 1 > max_entries:
-        raise BudgetError(f"sieve of {2 * p_scale + 1} entries exceeds cap {max_entries}")
     primes = [p for p in primes_up_to(2 * p_scale) if p > p_scale]
     n_by_p = [(p, selector(p)) for p in primes]
     n_max = max(n for _, n in n_by_p)
@@ -383,12 +376,14 @@ def charge_window(p_scale: int, nu: int, selector: NSelector, budget_ops: int, m
         # the all-ones rule is the lone waiver: no integer window holds N_p = 1
         if n_p <= n_ref and n_max > 1:
             raise ValueError(f"N_p = {n_p} at p={p} falls outside the dyadic window ({n_ref}, {2 * n_ref}]")
-    if n_max > max_entries:
-        raise BudgetError(f"table of {n_max} entries exceeds cap {max_entries}")
-    cost = sum(n_p + p for p, n_p in n_by_p)
-    if cost > budget_ops:
-        raise BudgetError(f"estimated cost {cost} exceeds budget {budget_ops}")
     return n_by_p, n_ref
+
+
+def window_cost(n_by_p: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(table entries, steps) charged for theorem1_average over the pairs of
+    window_pairs: the largest N_p as one table, before any block is built,
+    and a table of N_p entries and one length-p FFT per prime."""
+    return max(n_p for _, n_p in n_by_p), sum(n_p + p for p, n_p in n_by_p)
 
 
 def theorem1_average(
@@ -397,14 +392,15 @@ def theorem1_average(
     selector: NSelector,
     *,
     threads: int = 1,
-    budget_ops: int = DEFAULT_BUDGET_OPS,
     max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Theorem1Result:
-    """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P]."""
+    """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P].
+    Its tables are built by blocks of at most max_entries entries, or of one
+    row where a row is larger."""
     import numpy as np
 
     start = time.monotonic()
-    n_by_p, n_ref = charge_window(p_scale, nu, selector, budget_ops, max_entries)
+    n_by_p, n_ref = window_pairs(p_scale, nu, selector)
     workers = min(threads, os.cpu_count() or 1, len(n_by_p))
     n_max = max(n_p for _, n_p in n_by_p)
     rows = max(1, min(_BLOCK_ENTRIES, max_entries) // (n_max + 1))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
-from .config import DEFAULT_BUDGET_OPS
 from .quotients import collision_count, quotient_table
 
 # group elements per _floor_sums call: keeps the lanes in cache; of
@@ -72,18 +71,19 @@ class SubgroupModM:
         return generated_within(m, g, math.inf)
 
 
-def generated_within(m: int, g: int, budget_ops: int | float) -> SubgroupModM:
+def generated_within(m: int, g: int, max_steps: int | float) -> SubgroupModM:
     """SubgroupModM.generated(m, g), refused as soon as its order passes
-    the most that count_ratios admits within budget_ops."""
+    the most elements that count_ratios runs within max_steps: an order is
+    known only by walking the group, so this walk is its own charge."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if math.gcd(g, m) != 1:
         raise ValueError(f"generator {g} is not a unit mod {m}")
-    limit = _admitted_order(m, budget_ops)
+    limit = max_steps // ratio_steps(m, 1)
     elems, x = [1], g % m
     while x != 1:
         if len(elems) >= limit:
-            raise BudgetError(f"order of {g} mod {m} passes {limit}, the most elements budget {budget_ops} admits")
+            raise BudgetError(f"order of {g} mod {m} passes {limit}, the most elements {max_steps} steps admit")
         elems.append(x)
         x = x * g % m
     return SubgroupModM._closed(m, elems)
@@ -97,19 +97,18 @@ def pth_power_residues(p: int | OddPrime) -> SubgroupModM:
     return SubgroupModM.generated(prime.p2, pow(least_primitive_root(prime), prime.p, prime.p2))
 
 
-def _admitted_order(m: int, budget_ops: int | float) -> int | float:
-    """Largest group order t that count_ratios runs within budget_ops.  It
-    takes 2 t lanes of _floor_sums; a lane's moduli are the Euclidean
-    remainders of (m, a), at most log_phi(m) + 1 of them (Lame), and one
-    more round finds the lane done."""
-    return budget_ops // (2 * (int(math.log(m, (1 + 5**0.5) / 2)) + 2))
+def ratio_steps(m: int, t: int) -> int:
+    """Floor-sum lane steps charged for count_ratios over t elements mod m,
+    whatever Z is.  It takes 2 t lanes of _floor_sums; a lane's moduli are
+    the Euclidean remainders of (m, a), at most log_phi(m) + 1 of them
+    (Lame), and one more round finds the lane done."""
+    return 2 * t * (int(math.log(m, (1 + 5**0.5) / 2)) + 2)
 
 
-def charge_ratios(m: int, t: int, budget_ops: int) -> None:
-    """Refuse, before any group is built, a count_ratios over t elements mod m that budget_ops does not cover."""
-    limit = _admitted_order(m, budget_ops)
-    if t > limit:
-        raise BudgetError(f"{t} group elements exceed the {limit} that budget {budget_ops} admits")
+def check_ratio_bound(m: int, z: int) -> None:
+    """count_ratios needs 1 <= Z < m/2, so that w*x mod m admits one y."""
+    if not 1 <= z < m / 2:
+        raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z}, m={m}")
 
 
 def _floor_sums(n, m, a, b) -> np.ndarray:
@@ -156,13 +155,7 @@ def _lane_dtype(m: int, z: int):
     return np.int64 if m * (z + 1) < 1 << 62 else object
 
 
-def count_ratios(
-    m: int,
-    group: SubgroupModM,
-    z: int,
-    *,
-    budget_ops: int = DEFAULT_BUDGET_OPS,
-) -> int:
+def count_ratios(m: int, group: SubgroupModM, z: int) -> int:
     """#{(w, x, y) : w in G, 0 < |x|, |y| <= Z, w*x = y mod m}.
 
     For x = 1..Z the residue w*x mod m lands in [1, Z] or [m-Z, m-1] for
@@ -175,13 +168,10 @@ def count_ratios(
 
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
-    if not 1 <= z < m / 2:
-        raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z}, m={m}")
-    t = group.t
-    charge_ratios(m, t, budget_ops)
+    check_ratio_bound(m, z)
     w = np.array(group.elements, dtype=_lane_dtype(m, z))
-    half = t * z
-    for start in range(0, t, _LANE_BLOCK):
+    half = group.t * z
+    for start in range(0, group.t, _LANE_BLOCK):
         wb = w[start : start + _LANE_BLOCK]
         # sum over x = 1..Z of floor((w*x + b) / m) is the i = 0..Z-1 sum at offset w + b
         f = _floor_sums(z, m, np.concatenate([wb, wb]), np.concatenate([wb + z, wb + (m - z - 1)]))
@@ -201,10 +191,7 @@ def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
 
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
-    if not 1 <= z_max < m / 2:
-        raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z_max}, m={m}")
-    if group.t * z_max > DEFAULT_BUDGET_OPS:
-        raise BudgetError(f"{group.t} * {z_max} products exceed budget {DEFAULT_BUDGET_OPS}")
+    check_ratio_bound(m, z_max)
     xs = np.arange(1, z_max + 1, dtype=_lane_dtype(m, z_max))
     thresholds = np.zeros(z_max + 1, dtype=np.int64)
     for w in group.elements:

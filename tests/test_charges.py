@@ -1,0 +1,90 @@
+"""--memcap and --budget are checked in one place, RunConfig.charge, which
+every handler with a cost calls before its work; the library takes no caps."""
+
+import argparse
+import ast
+import importlib
+import inspect
+import os
+from pathlib import Path
+
+import pytest
+
+import fermatq
+from fermatq.cli import build_parser, main
+
+SRC = Path(fermatq.__file__).resolve().parent
+
+# the functions that may refuse work themselves: the charge, a walk whose
+# length is known only by walking it, and the precision guard of a float
+# spectrum taken without a histogram
+REFUSERS = {"config.py": {"charge"}, "subgroups.py": {"generated_within"}, "charsums.py": {"max_exp_sum"}}
+
+# subcommands whose work no flag-sized argument can make large
+COST_FREE = {"quotient", "primroot", "nonres", "selftest"}
+
+# a small valid call of each subcommand with a cost
+MINIMAL = {
+    "table": ("--p", "5", "--n", "10"),
+    "image": ("--p", "5", "--n", "10"),
+    "expsum": ("--p", "5", "--a", "1", "--n", "10"),
+    "maxsum": ("--p", "5", "--n", "10"),
+    "avg": ("--P", "8", "--N-rule", "3"),
+    "sieve": ("--R", "2", "--K", "4"),
+    "rho": ("--M", "12", "--b", "5", "--nu", "3", "--k", "6"),
+    "ratios": ("--p", "7", "--Z", "3"),
+    "doublesum": ("--p", "7", "--order", "2", "--ucap", "5", "--vcap", "5"),
+    "scan": ("--pmin", "3", "--pmax", "10"),
+}
+
+
+def _raising_functions(path: Path) -> set[str]:
+    """Names of the functions in a module whose own body raises BudgetError."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                exc = node.exc.func if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) else None
+                if isinstance(exc, ast.Name) and exc.id == "BudgetError":
+                    found.add(fn.name)
+    return found
+
+
+def test_budget_errors_are_raised_only_by_the_charge_and_two_guards():
+    raised = {path.name: _raising_functions(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in raised.items() if fns} == REFUSERS
+    text = "\n".join(path.read_text() for path in SRC.glob("*.py"))
+    assert text.count("raise BudgetError") == 4
+
+
+def test_no_public_function_takes_a_cap():
+    takers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "config"):  # config resolves the caps themselves
+            continue
+        module = importlib.import_module(f"fermatq.{path.stem}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                caps = {"max_entries", "budget_ops"} & set(inspect.signature(fn).parameters)
+                takers += [f"{module.__name__}.{name}({cap})" for cap in sorted(caps)]
+    assert takers == ["fermatq.sieve.theorem1_average(max_entries)"]
+
+
+def _subcommands() -> set[str]:
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(action.choices)
+
+
+def test_every_subcommand_is_charged_or_cost_free():
+    assert _subcommands() == COST_FREE | set(MINIMAL)
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+def test_charged_subcommand_refuses_at_the_smallest_caps(capsys, tmp_path, command):
+    out_path = tmp_path / "report.csv"
+    assert main([command, *MINIMAL[command]]) == 0  # the call is valid
+    capsys.readouterr()
+    rc = main([command, *MINIMAL[command], "--memcap", "24", "--budget", "1", "--out", str(out_path)])
+    assert rc == 3 and capsys.readouterr().err.startswith("budget:")
+    assert not os.listdir(tmp_path)

@@ -116,6 +116,8 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         ("avg", "--P", "1000000000000", "--N-rule", "1"),
         # the convolution is charged before the character's discrete-log table
         ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
+        # and so is its one quotient table, of max(ucap, vcap) entries
+        ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10000000000", "--vcap", "10"),
         # the group's order is charged before its p - 1 powers, or its walk stops at the budget
         ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
         ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
@@ -150,6 +152,22 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
     assert rc == 3 and err.startswith("budget:"), err
     assert time.monotonic() - started < 1.0
     assert discrete_log_table.cache_info().misses == dlog_builds
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ratios", "--p", "1000003", "--Z", "0"),
+        # Z = m is invalid whatever the group's order, which a walk would take 5.5 * 10^6 steps to learn
+        ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "4611686018427388039"),
+    ],
+)
+def test_ratios_rejects_bad_z_before_the_group(capsys, tmp_path, argv):
+    started = time.monotonic()
+    rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "report.csv"))
+    assert rc == 2 and err.startswith("error:"), err
+    assert time.monotonic() - started < 1.0
     assert not os.listdir(tmp_path)
 
 

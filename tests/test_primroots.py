@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fermatq import primroots
 from fermatq.arith import (
-    BudgetError,
     arithmetic_functions,
     factorize,
     is_prime,
@@ -18,11 +17,12 @@ from fermatq.arith import (
     primes_up_to,
 )
 from fermatq.charsums import CharacterModP
+from fermatq.cli import main
 from fermatq.config import DEFAULT_BUDGET_OPS
 from fermatq.primroots import (
     IndicatorReport,
     ScanRow,
-    charge_scan,
+    convolution_length,
     double_char_sum,
     first_occurrence_set,
     lemma3_envelope,
@@ -31,6 +31,7 @@ from fermatq.primroots import (
     primroot_indicator,
     quotient_sumset_experiment,
     scan_row,
+    scan_steps,
     smallest_dth_nonresidue_quotient,
     smallest_primroot_quotient,
     theorem4_exponent_scan,
@@ -178,13 +179,16 @@ def test_double_char_sum_equals_exact_pair_count_sum():
         assert abs(s - grid_double_char_sum(p, eta, a_set, b_set)) <= 1e-9 * len(a_set) * len(b_set)
 
 
-def test_double_char_sum_caps_the_convolution_not_the_sets():
+def test_double_char_sum_caps_the_convolution_not_the_sets(capsys):
     eta = CharacterModP.quadratic(10009)
     # length 2**15 >= 2p - 1, whatever |A| and |B| are
-    assert double_char_sum(10009, eta, {1}, {2}, max_entries=1 << 15) == eta(3)
-    with pytest.raises(BudgetError, match="convolution"):
-        double_char_sum(10009, eta, {1}, {2}, max_entries=(1 << 15) - 1)
-    assert abs(double_char_sum(10009, eta, range(10009), range(10009), max_entries=1 << 15)) < 1e-6
+    assert convolution_length(10009) == 1 << 15
+    assert double_char_sum(10009, eta, {1}, {2}) == eta(3)
+    assert abs(double_char_sum(10009, eta, range(10009), range(10009))) < 1e-6
+    argv = ["doublesum", "--p", "10009", "--ucap", "1", "--vcap", "1", "--memcap"]
+    assert main([*argv, str(24 * ((1 << 15) - 1))]) == 3
+    assert "convolution" in capsys.readouterr().err
+    assert main([*argv, str(24 << 15)]) == 0
     with pytest.raises(ValueError, match="nonempty"):
         double_char_sum(10009, eta, [], {1})
 
@@ -205,10 +209,10 @@ def test_lemma3_envelope():
 
 def test_first_occurrence_set():
     # q_5 over 1..4 is [0, 3, 1, 1]: first occurrences at 1, 2, 3
-    assert first_occurrence_set(5, 4) == [1, 2, 3]
-    assert first_occurrence_set(5, 5) == [1, 2, 3]  # n=5 undefined
-    reps = first_occurrence_set(7, 49)
+    assert first_occurrence_set(quotient_table(5, 4), 4) == [1, 2, 3]
+    assert first_occurrence_set(quotient_table(5, 5), 5) == [1, 2, 3]  # n=5 undefined
     t = quotient_table(7, 49)
+    reps = first_occurrence_set(t, 49)
     assert len(reps) == 7  # all residues realized over a full period
     assert len({t[n] for n in reps}) == len(reps)
 
@@ -221,7 +225,8 @@ def test_first_occurrence_set_matches_loop():
             if q is not None and q not in seen:
                 seen.add(q)
                 expect.append(n)
-        assert first_occurrence_set(p, cap) == expect, (p, cap)
+        # read off the prefix of a longer table, as doublesum reads its smaller set
+        assert first_occurrence_set(quotient_table(p, 2 * cap), cap) == expect, (p, cap)
 
 
 def test_quotient_sumset_experiment():
@@ -310,9 +315,7 @@ def test_theorem4_scan_memory_within_memcap_charge():
 
 def test_charge_scan_refuses_before_the_sieve():
     for p_max in (10, 30000, 10**6, 10**7):
-        charge_scan(3, p_max, DEFAULT_BUDGET_OPS)
-    charge_scan(10, 5, 1)  # empty ranges cost nothing
-    with pytest.raises(BudgetError, match="lane steps"):
-        charge_scan(3, 5 * 10**6, 1)
-    with pytest.raises(BudgetError):
-        charge_scan(3, 10**8, DEFAULT_BUDGET_OPS)
+        assert scan_steps(3, p_max) <= DEFAULT_BUDGET_OPS
+    assert scan_steps(10, 5) == 0  # empty ranges cost nothing
+    assert scan_steps(3, 5 * 10**6) > 1
+    assert scan_steps(3, 10**8) > DEFAULT_BUDGET_OPS

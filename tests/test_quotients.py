@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fermatq import quotients
 from fermatq.arith import BudgetError, is_prime, pow_mod_p2_lanes, primes_up_to
+from fermatq.cli import main
 from fermatq.config import _TABLE_BYTES_PER_ENTRY, RunConfig
 from fermatq.quotients import (
     QuotientTable,
@@ -205,10 +206,11 @@ def test_quotient_table_peak_memory_within_cap_rate():
 def test_quotient_table_bounds_and_cap():
     with pytest.raises(ValueError):
         quotient_table(5, 0)
-    with pytest.raises(BudgetError):
-        quotient_table(5, 1001, max_entries=1000)
-    # the library's default cap is the CLI's at the default --memcap
-    assert inspect.signature(quotient_table).parameters["max_entries"].default == RunConfig().max_table_entries
+    # --memcap 24000 admits a table of 1000 entries and refuses one of 1001, before building it
+    with pytest.raises(BudgetError, match="1001 entries"):
+        RunConfig(memory_cap_bytes=24000).charge("table", entries=1001)
+    assert main(["table", "--p", "5", "--n", "1001", "--memcap", "24000"]) == 3
+    assert main(["table", "--p", "5", "--n", "1000", "--memcap", "24000"]) == 0
     t = quotient_table(5, 4)
     with pytest.raises(IndexError):
         t[0]
@@ -256,10 +258,12 @@ def test_period_histogram_beyond_a_table():
     for bad in (0, -3, 1 << 63):
         with pytest.raises(ValueError):
             period_histogram(7, bad)
-    with pytest.raises(BudgetError):  # the cap applies to the tail's table
-        period_histogram(101, 101 * 101 + 500, max_entries=499)
+    # image charges the tail's table: 24 * 499 bytes admit a tail of 499 entries, not one of 500
+    memcap = str(24 * 499)
+    assert main(["image", "--p", "101", "--n", str(101 * 101 + 500), "--memcap", memcap]) == 3
     n = 101 * 101 + 499
-    assert period_histogram(101, n, max_entries=499).total == n - n // 101
+    assert main(["image", "--p", "101", "--n", str(n), "--memcap", memcap]) == 0
+    assert period_histogram(101, n).total == n - n // 101
 
 
 def test_value_histogram_excludes_undefined():

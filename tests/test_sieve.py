@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import os
 from dataclasses import replace
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatq import arith, sieve
-from fermatq.arith import BudgetError, primes_up_to
+from fermatq.arith import primes_up_to
+from fermatq.cli import main
+from fermatq.config import RunConfig
 from fermatq.quotients import period_histogram, quotient_table
 from fermatq.sieve import (
     Theorem1Result,
@@ -24,10 +27,13 @@ from fermatq.sieve import (
     parseval_check,
     power_rule,
     rho_coefficient,
+    sieve_points,
     sieve_report,
     table_rule,
     theorem1_average,
     trig_poly_eval,
+    window_cost,
+    window_pairs,
     zhao_conjecture_rhs,
 )
 
@@ -95,9 +101,10 @@ def test_large_sieve_lhs_matches_bruteforce():
 
 
 def test_large_sieve_budget_guard():
-    poly = TrigPolynomial(np.array([1.0], dtype=complex))
-    with pytest.raises(BudgetError):
-        large_sieve_lhs(poly, 100, budget_ops=1000)
+    assert sieve_points(100) == sum(r * r for r in range(1, 101)) == 338350
+    # --budget 1000 refuses R = 100 before any point is evaluated, and admits R = 13 (819 points)
+    assert main(["sieve", "--R", "100", "--K", "1", "--budget", "1000"]) == 3
+    assert main(["sieve", "--R", "13", "--K", "1", "--budget", "1000"]) == 0
 
 
 def test_rhs_examples():
@@ -278,8 +285,11 @@ def test_theorem1_validation_and_budget():
         theorem1_average(8, 1, constant_rule(100))  # exceeds P^2 = 64
     with pytest.raises(ValueError):
         theorem1_average(8, 1, table_rule({11: 3, 13: 40}))  # 3 and 40 share no window
-    with pytest.raises(BudgetError):
-        theorem1_average(8, 1, constant_rule(3), budget_ops=10)
+    # primes 11 and 13 at N_p = 3: one table of 3 entries, (3 + 11) + (3 + 13) steps
+    assert window_cost(window_pairs(8, 1, constant_rule(3))[0]) == (3, 30)
+    assert main(["avg", "--P", "8", "--nu", "1", "--N-rule", "3", "--budget", "10"]) == 3
+    # the one table cap the library keeps, the block size of a window, is the CLI's at the default --memcap
+    assert inspect.signature(theorem1_average).parameters["max_entries"].default == RunConfig().max_table_entries
 
 
 def test_theorem1_thread_count_does_not_change_bits():

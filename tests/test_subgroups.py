@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fermatq import subgroups
 from fermatq.arith import BudgetError, primes_up_to
+from fermatq.cli import main
 from fermatq.subgroups import (
     ContainmentCheck,
     SubgroupModM,
@@ -17,6 +18,7 @@ from fermatq.subgroups import (
     generated_within,
     lemma7_rhs,
     pth_power_residues,
+    ratio_steps,
 )
 
 
@@ -101,8 +103,10 @@ def test_count_ratios_validation():
         count_ratios(25, grp, 0)
     with pytest.raises(ValueError):
         count_ratios(25, grp, 13)  # 13 >= 25/2
-    with pytest.raises(BudgetError):
-        count_ratios(25, grp, 12, budget_ops=10)
+    # two elements mod 25 take 2 * 2 * (6 + 2) floor-sum lane steps, which --budget 10 refuses
+    assert ratio_steps(25, 2) == 32
+    assert main(["ratios", "--m", "25", "--gen", "24", "--Z", "12", "--budget", "10"]) == 3
+    assert main(["ratios", "--m", "25", "--gen", "24", "--Z", "12", "--budget", "32"]) == 0
 
 
 def test_count_ratios_against_bruteforce_random():
@@ -159,7 +163,8 @@ def test_count_ratios_exact_on_both_sides_of_the_int64_lane_bound(k, bits, offse
 def test_count_ratios_budget_charges_floor_sum_steps_not_products():
     # 1008 elements times Z = 50000 is 5e7 products; the floor sums take
     # 2 * 1008 lanes of at most 30 Euclid steps each
-    assert count_ratios(1009**2, pth_power_residues(1009), 50000, budget_ops=10**5) == 10083216
+    assert ratio_steps(1009**2, 1008) <= 10**5
+    assert count_ratios(1009**2, pth_power_residues(1009), 50000) == 10083216
 
 
 def test_count_ratios_upto_matches_single_counts():
