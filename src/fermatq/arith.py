@@ -7,7 +7,7 @@ known to be deterministic for n < 3.3e24.  The lane functions apply
 the same arithmetic to every entry of an int64 array at once, for
 moduli below 2**31, where each product of two residues is below 2**62,
 and mod p**2 for p < 2**31 on pairs of base-p digits, both by one ladder.
-numpy is imported only by the functions that build arrays.
+numpy loads through the package's handle `fermatq.np`, at the first array.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+from . import np
 
 # Deterministic for all n < 3,317,044,064,679,887,385,961,981 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -80,8 +82,6 @@ def odd_prime(p: int | OddPrime) -> OddPrime:
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    import numpy as np
-
     if limit < 2:
         return []
     spf = smallest_prime_factors(limit)
@@ -90,8 +90,6 @@ def primes_up_to(limit: int) -> list[int]:
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """spf[n] = least prime factor of n for 2 <= n <= limit; spf[0] = spf[1] = 0."""
-    import numpy as np
-
     spf = np.zeros(limit + 1, dtype=np.int64)
     if limit < 2:
         return spf
@@ -266,8 +264,6 @@ def _square_and_multiply(base: tuple, e, one: tuple, mul) -> tuple:
     (the digits of a residue), e an int64 array or scalar.  A lane takes
     the product only at its own one bits; a bit that no lane has costs no
     product, and one that every lane has needs no np.where."""
-    import numpy as np
-
     acc = one
     while e.any():
         odd = e & 1 == 1
@@ -284,8 +280,6 @@ def _square_and_multiply(base: tuple, e, one: tuple, mul) -> tuple:
 def pow_mod_lanes(base, e, m):
     """base**e mod m lane by lane: int64 arrays (or scalars) with
     0 <= base < m < 2**31 and e >= 0."""
-    import numpy as np
-
     base, e = np.broadcast_arrays(np.asarray(base, dtype=np.int64), np.asarray(e, dtype=np.int64))
     return _square_and_multiply((base,), e, (np.ones_like(base) % m,), lambda x, y: (x[0] * y[0] % m,))[0]
 
@@ -304,8 +298,6 @@ def pow_mod_p2_lanes(units, e, p):
     """units**e mod p**2 elementwise, for int64 units in 0..p**2-1, on
     base-p digit pairs.  e and p are scalars, or int64 arrays with one
     exponent and one prime per lane."""
-    import numpy as np
-
     one = (np.ones_like(units), np.zeros_like(units))
     low, high = _square_and_multiply(np.divmod(units, p)[::-1], np.asarray(e), one, lambda x, y: _mul_mod_p2(x, y, p))
     return low + p * high
@@ -315,8 +307,6 @@ def is_prime_lanes(ns):
     """Deterministic Miller-Rabin on each lane of an int64 array with
     entries in 0..2**31 - 1: witnesses 2, 3, 5 and 7, exact below
     3,215,031,751."""
-    import numpy as np
-
     n = np.asarray(ns, dtype=np.int64)
     if n.size and (n.min() < 0 or n.max() >= _LANE_MODULUS_LIMIT):
         raise ValueError("lane primality needs entries in [0, 2^31)")
@@ -347,8 +337,6 @@ def prime_factor_lanes(ns):
     by trial division over the wheel mod 30, all lanes at once: a pair of
     arrays (lane, prime), one entry per factor.  A lane drops out once its
     cofactor is below the square of the divisor, leaving 1 or a prime."""
-    import numpy as np
-
     m = np.array(ns, dtype=np.int64)
     if m.size and m.min() < 1:
         raise ValueError("lane factorization needs entries >= 1")

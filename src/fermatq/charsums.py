@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
+from . import np
 from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
 from .config import DEFAULT_TABLE_CAP
 from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, period_histogram, quotient_table
@@ -47,8 +48,6 @@ def resident_transform_memory(n: int) -> None:
     32 MiB, glibc's ceiling for the dynamic threshold.  Other allocators
     pay one untouched allocation and keep their own policy."""
     global _resident_bytes
-    import numpy as np
-
     size = min(n * _RESIDENT_BYTES_PER_POINT, _RESIDENT_CAP)
     if size > _resident_bytes:
         np.empty(size, dtype=np.uint8)  # freed at once, never written
@@ -57,8 +56,6 @@ def resident_transform_memory(n: int) -> None:
 
 def unit_root(r: int, k: int) -> complex:
     """exp(2*pi*i*k/r) evaluated at the reduced argument k mod r."""
-    import numpy as np
-
     if r < 1:
         raise ValueError(f"root order must be >= 1, got {r}")
     return complex(np.exp(2j * np.pi * ((k % r) / r)))
@@ -66,8 +63,6 @@ def unit_root(r: int, k: int) -> complex:
 
 def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
     """Vector of exp(2*pi*i*k/r) over integer arguments, reduced mod r."""
-    import numpy as np
-
     if r < 1:
         raise ValueError(f"root order must be >= 1, got {r}")
     ks = np.asarray(ks, dtype=np.int64)
@@ -77,8 +72,6 @@ def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def discrete_log_table(p: int) -> tuple[int, np.ndarray]:
     """(least primitive root g, index table ind with g**ind[x] = x mod p)."""
-    import numpy as np
-
     prime = odd_prime(p)
     g = least_primitive_root(prime)
     ind = np.zeros(prime.p, dtype=np.int64)
@@ -98,8 +91,6 @@ class CharacterModP:
     """
 
     def __init__(self, p: int | OddPrime, k: int):
-        import numpy as np
-
         self.p = odd_prime(p)
         self.k = k % (self.p.p - 1)
         self.order = (self.p.p - 1) // math.gcd(self.k, self.p.p - 1)
@@ -149,8 +140,6 @@ class CharacterModPSquared:
     """
 
     def __init__(self, p: int | OddPrime, a: int):
-        import numpy as np
-
         prime = odd_prime(p)
         if a % prime.p == 0:
             raise ValueError(f"twist {a} is divisible by {prime.p}; character would be trivial")
@@ -187,8 +176,6 @@ def hb_character(p: int | OddPrime, a: int) -> CharacterModPSquared:
 
 def gauss_sum(r: int, chi) -> complex:
     """tau_r(chi) = sum over v of chi(v) e(v/r); r must be chi's modulus."""
-    import numpy as np
-
     if r != chi.modulus:
         raise ValueError(f"modulus mismatch: r={r}, character lives mod {chi.modulus}")
     values = chi.value_array()
@@ -197,8 +184,6 @@ def gauss_sum(r: int, chi) -> complex:
 
 def gauss_identity_residual(r: int, chi, b: int) -> float:
     """| chi(b) tau_r(conj chi) - sum_v conj(chi(v)) e(bv/r) |, gcd(b, r) = 1."""
-    import numpy as np
-
     if r != chi.modulus:
         raise ValueError(f"modulus mismatch: r={r}, character lives mod {chi.modulus}")
     if math.gcd(b, r) != 1:
@@ -224,16 +209,12 @@ def exp_sum_direct(p: int | OddPrime, a: int, n: int, *, table: QuotientTable | 
 
 def exp_sum_from_histogram(hist: ResidueHistogram, a: int) -> complex:
     """S_p(a; n) recovered from a value histogram: sum of counts[q] e(aq/p)."""
-    import numpy as np
-
     p = hist.p.p
     return complex(np.dot(hist.counts, unit_roots(p, (a % p) * np.arange(p))))
 
 
 def spectrum_from_histogram(hist: ResidueHistogram) -> np.ndarray:
     """|S_p(a; n)| for every a = 0..p-1 in one length-p transform."""
-    import numpy as np
-
     resident_transform_memory(hist.p.p)
     # fft computes sum counts[q] e(-aq/p); counts are real so magnitudes agree
     return np.abs(np.fft.fft(hist.counts.astype(np.float64)))
@@ -246,8 +227,6 @@ def max_exp_sum(p: int | OddPrime, n: int, *, hist: ResidueHistogram | None = No
     --p 311 --n 1555 returns 247, where 64 is the least).  Without hist,
     n is capped at DEFAULT_TABLE_CAP as a table of n entries would be: the
     float spectrum of the folded counts loses digits as n / p**2 grows."""
-    import numpy as np
-
     prime = odd_prime(p)
     if hist is None:
         if n > DEFAULT_TABLE_CAP:

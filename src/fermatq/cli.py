@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 from typing import Callable
 
+from . import np
 from .arith import BudgetError, odd_prime
 from .charsums import (
     CharacterModP,
@@ -26,6 +27,7 @@ from .charsums import (
 )
 from .config import RunConfig, resolve_config, rho_row_entries
 from .primroots import (
+    check_scan_range,
     convolution_length,
     nonres_row,
     quotient_sumset_experiment,
@@ -227,10 +229,10 @@ def cmd_avg(args, config: RunConfig):
 
 
 def cmd_sieve(args, config: RunConfig):
-    import numpy as np
-
     if args.K < 1:
         raise ValueError(f"K must be >= 1, got {args.K}")
+    if min(args.R) < 1:  # every R, before the first is summed
+        raise ValueError(f"R must be >= 1, got {min(args.R)}")
     config.charge("coefficients", entries=args.K)
     config.charge("evaluation points", steps=sieve_points(max(args.R)))  # the largest R, before the first
     rng = np.random.default_rng(config.seed)
@@ -249,6 +251,10 @@ def cmd_rho(args, config: RunConfig):
     ks = args.k if args.k is not None else range(1, (args.kmax or 0) + 1)
     if not ks:
         raise ValueError("rho requires --k or --kmax")
+    # every k, before the charge and the first row; a --kmax range starts at 1
+    for name, value in (("M", args.M), ("nu", args.nu), ("k", min(args.k or [1]))):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     steps = rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
     config.charge("rho rows", entries=rho_row_entries(len(ks), config.format), steps=steps)
     rows = []
@@ -296,10 +302,10 @@ def cmd_doublesum(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.order < 1 or (prime.p - 1) % args.order != 0:
         raise ValueError(f"order {args.order} does not divide {prime.p - 1}")
-    # both charges come before the character's discrete-log loop
-    config.charge("convolution", entries=convolution_length(prime))
     if args.order == 1:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
+    # both charges come before the character's discrete-log loop
+    config.charge("convolution", entries=convolution_length(prime))
     config.charge("table", entries=max(args.ucap, args.vcap))
     eta = CharacterModP(prime, (prime.p - 1) // args.order)
     rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
@@ -308,6 +314,7 @@ def cmd_doublesum(args, config: RunConfig):
 
 
 def cmd_scan(args, config: RunConfig):
+    check_scan_range(args.pmin, args.pmax)  # bad input exits 2 whatever the caps
     config.charge("sieve", entries=args.pmax + 1)
     config.charge("scan lane steps", steps=scan_steps(args.pmin, args.pmax))
     return _rows(SCAN_COLUMNS, theorem4_exponent_scan(args.pmin, args.pmax))

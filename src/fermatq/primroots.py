@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import np
 from .arith import (
     OddPrime,
     arithmetic_functions,
@@ -133,8 +134,6 @@ def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> comp
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
     That is sum over s of eta(s) c(s), c = 1_A * 1_B the cyclic convolution
     mod p, taken by one real FFT of length convolution_length(p)."""
-    import numpy as np
-
     prime = odd_prime(p)
     if eta.modulus != prime.p:
         raise ValueError(f"character modulus {eta.modulus} != {prime.p}")
@@ -157,8 +156,6 @@ def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> comp
 def first_occurrence_set(table: QuotientTable, cap: int) -> list[int]:
     """One representative n per distinct quotient value over 1..cap of the
     table, each the least n attaining its value; undefined entries skipped."""
-    import numpy as np
-
     if not 1 <= cap <= table.n:
         raise ValueError(f"cap must lie in 1..{table.n}, got {cap}")
     body = table.values[: cap + 1]
@@ -235,8 +232,6 @@ def _failed_lanes(lanes: int, pair_lane, q, exponent, p):
     """Per lane and per candidate column of q, how many of the lane's
     (lane, l) pairs have q**((p-1)/l) = 1 mod p; a unit q is a primitive
     root exactly when none does.  exponent and p are columns."""
-    import numpy as np
-
     ones = pow_mod_lanes(q[pair_lane], exponent, p[pair_lane]) == 1
     width = ones.shape[1]
     cell = pair_lane[:, None] * width + np.arange(width)
@@ -257,8 +252,6 @@ def _distinct_factors(spf, ms):
     matrix of _FACTOR_SLOTS columns, ascending and padded with 0, read off
     the least-prime-factor sieve.  The least prime factor never falls as
     it is divided out, so a factor is new when it changes."""
-    import numpy as np
-
     slots = np.zeros((len(ms), _FACTOR_SLOTS), dtype=np.int32)
     count = np.zeros(len(ms), dtype=np.int64)
     lane, prev = np.arange(len(ms)), np.zeros_like(ms)
@@ -285,8 +278,6 @@ def _least_primroot_lanes(primes, pair_lane, pair_prime):
     every open lane: n**(p-1) mod p**2 by the two-digit ladder, whose high
     digit is q_p(n) (0 when p | n), then the order test.  A lane leaves at
     its least hit, or with none once n passes p**2."""
-    import numpy as np
-
     n_min = np.zeros(len(primes), dtype=np.int64)
     lane, p, p2 = np.arange(len(primes)), primes, primes * primes
     exponent = (p[pair_lane] - 1) // pair_prime
@@ -313,8 +304,6 @@ def _verify_lanes(primes, n_min):
     """Check every hit without the sieve or the search's factors: q_p(n) by
     a Python pow mod p**2, p - 1 factored afresh by lane trial division,
     then the order test."""
-    import numpy as np
-
     hits = np.flatnonzero(n_min)
     p = primes[hits]
     # the high base-p digit of n**(p-1) mod p**2: q_p(n), or 0 when p | n
@@ -325,6 +314,15 @@ def _verify_lanes(primes, n_min):
     failed = _failed_lanes(len(hits), pair_lane, q[:, None], ((p[pair_lane] - 1) // pair_prime)[:, None], p[:, None])
     verified[hits] = (q != 0) & (failed[:, 0] == 0)
     return verified
+
+
+def check_scan_range(p_min: int, p_max: int) -> None:
+    """theorem4_exponent_scan needs p_min <= p_max < 2^31, where its lane
+    products stay within int64."""
+    if p_min > p_max:
+        raise ValueError(f"empty range [{p_min}, {p_max}]")
+    if p_max >= 1 << 31:
+        raise ValueError(f"scan range must stay below 2^31, got {p_max}")
 
 
 def scan_steps(p_min: int, p_max: int) -> int:
@@ -347,12 +345,7 @@ def theorem4_exponent_scan(p_min: int, p_max: int) -> list[ScanRow]:
     sieve lists the primes and the prime factors of each p - 1.  Block by
     block, every prime is confirmed by Miller-Rabin, searched, and each hit
     verified on its own."""
-    import numpy as np
-
-    if p_min > p_max:
-        raise ValueError(f"empty range [{p_min}, {p_max}]")
-    if p_max >= 1 << 31:
-        raise ValueError(f"scan range must stay below 2^31, got {p_max}")
+    check_scan_range(p_min, p_max)
     lo = max(3, p_min)
     if p_max < lo:
         return []

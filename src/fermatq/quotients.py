@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import np
 from .arith import OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
 from .report import write_atomic
 
@@ -75,8 +76,6 @@ def quotient_rows(primes: Sequence[int | OddPrime], last: int) -> np.ndarray:
     one sieve and one ladder over the (p, l) lanes, added at each
     multiple of each power of l as a column, then reduced row by row.
     UNDEFINED sits at the multiples of each row's p, index 0 included."""
-    import numpy as np
-
     primes = [odd_prime(p) for p in primes]
     if not primes or not 1 <= last < min(prime.p2 for prime in primes):
         raise ValueError(f"need a prime and 1 <= last < p^2 at every prime, got last = {last}")
@@ -115,8 +114,6 @@ def quotient_rows(primes: Sequence[int | OddPrime], last: int) -> np.ndarray:
 def quotient_table(p: int | OddPrime, n: int) -> QuotientTable:
     """Batch table of q_p over 1..n: the one-row quotient_rows over
     1..min(n, p**2 - 1), repeated with period p**2."""
-    import numpy as np
-
     prime = odd_prime(p)
     if n < 1:
         raise ValueError(f"table length must be >= 1, got {n}")
@@ -149,15 +146,11 @@ class ResidueHistogram:
     @property
     def image(self) -> int:
         """Number of residues with a nonzero count."""
-        import numpy as np
-
         return int(np.count_nonzero(self.counts))
 
 
 def value_histogram(table: QuotientTable) -> ResidueHistogram:
     """Counts of each quotient value over the defined entries of the table."""
-    import numpy as np
-
     defined = table.defined()
     counts = np.bincount(defined, minlength=table.p.p)
     counts.setflags(write=False)
@@ -170,8 +163,6 @@ def period_histogram(p: int | OddPrime, n: int) -> ResidueHistogram:
     every value exactly p - 1 times, and only the n mod p**2 tail needs a
     table (all of n when n < p**2).  Exact for every n below 2**63, where
     the int64 counts end."""
-    import numpy as np
-
     prime = odd_prime(p)
     if n < 1:
         raise ValueError(f"table length must be >= 1, got {n}")
@@ -212,8 +203,6 @@ def dump_table(table: QuotientTable) -> bytes:
 
 def load_table(blob: bytes) -> QuotientTable:
     """Inverse of dump_table; validates magic, length, and entry ranges."""
-    import numpy as np
-
     if len(blob) < 20 or blob[:4] != _DUMP_MAGIC:
         raise ValueError("bad table header")
     _, p, n = struct.unpack_from("<4sQQ", blob)

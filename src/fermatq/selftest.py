@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from . import np
 from .arith import (
     OddPrime,
     arithmetic_functions,
@@ -88,8 +89,6 @@ def _suite_core_arith(rng: np.random.Generator, fault: str | None):
 
 
 def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
-    import numpy as np
-
     checks, failures = 0, []
     for p in (5, 13, 101, 257):
         prime = OddPrime(p)
@@ -129,8 +128,6 @@ def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
 
 
 def _suite_char_sums(rng: np.random.Generator, fault: str | None):
-    import numpy as np
-
     checks, failures = 0, []
     for p, a in ((5, 1), (7, 3), (13, 5)):
         prime = OddPrime(p)
@@ -304,8 +301,6 @@ VALID_FAULTS = ("fermat-quotient",)
 
 def run_selftest(seed: int, fault: str | None, out) -> int:
     """Run every suite; write one line per suite to out; 0 when all pass."""
-    import numpy as np
-
     if fault is not None and fault not in VALID_FAULTS:
         raise ValueError(f"unknown fault target {fault!r}; expected one of {VALID_FAULTS}")
     rng = np.random.default_rng(seed)

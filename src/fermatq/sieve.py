@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import np
 from .arith import OddPrime, primes_up_to
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_TABLE_CAP
@@ -32,8 +33,6 @@ class TrigPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("coefficient vector must be one-dimensional and nonempty")
@@ -46,15 +45,11 @@ class TrigPolynomial:
 
     @property
     def energy(self) -> float:
-        import numpy as np
-
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def trig_poly_eval(poly: TrigPolynomial, u: Fraction | float) -> complex:
     """T(u) = sum_k alpha_k e(ku); Fractions evaluate via reduced integers."""
-    import numpy as np
-
     ks = np.arange(1, poly.k_max + 1, dtype=np.int64)
     if isinstance(u, Fraction):
         phases = unit_roots(u.denominator, int(u.numerator) * ks)
@@ -65,8 +60,6 @@ def trig_poly_eval(poly: TrigPolynomial, u: Fraction | float) -> complex:
 
 def fold_coefficients(poly: TrigPolynomial, m: int) -> np.ndarray:
     """c_j = sum of alpha_k over k = j mod m, the length-m alias of the poly."""
-    import numpy as np
-
     if m < 1:
         raise ValueError(f"fold length must be >= 1, got {m}")
     c = np.zeros(m, dtype=np.complex128)
@@ -76,8 +69,6 @@ def fold_coefficients(poly: TrigPolynomial, m: int) -> np.ndarray:
 
 def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
     """T(a/r2) for a = 0..r2-1 via one inverse transform of the folded coeffs."""
-    import numpy as np
-
     return r2 * np.fft.ifft(fold_coefficients(poly, r2))
 
 
@@ -88,8 +79,6 @@ def sieve_points(r_max: int) -> int:
 
 def large_sieve_lhs(poly: TrigPolynomial, r_max: int) -> float:
     """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2."""
-    import numpy as np
-
     if r_max < 1:
         raise ValueError(f"R must be >= 1, got {r_max}")
     total = 0.0
@@ -114,8 +103,6 @@ def zhao_conjecture_rhs(k_max: int, r_max: int, energy: float) -> float:
 
 def parseval_check(poly: TrigPolynomial, m: int) -> float:
     """| sum_a |T(a/m)|^2 - m * sum_j |c_j|^2 | over the full residue grid."""
-    import numpy as np
-
     if m < 1:
         raise ValueError(f"grid length must be >= 1, got {m}")
     lhs = sum(abs(trig_poly_eval(poly, Fraction(a, m))) ** 2 for a in range(m))
@@ -255,8 +242,6 @@ def rho_steps(m_max: int, nu: int, ks: Sequence[int], stop: float = math.inf) ->
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
     """sum of e(b*(m_1 + ... + m_nu)/M) over ordered factorizations of k
     into nu factors, each in [1, M]."""
-    import numpy as np
-
     if m_max < 1:
         raise ValueError(f"M must be >= 1, got {m_max}")
     if nu < 1:
@@ -397,8 +382,6 @@ def theorem1_average(
     """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P].
     Its tables are built by blocks of at most max_entries entries, or of one
     row where a row is larger."""
-    import numpy as np
-
     start = time.monotonic()
     n_by_p, n_ref = window_pairs(p_scale, nu, selector)
     workers = min(threads, os.cpu_count() or 1, len(n_by_p))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import np
 from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
 from .quotients import collision_count, quotient_table
 
@@ -128,8 +129,6 @@ def _floor_sums(n, m, a, b) -> np.ndarray:
     next round has modulus a < m and n = y // m <= n, so the bound holds
     in every round, and q*m and r*m never exceed a and b.
     """
-    import numpy as np
-
     total = np.zeros_like(a)
     lane = np.arange(len(a))
     while len(lane):
@@ -150,8 +149,6 @@ def _floor_sums(n, m, a, b) -> np.ndarray:
 def _lane_dtype(m: int, z: int):
     """int64 when m * (Z + 1) < 2**62, which bounds every lane value (see
     _floor_sums); Python ints otherwise."""
-    import numpy as np
-
     return np.int64 if m * (z + 1) < 1 << 62 else object
 
 
@@ -164,8 +161,6 @@ def count_ratios(m: int, group: SubgroupModM, z: int) -> int:
     of one _floor_sums call.
     Exact for every m, on the lanes of _lane_dtype.
     """
-    import numpy as np
-
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
     check_ratio_bound(m, z)
@@ -187,8 +182,6 @@ def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
     to the counts.  Exact for every m, on the lanes of _lane_dtype:
     w*x < m * (Z + 1).
     """
-    import numpy as np
-
     if group.m != m:
         raise ValueError(f"group lives mod {group.m}, not {m}")
     check_ratio_bound(m, z_max)

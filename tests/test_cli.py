@@ -110,8 +110,9 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        # least-prime-factor sieves of pmax + 1 and 2P + 1 entries
-        ("scan", "--pmin", "3", "--pmax", "1000000000000"),
+        # least-prime-factor sieves of pmax + 1 and 2P + 1 entries; a scan's
+        # pmax stays below 2^31, or the range itself is bad input
+        ("scan", "--pmin", "3", "--pmax", "2000000000"),
         ("scan", "--pmin", "3", "--pmax", "100000000", "--memcap", "1000"),
         ("avg", "--P", "1000000000000", "--N-rule", "1"),
         # the convolution is charged before the character's discrete-log table
@@ -161,14 +162,23 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
         ("ratios", "--p", "1000003", "--Z", "0"),
         # Z = m is invalid whatever the group's order, which a walk would take 5.5 * 10^6 steps to learn
         ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "4611686018427388039"),
+        # a range past 2^31, whose sieve the default cap refuses
+        ("scan", "--pmin", "3", "--pmax", "4000000000"),
+        # the trivial character, whose convolution --memcap refuses
+        ("doublesum", "--p", "1000003", "--order", "1", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
+        # a bad later item, before the earlier ones are summed or factored
+        ("sieve", "--R", "300", "0", "--K", "4096"),
+        ("rho", "--M", "1000", "--b", "1", "--nu", "6", "--k", "735134400", "0"),
     ],
 )
-def test_ratios_rejects_bad_z_before_the_group(capsys, tmp_path, argv):
-    started = time.monotonic()
-    rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "report.csv"))
-    assert rc == 2 and err.startswith("error:"), err
-    assert time.monotonic() - started < 1.0
-    assert not os.listdir(tmp_path)
+def test_bad_input_exits_2_before_the_work(capsys, tmp_path, argv):
+    # bad input exits 2 whatever the caps: it is checked before any charge
+    for caps in ((), ("--memcap", "24", "--budget", "1")):
+        started = time.monotonic()
+        rc, _, err = run(capsys, *argv, *caps, "--out", str(tmp_path / "report.csv"))
+        assert rc == 2 and err.startswith("error:"), err
+        assert time.monotonic() - started < 1.0
+        assert not os.listdir(tmp_path)
 
 
 def test_table_rule_window_bytes_do_not_depend_on_threads(tmp_path):
