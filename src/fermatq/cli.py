@@ -4,11 +4,18 @@ Every subcommand shares the --out/--format/--threads/--seed/--budget/
 --memcap/--timings plumbing and emits a fixed-schema report through
 the atomic writer.  Exit codes: 0 success, 1 internal failure, 2
 argument or domain error, 3 budget or cap refusal.
+
+arith, config and report, which every call runs, are imported as usual.
+The six modules of the experiments are registered in sys.modules as lazy
+modules and called through their names (`sieve.theorem1_average(...)`),
+so a call compiles and executes only the ones its subcommand reads:
+`quotient` runs no charsums, and no call but `selftest` runs selftest.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import math
 import sys
@@ -18,49 +25,27 @@ from typing import Callable
 
 from . import np
 from .arith import BudgetError, odd_prime
-from .charsums import (
-    CharacterModP,
-    exp_sum_direct,
-    exp_sum_from_histogram,
-    hb_bound_rhs,
-    max_exp_sum,
-)
 from .config import RunConfig, resolve_config, rho_row_entries
-from .primroots import (
-    check_scan_range,
-    convolution_length,
-    nonres_row,
-    quotient_sumset_experiment,
-    scan_row,
-    scan_steps,
-    smallest_dth_nonresidue_quotient,
-    smallest_primroot_quotient,
-    theorem4_exponent_scan,
-)
-from .quotients import (
-    cauchy_lower_bound,
-    fermat_quotient,
-    period_histogram,
-    quotient_table,
-    write_table,
-)
 from .report import emit, write_atomic
-from .selftest import VALID_FAULTS, run_selftest
-from .sieve import (
-    TrigPolynomial,
-    constant_rule,
-    exceptional_counts,
-    power_rule,
-    rho_coefficient,
-    rho_steps,
-    sieve_points,
-    sieve_report,
-    table_rule,
-    theorem1_average,
-    window_cost,
-    window_pairs,
+
+
+def _lazy(name: str):
+    """fermatq.<name>, registered in sys.modules and bound on the package as
+    an import would, but compiled and executed at its first attribute read;
+    a module imported before is used as it is."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+charsums, primroots, quotients, selftest, sieve, subgroups = map(
+    _lazy, ("charsums", "primroots", "quotients", "selftest", "sieve", "subgroups")
 )
-from .subgroups import check_ratio_bound, count_ratios, generated_within, lemma7_rhs, pth_power_residues, ratio_steps
 
 SUM_COLUMNS = ("p", "a", "N", "re", "im", "abs", "rhs_eq1_nu2")
 AVG_COLUMNS = ("P", "nu", "N", "lhs", "rhs_envelope", "trivial_bound", "ratio", "prime_count", "wall_seconds")
@@ -85,18 +70,18 @@ def parse_n_rule(text: str) -> Callable[[int], Callable[[int], int]]:
         raise ValueError("empty N rule")
     if text.startswith("@"):
         mapping = _load_n_table(text[1:])
-        return lambda p_scale: table_rule(mapping)
+        return lambda p_scale: sieve.table_rule(mapping)
     if text[0] in "pP" and len(text) > 1 and text[1] == "^":
         try:
             theta = Fraction(text[2:])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad exponent in N rule {text!r}") from None
-        return lambda p_scale: power_rule(theta, p_scale)
+        return lambda p_scale: sieve.power_rule(theta, p_scale)
     try:
         n = int(text)
     except ValueError:
         raise ValueError(f"bad N rule {text!r}; expected an integer, P^theta, or @file") from None
-    return lambda p_scale: constant_rule(n)
+    return lambda p_scale: sieve.constant_rule(n)
 
 
 def _load_n_table(path: str) -> dict[int, int]:
@@ -127,7 +112,7 @@ def _rows(columns: tuple[str, ...], rows) -> tuple[tuple[str, ...], list[dict]]:
 def _build_table(p, n: int, config: RunConfig):
     prime = odd_prime(p)
     config.charge("table", entries=n)
-    return prime, quotient_table(prime, n)
+    return prime, quotients.quotient_table(prime, n)
 
 
 def _histogram_table(p, n: int, config: RunConfig, whole: bool):
@@ -139,50 +124,52 @@ def _histogram_table(p, n: int, config: RunConfig, whole: bool):
     builder's peak of about 17 bytes per entry (maxsum --p 211 --n 800000:
     0.8 MiB, where a table of all n took 13 MiB)."""
     prime = odd_prime(p)
+    if n < 1:  # bad input exits 2 whatever the caps
+        raise ValueError(f"n must be >= 1, got {n}")
     config.charge("histogram", entries=prime.p)
-    config.charge("table", entries=n if whole or n < 1 else n % prime.p2)
-    return prime, period_histogram(prime, n)
+    config.charge("table", entries=n if whole else n % prime.p2)
+    return prime, quotients.period_histogram(prime, n)
 
 
 def cmd_quotient(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.u < 0:
         raise ValueError(f"u must be nonnegative, got {args.u}")
-    q = fermat_quotient(prime, args.u)
+    q = quotients.fermat_quotient(prime, args.u)
     return _rows(("p", "u", "q"), [(prime.p, args.u, q)])
 
 
 def cmd_table(args, config: RunConfig):
     prime, table = _build_table(args.p, args.n, config)
     if args.dump:
-        write_table(table, args.dump)
+        quotients.write_table(table, args.dump)
     return _rows(("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)])
 
 
 def cmd_image(args, config: RunConfig):
     prime, hist = _histogram_table(args.p, args.n, config, whole=False)
     img = hist.image
-    bound = cauchy_lower_bound(hist)
+    bound = quotients.cauchy_lower_bound(hist)
     # ratio against the Cauchy floor is diagnostic only, never a report column
     print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
     return _rows(("p", "n", "image"), [(prime.p, args.n, img)])
 
 
 def _sum_row(prime, a: int, n: int, s: complex):
-    return _rows(SUM_COLUMNS, [(prime.p, a, n, s.real, s.imag, abs(s), hb_bound_rhs(prime, n, 2))])
+    return _rows(SUM_COLUMNS, [(prime.p, a, n, s.real, s.imag, abs(s), charsums.hb_bound_rhs(prime, n, 2))])
 
 
 def cmd_expsum(args, config: RunConfig):
     prime, table = _build_table(args.p, args.n, config)
-    return _sum_row(prime, args.a, args.n, exp_sum_direct(prime, args.a, args.n, table=table))
+    return _sum_row(prime, args.a, args.n, charsums.exp_sum_direct(prime, args.a, args.n, table=table))
 
 
 def cmd_maxsum(args, config: RunConfig):
     # charged n entries, as a whole table was: the float spectrum of the
     # folded counts loses digits as n / p^2 grows
     prime, hist = _histogram_table(args.p, args.n, config, whole=True)
-    a_star, _ = max_exp_sum(prime, args.n, hist=hist)
-    return _sum_row(prime, a_star, args.n, exp_sum_from_histogram(hist, a_star))
+    a_star, _ = charsums.max_exp_sum(prime, args.n, hist=hist)
+    return _sum_row(prime, a_star, args.n, charsums.exp_sum_from_histogram(hist, a_star))
 
 
 def _window_scales(args) -> list[int]:
@@ -209,18 +196,19 @@ def _window_scales(args) -> list[int]:
 def cmd_avg(args, config: RunConfig):
     scales = _window_scales(args)
     rule = parse_n_rule(args.n_rule)
-    for p_scale in scales:  # every window is charged before the first is computed
+    selectors = [rule(p_scale) for p_scale in scales]  # a bad N rule exits 2 before any charge
+    for p_scale, selector in zip(scales, selectors):  # every window is charged before the first is computed
         config.charge("sieve", entries=2 * p_scale + 1)  # before the sieve that lists its primes
-        entries, steps = window_cost(window_pairs(p_scale, args.nu, rule(p_scale))[0])
+        entries, steps = sieve.window_cost(sieve.window_pairs(p_scale, args.nu, selector)[0])
         config.charge("window", entries=entries, steps=steps)
     rows = []
-    for p_scale in scales:
-        res = theorem1_average(
-            p_scale, args.nu, rule(p_scale), threads=config.threads, max_entries=config.max_table_entries
+    for p_scale, selector in zip(scales, selectors):
+        res = sieve.theorem1_average(
+            p_scale, args.nu, selector, threads=config.threads, max_entries=config.max_table_entries
         )
         window = (res.p_scale, res.nu, res.n_ref)
         if args.kappa:
-            counts = exceptional_counts(res, args.kappa)
+            counts = sieve.exceptional_counts(res, args.kappa)
             rows += [(*window, kappa, exceeded, res.prime_count) for kappa, exceeded in counts]
         else:
             wall = res.wall_seconds if config.timings else 0.0
@@ -234,13 +222,13 @@ def cmd_sieve(args, config: RunConfig):
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
     config.charge("coefficients", entries=args.K)
-    config.charge("evaluation points", steps=sieve_points(max(args.R)))  # the largest R, before the first
+    config.charge("evaluation points", steps=sieve.sieve_points(max(args.R)))  # the largest R, before the first
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
-    poly = TrigPolynomial(coeffs)
+    poly = sieve.TrigPolynomial(coeffs)
     rows = []
     for r_max in args.R:
-        rep = sieve_report(poly, r_max)
+        rep = sieve.sieve_report(poly, r_max)
         rows.append((rep.r_max, rep.k_max, rep.energy, rep.lhs, rep.rhs_bz, rep.rhs_zhao, rep.ratio_bz, rep.ratio_zhao))
     return _rows(SIEVE_COLUMNS, rows)
 
@@ -255,47 +243,49 @@ def cmd_rho(args, config: RunConfig):
     for name, value in (("M", args.M), ("nu", args.nu), ("k", min(args.k or [1]))):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    steps = rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
+    steps = sieve.rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
     config.charge("rho rows", entries=rho_row_entries(len(ks), config.format), steps=steps)
     rows = []
     for k in ks:
-        c = rho_coefficient(args.M, args.b, args.nu, k)
+        c = sieve.rho_coefficient(args.M, args.b, args.nu, k)
         rows.append((args.M, args.b, args.nu, k, c.real, c.imag, abs(c)))
     return _rows(RHO_COLUMNS, rows)
 
 
 def cmd_ratios(args, config: RunConfig):
+    if args.nu < 1:  # bad input exits 2 whatever the caps
+        raise ValueError(f"nu must be >= 1, got {args.nu}")
     if args.p is not None:
         if args.m is not None or args.gen is not None:
             raise ValueError("give either --p or --m/--gen, not both")
         prime = odd_prime(args.p)
         m = prime.p2
-        check_ratio_bound(m, args.Z)  # before the group is built
-        config.charge("floor-sum lanes", steps=ratio_steps(m, prime.p - 1))
-        group = pth_power_residues(prime)
+        subgroups.check_ratio_bound(m, args.Z)  # before the group is built
+        config.charge("floor-sum lanes", steps=subgroups.ratio_steps(m, prime.p - 1))
+        group = subgroups.pth_power_residues(prime)
     else:
         if args.m is None or args.gen is None:
             raise ValueError("ratios requires --p or both --m and --gen")
         m = args.m
-        check_ratio_bound(m, args.Z)
-        group = generated_within(m, args.gen, config.budget_ops)  # its walk stops at the budget
-    count = count_ratios(m, group, args.Z)
-    rhs = lemma7_rhs(m, group.t, args.Z, args.nu)
+        subgroups.check_ratio_bound(m, args.Z)
+        group = subgroups.generated_within(m, args.gen, config.budget_ops)  # its walk stops at the budget
+    count = subgroups.count_ratios(m, group, args.Z)
+    rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
     return _rows(RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))])
 
 
 def cmd_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
-    n = smallest_primroot_quotient(prime, cap)
-    return _rows(SCAN_COLUMNS, [scan_row(prime, n)])
+    n = primroots.smallest_primroot_quotient(prime, cap)
+    return _rows(SCAN_COLUMNS, [primroots.scan_row(prime, n)])
 
 
 def cmd_nonres(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
-    n = smallest_dth_nonresidue_quotient(prime, args.d, cap)
-    return NONRES_COLUMNS, [nonres_row(prime, args.d, n)]
+    n = primroots.smallest_dth_nonresidue_quotient(prime, args.d, cap)
+    return NONRES_COLUMNS, [primroots.nonres_row(prime, args.d, n)]
 
 
 def cmd_doublesum(args, config: RunConfig):
@@ -304,25 +294,27 @@ def cmd_doublesum(args, config: RunConfig):
         raise ValueError(f"order {args.order} does not divide {prime.p - 1}")
     if args.order == 1:
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
+    if min(args.ucap, args.vcap) < 1:
+        raise ValueError(f"caps must be >= 1, got ucap={args.ucap}, vcap={args.vcap}")
     # both charges come before the character's discrete-log loop
-    config.charge("convolution", entries=convolution_length(prime))
+    config.charge("convolution", entries=primroots.convolution_length(prime))
     config.charge("table", entries=max(args.ucap, args.vcap))
-    eta = CharacterModP(prime, (prime.p - 1) // args.order)
-    rep = quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
+    eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
+    rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
     row = (rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)
     return _rows(DOUBLESUM_COLUMNS, [row])
 
 
 def cmd_scan(args, config: RunConfig):
-    check_scan_range(args.pmin, args.pmax)  # bad input exits 2 whatever the caps
+    primroots.check_scan_range(args.pmin, args.pmax)  # bad input exits 2 whatever the caps
     config.charge("sieve", entries=args.pmax + 1)
-    config.charge("scan lane steps", steps=scan_steps(args.pmin, args.pmax))
-    return _rows(SCAN_COLUMNS, theorem4_exponent_scan(args.pmin, args.pmax))
+    config.charge("scan lane steps", steps=primroots.scan_steps(args.pmin, args.pmax))
+    return _rows(SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax))
 
 
 def cmd_selftest(args, config: RunConfig):
     out = sys.stdout if config.output_path is None else io.StringIO()
-    code = run_selftest(config.seed, args.inject_fault, out)
+    code = selftest.run_selftest(config.seed, args.inject_fault, out)
     if config.output_path is not None:
         write_atomic(out.getvalue(), config.output_path)
     return code
@@ -414,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, required=True)
 
     p = add("selftest", cmd_selftest, "run every module's invariant suite")
-    p.add_argument("--inject-fault", choices=VALID_FAULTS, help=argparse.SUPPRESS)
+    p.add_argument("--inject-fault", help=argparse.SUPPRESS)  # run_selftest checks the name
 
     return parser
 

@@ -169,6 +169,12 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
         # a bad later item, before the earlier ones are summed or factored
         ("sieve", "--R", "300", "0", "--K", "4096"),
         ("rho", "--M", "1000", "--b", "1", "--nu", "6", "--k", "735134400", "0"),
+        # each exited 3 at a small cap, whose charge came before the check
+        ("image", "--p", "1000003", "--n", "0"),
+        ("maxsum", "--p", "7", "--n", "0"),
+        ("avg", "--P", "256", "--N-rule", "0"),
+        ("ratios", "--p", "1000003", "--Z", "10", "--nu", "0"),
+        ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "0", "--vcap", "10"),
     ],
 )
 def test_bad_input_exits_2_before_the_work(capsys, tmp_path, argv):
@@ -285,6 +291,44 @@ def test_integer_subcommands_never_load_numpy(argv):
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.stderr.strip().splitlines()[-1] == "0 False", done.stderr
+
+
+_CORE = ("arith", "cli", "config", "quotients", "report")
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (("quotient", "--p", "7", "--u", "3"), ()),
+        (("table", "--p", "7", "--n", "10"), ()),
+        (("image", "--p", "5", "--n", "4"), ()),
+        (("expsum", "--p", "7", "--a", "3", "--n", "49"), ("charsums",)),
+        (("maxsum", "--p", "7", "--n", "49"), ("charsums",)),
+        (("avg", "--P", "64", "--N-rule", "10"), ("charsums", "sieve")),
+        (("sieve", "--R", "2", "--K", "4"), ("charsums", "sieve")),
+        (("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3"), ("charsums", "sieve")),
+        (("ratios", "--p", "7", "--Z", "3"), ("subgroups",)),
+        (("primroot", "--p", "7"), ("charsums", "primroots")),
+        (("nonres", "--p", "7", "--d", "2"), ("charsums", "primroots")),
+        (("doublesum", "--p", "13", "--order", "2", "--ucap", "5", "--vcap", "5"), ("charsums", "primroots")),
+        (("scan", "--pmin", "3", "--pmax", "30"), ("charsums", "primroots")),
+        (("selftest", "--seed", "1"), ("charsums", "primroots", "selftest", "sieve", "subgroups")),
+    ],
+)
+def test_subcommands_execute_only_their_modules(argv, executed, tmp_path):
+    # the other modules stay lazy: registered, but never compiled or run;
+    # type() reads no attribute, so it does not trigger a lazy load
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = (
+        "import sys, types, fermatq.cli; "
+        f"rc = fermatq.cli.main({[*argv, '--out', str(tmp_path / 'report')]!r}); "
+        "print(rc, sorted(n[8:] for n, m in sys.modules.items() "
+        "if n.startswith('fermatq.') and type(m) is types.ModuleType))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"0 {sorted(_CORE + executed)}"
 
 
 def test_avg_loads_numpy_before_its_pool_forks():
@@ -633,6 +677,13 @@ def test_selftest_fault_injection_names_module(capsys, tmp_path):
     assert rc == 1
     assert "fermat-quotient" in out and "FAIL" in out
     assert "first failure: fermat-quotient quotient_table" in out
+
+
+def test_selftest_unknown_fault_exits_2_without_file(capsys, tmp_path):
+    # argparse takes any name, so that building the parser executes no suite
+    rc, _, err = run(capsys, "selftest", "--inject-fault", "bogus", "--out", str(tmp_path / "selftest.txt"))
+    assert rc == 2 and err.startswith("error:"), err
+    assert not os.listdir(tmp_path)
 
 
 def test_timings_flag_records_wall(capsys):

@@ -28,9 +28,9 @@ def test_traced_functions_resolve():
 
 
 def test_traced_modules_loaded_by_cli_import():
-    # the tracer rebinds names only in modules loaded when it installs,
-    # which is right after `import fermatq.cli`; a module imported lazily
-    # later would run without its spans
+    # the tracer rebinds names only in modules registered when it installs,
+    # which is right after `import fermatq.cli`; a module imported later
+    # would run without its spans
     spec = importlib.util.spec_from_file_location("perfbench_inproc", INPROC)
     inproc = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inproc)
@@ -40,3 +40,35 @@ def test_traced_modules_loaded_by_cli_import():
     assert done.returncode == 0, done.stderr
     loaded = set(json.loads(done.stdout))
     assert not [mod for mod in inproc.TRACED if f"fermatq.{mod}" not in loaded]
+
+
+def test_spans_reach_lazily_executed_modules():
+    # cli registers these modules lazily; the tracer's reads execute them
+    # before it rebinds, so their functions are counted
+    argvs = [
+        ["avg", "--P", "64", "--N-rule", "10"],
+        ["scan", "--pmin", "3", "--pmax", "300"],
+        ["ratios", "--p", "11", "--Z", "50"],
+        ["sieve", "--R", "3", "--K", "8"],
+        ["maxsum", "--p", "7", "--n", "49"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fermatq.__file__)))
+    done = subprocess.run(
+        [sys.executable, str(INPROC), "--traced", "1"],
+        input=json.dumps(argvs),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert [call["rc"] for call in result["calls"]] == [0] * len(argvs)
+    names = (
+        "sieve.theorem1_average",
+        "primroots.theorem4_exponent_scan",
+        "subgroups.count_ratios",
+        "sieve.large_sieve_lhs",
+        "charsums.max_exp_sum",
+    )
+    assert not [name for name in names if not result["layers"][name]["calls"]]
