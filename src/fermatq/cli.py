@@ -98,15 +98,13 @@ def _load_n_table(path: str) -> dict[int, int]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}:{idx + 1}: expected two columns p,N")
-        mapping[int(parts[0])] = int(parts[1])
+        p, n = int(parts[0]), int(parts[1])
+        if n < 1:  # before any charge; a prime the table lacks shows only in the window's sieve
+            raise ValueError(f"{path}:{idx + 1}: N_p must be >= 1, got {n}")
+        mapping[p] = n
     if not mapping:
         raise ValueError(f"N table {path!r} has no rows")
     return mapping
-
-
-def _rows(columns: tuple[str, ...], rows) -> tuple[tuple[str, ...], list[dict]]:
-    """A report: the columns, and each row of values in column order as a dict."""
-    return columns, [dict(zip(columns, row, strict=True)) for row in rows]
 
 
 def _build_table(p, n: int, config: RunConfig):
@@ -136,14 +134,14 @@ def cmd_quotient(args, config: RunConfig):
     if args.u < 0:
         raise ValueError(f"u must be nonnegative, got {args.u}")
     q = quotients.fermat_quotient(prime, args.u)
-    return _rows(("p", "u", "q"), [(prime.p, args.u, q)])
+    return ("p", "u", "q"), [(prime.p, args.u, q)]
 
 
 def cmd_table(args, config: RunConfig):
     prime, table = _build_table(args.p, args.n, config)
     if args.dump:
         quotients.write_table(table, args.dump)
-    return _rows(("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)])
+    return ("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)]
 
 
 def cmd_image(args, config: RunConfig):
@@ -152,11 +150,11 @@ def cmd_image(args, config: RunConfig):
     bound = quotients.cauchy_lower_bound(hist)
     # ratio against the Cauchy floor is diagnostic only, never a report column
     print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
-    return _rows(("p", "n", "image"), [(prime.p, args.n, img)])
+    return ("p", "n", "image"), [(prime.p, args.n, img)]
 
 
 def _sum_row(prime, a: int, n: int, s: complex):
-    return _rows(SUM_COLUMNS, [(prime.p, a, n, s.real, s.imag, abs(s), charsums.hb_bound_rhs(prime, n, 2))])
+    return SUM_COLUMNS, [(prime.p, a, n, s.real, s.imag, abs(s), charsums.hb_bound_rhs(prime, n, 2))]
 
 
 def cmd_expsum(args, config: RunConfig):
@@ -213,7 +211,7 @@ def cmd_avg(args, config: RunConfig):
         else:
             wall = res.wall_seconds if config.timings else 0.0
             rows.append((*window, res.lhs, res.rhs_envelope, res.trivial_bound, res.ratio, res.prime_count, wall))
-    return _rows(KAPPA_COLUMNS if args.kappa else AVG_COLUMNS, rows)
+    return (KAPPA_COLUMNS if args.kappa else AVG_COLUMNS), rows
 
 
 def cmd_sieve(args, config: RunConfig):
@@ -226,11 +224,9 @@ def cmd_sieve(args, config: RunConfig):
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = sieve.TrigPolynomial(coeffs)
-    rows = []
-    for r_max in args.R:
-        rep = sieve.sieve_report(poly, r_max)
-        rows.append((rep.r_max, rep.k_max, rep.energy, rep.lhs, rep.rhs_bz, rep.rhs_zhao, rep.ratio_bz, rep.ratio_zhao))
-    return _rows(SIEVE_COLUMNS, rows)
+    reps = (sieve.sieve_report(poly, r_max) for r_max in args.R)
+    rows = [(r.r_max, r.k_max, r.energy, r.lhs, r.rhs_bz, r.rhs_zhao, r.ratio_bz, r.ratio_zhao) for r in reps]
+    return SIEVE_COLUMNS, rows
 
 
 def cmd_rho(args, config: RunConfig):
@@ -245,11 +241,8 @@ def cmd_rho(args, config: RunConfig):
             raise ValueError(f"{name} must be >= 1, got {value}")
     steps = sieve.rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
     config.charge("rho rows", entries=rho_row_entries(len(ks), config.format), steps=steps)
-    rows = []
-    for k in ks:
-        c = sieve.rho_coefficient(args.M, args.b, args.nu, k)
-        rows.append((args.M, args.b, args.nu, k, c.real, c.imag, abs(c)))
-    return _rows(RHO_COLUMNS, rows)
+    coefficients = ((k, sieve.rho_coefficient(args.M, args.b, args.nu, k)) for k in ks)
+    return RHO_COLUMNS, [(args.M, args.b, args.nu, k, c.real, c.imag, abs(c)) for k, c in coefficients]
 
 
 def cmd_ratios(args, config: RunConfig):
@@ -271,14 +264,14 @@ def cmd_ratios(args, config: RunConfig):
         group = subgroups.generated_within(m, args.gen, config.budget_ops)  # its walk stops at the budget
     count = subgroups.count_ratios(m, group, args.Z)
     rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
-    return _rows(RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))])
+    return RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))]
 
 
 def cmd_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
     n = primroots.smallest_primroot_quotient(prime, cap)
-    return _rows(SCAN_COLUMNS, [primroots.scan_row(prime, n)])
+    return SCAN_COLUMNS, [primroots.scan_row(prime, n)]
 
 
 def cmd_nonres(args, config: RunConfig):
@@ -302,21 +295,21 @@ def cmd_doublesum(args, config: RunConfig):
     eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
     rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
     row = (rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)
-    return _rows(DOUBLESUM_COLUMNS, [row])
+    return DOUBLESUM_COLUMNS, [row]
 
 
 def cmd_scan(args, config: RunConfig):
     primroots.check_scan_range(args.pmin, args.pmax)  # bad input exits 2 whatever the caps
     config.charge("sieve", entries=args.pmax + 1)
     config.charge("scan lane steps", steps=primroots.scan_steps(args.pmin, args.pmax))
-    return _rows(SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax))
+    return SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax)
 
 
 def cmd_selftest(args, config: RunConfig):
     out = sys.stdout if config.output_path is None else io.StringIO()
     code = selftest.run_selftest(config.seed, args.inject_fault, out)
     if config.output_path is not None:
-        write_atomic(out.getvalue(), config.output_path)
+        write_atomic([out.getvalue()], config.output_path)
     return code
 
 

@@ -29,11 +29,12 @@ _TABLE_BYTES_PER_ENTRY = 24
 
 DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 
-# bytes per rho report row, by format: the traced peak of rho --M 1 --nu 1
-# --kmax 200000 and rho --M 1000 --nu 2 --kmax 100000 over the row count,
-# 808 to 885 for csv and 2,834 to 2,871 for json (its payload dicts and
-# indented text); the row tuple, its dict and its rendered text in both
-RHO_ROW_BYTES = {"csv": 896, "json": 2880}
+# bytes per rho report row, by format: the traced peak of rho --M 1 --b 0
+# --nu 1 --kmax 200000 and rho --M 1000 --b 1 --nu 2 --kmax 100000 over the
+# row count, 215 to 241 for csv and 259 to 329 for json, rounded up to a
+# multiple of 32; the row tuple (about 208), and a share of rho's working
+# set and of the chunk being rendered (1.4 MB of csv, 10 MB of json)
+RHO_ROW_BYTES = {"csv": 256, "json": 352}
 
 
 def rho_row_entries(rows: int, format: str) -> int:

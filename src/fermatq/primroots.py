@@ -215,17 +215,25 @@ def scan_row(p: int | OddPrime, n: int | None) -> ScanRow:
     return ScanRow(prime.p, n, math.log(n) / math.log(prime.p), verified)
 
 
-def nonres_row(p: int | OddPrime, d: int, n: int | None) -> dict:
+class NonresRow(NamedTuple):
+    p: int
+    d: int
+    n_min: int | None
+    exponent: float | None
+    verified: bool
+
+
+def nonres_row(p: int | OddPrime, d: int, n: int | None) -> NonresRow:
     """Report row for a d-th power nonresidue search result.  A hit is
     verified by the order test rather than the search's Euler test: a unit
     q is a d-th power residue exactly when its multiplicative order divides
     (p - 1)/d, and multiplicative_order factors p - 1 on its own."""
     prime = odd_prime(p)
     if n is None:
-        return {"p": prime.p, "d": d, "n_min": None, "exponent": None, "verified": False}
+        return NonresRow(prime.p, d, None, None, False)
     q = fermat_quotient(prime, n)
     verified = bool(q) and (prime.p - 1) // d % multiplicative_order(q, prime.p) != 0
-    return {"p": prime.p, "d": d, "n_min": n, "exponent": math.log(n) / math.log(prime.p), "verified": verified}
+    return NonresRow(prime.p, d, n, math.log(n) / math.log(prime.p), verified)
 
 
 def _failed_lanes(lanes: int, pair_lane, q, exponent, p):

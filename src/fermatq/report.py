@@ -1,11 +1,11 @@
 """Report rendering and atomic emission.
 
-Every row carries its experiment columns first, then the run metadata
-(version, seed, wall_seconds).  Floats are fixed at 12 significant
-digits so identical runs yield identical bytes; wall_seconds is 0
-unless timings were explicitly requested, for the same reason.
-Files appear atomically via a temp-file rename, so an aborted run
-never leaves a partial report.
+Rows are tuples in column order: the experiment columns, then the run
+metadata (version, seed, wall_seconds).  Floats are fixed at 12 significant
+digits so identical runs yield identical bytes; wall_seconds is 0 unless
+timings were explicitly requested, for the same reason.  Rows are written
+CHUNK_ROWS at a time, and files appear atomically via a temp-file rename,
+so an aborted run never leaves a partial report.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from . import __version__
 from .config import RunConfig
 
 METADATA_COLUMNS = ("version", "seed", "wall_seconds")
+
+CHUNK_ROWS = 4096
 
 
 def format_cell(value) -> str:
@@ -42,16 +45,21 @@ def _json_value(value):
     return value
 
 
-def render_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(format_cell(row[c]) for c in columns))
-    return "\n".join(out) + "\n"
-
-
-def render_json(columns: tuple[str, ...], rows: list[dict]) -> str:
-    payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+def render(columns: tuple[str, ...], rows: Iterable[tuple], format: str) -> Iterator[str]:
+    """The report text of rows, one piece per CHUNK_ROWS rows.  Every cell
+    is a scalar, so json chunks cut from their brackets join to one dumps."""
+    rows = iter(rows)
+    chunks = iter(lambda: list(islice(rows, CHUNK_ROWS)), [])
+    if format == "csv":
+        yield ",".join(columns) + "\n"
+        for chunk in chunks:
+            yield "".join([",".join(map(format_cell, row)) + "\n" for row in chunk])
+        return
+    sep = "[\n"
+    for chunk in chunks:
+        yield sep + json.dumps([dict(zip(columns, map(_json_value, row))) for row in chunk], indent=2)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
 def parse_csv(text: str) -> tuple[tuple[str, ...], list[list[str]]]:
@@ -60,41 +68,29 @@ def parse_csv(text: str) -> tuple[tuple[str, ...], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
-def attach_metadata(rows: list[dict], config: RunConfig, wall_seconds: float) -> list[dict]:
-    """Fill in version/seed/wall_seconds without clobbering schema columns."""
-    stamp = wall_seconds if config.timings else 0.0
-    meta = {"version": __version__, "seed": config.seed, "wall_seconds": stamp}
-    out = []
-    for row in rows:
-        merged = dict(row)
-        for key, value in meta.items():
-            merged.setdefault(key, value)
-        out.append(merged)
-    return out
-
-
-def write_atomic(data: str | bytes | Sequence, path: str) -> None:
-    """Write data (text, bytes, or byte buffers in order) to path through
-    a temp file and a rename."""
-    chunks = [data] if isinstance(data, (str, bytes)) else data
+def write_atomic(chunks: Iterable, path: str) -> None:
+    """Write chunks, text or byte buffers, in order to path through a temp
+    file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
     try:
-        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
-                fh.write(chunk)
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def emit(columns: tuple[str, ...], rows: list[dict], config: RunConfig, wall_seconds: float) -> None:
-    """Render rows (metadata appended) to the configured sink."""
-    full = attach_metadata(rows, config, wall_seconds)
-    cols = columns + tuple(c for c in METADATA_COLUMNS if c not in columns)
-    text = render_csv(cols, full) if config.format == "csv" else render_json(cols, full)
+def emit(columns: tuple[str, ...], rows: Iterable[tuple], config: RunConfig, wall_seconds: float) -> None:
+    """Render rows, each followed by the metadata cells the schema lacks,
+    to the configured sink as they come."""
+    meta = {"version": __version__, "seed": config.seed, "wall_seconds": wall_seconds if config.timings else 0.0}
+    tail = tuple(meta[c] for c in METADATA_COLUMNS if c not in columns)  # a schema column is kept as it is
+    columns += tuple(c for c in METADATA_COLUMNS if c not in columns)
+    pieces = render(columns, (row + tail for row in rows), config.format)
     if config.output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        write_atomic(text, config.output_path)
+        write_atomic(pieces, config.output_path)

@@ -6,12 +6,14 @@ import ast
 import importlib
 import inspect
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fermatq
 from fermatq.cli import build_parser, main
+from fermatq.config import RHO_ROW_BYTES
 
 SRC = Path(fermatq.__file__).resolve().parent
 
@@ -88,3 +90,19 @@ def test_charged_subcommand_refuses_at_the_smallest_caps(capsys, tmp_path, comma
     rc = main([command, *MINIMAL[command], "--memcap", "24", "--budget", "1", "--out", str(out_path)])
     assert rc == 3 and capsys.readouterr().err.startswith("budget:")
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_rho_rows_peak_within_their_charge(tmp_path, format):
+    # the first of the two calls RHO_ROW_BYTES was traced on, at half its
+    # rows, where the chunk being rendered weighs twice as much per row
+    argv = ["rho", "--M", "1", "--b", "0", "--nu", "1", "--format", format, "--out", str(tmp_path / "rho.out")]
+    assert main([*argv, "--kmax", "50"]) == 0  # its modules load outside the trace
+    rows = 100_000
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--kmax", str(rows)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows <= RHO_ROW_BYTES[format]

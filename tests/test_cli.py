@@ -178,13 +178,27 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
     ],
 )
 def test_bad_input_exits_2_before_the_work(capsys, tmp_path, argv):
+    _exits_2_before_the_work(capsys, tmp_path, argv)
+
+
+def test_n_table_row_below_1_exits_2_before_the_work(capsys, tmp_path):
+    # the table covers every prime of (64, 128], one at N_p = 0, which is
+    # refused as the file is read, before the charge of the window's sieve
+    primes = [p for p in primes_up_to(128) if p > 64]
+    table = tmp_path / "np.csv"
+    table.write_text("p,N\n" + "".join(f"{p},{0 if p == primes[5] else 10}\n" for p in primes))
+    (tmp_path / "out").mkdir()
+    _exits_2_before_the_work(capsys, tmp_path / "out", ("avg", "--P", "64", "--N-rule", f"@{table}"))
+
+
+def _exits_2_before_the_work(capsys, out_dir, argv):
     # bad input exits 2 whatever the caps: it is checked before any charge
     for caps in ((), ("--memcap", "24", "--budget", "1")):
         started = time.monotonic()
-        rc, _, err = run(capsys, *argv, *caps, "--out", str(tmp_path / "report.csv"))
+        rc, _, err = run(capsys, *argv, *caps, "--out", str(out_dir / "report.csv"))
         assert rc == 2 and err.startswith("error:"), err
         assert time.monotonic() - started < 1.0
-        assert not os.listdir(tmp_path)
+        assert not os.listdir(out_dir)
 
 
 def test_table_rule_window_bytes_do_not_depend_on_threads(tmp_path):

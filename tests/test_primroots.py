@@ -21,6 +21,7 @@ from fermatq.cli import main
 from fermatq.config import DEFAULT_BUDGET_OPS
 from fermatq.primroots import (
     IndicatorReport,
+    NonresRow,
     ScanRow,
     convolution_length,
     double_char_sum,
@@ -114,11 +115,11 @@ def test_smallest_dth_nonresidue_bruteforce_agreement():
 def test_nonres_row_verifies_by_the_order_test():
     # q_13(2) = 3 is a square mod 13 (4^2 = 3), so n = 2 is no quadratic nonresidue hit
     assert fermat_quotient(13, 2) == 3
-    assert nonres_row(13, 2, 2)["verified"] is False
+    assert nonres_row(13, 2, 2).verified is False
     n = smallest_dth_nonresidue_quotient(13, 2, 169)
-    assert nonres_row(13, 2, n) == {"p": 13, "d": 2, "n_min": n, "exponent": math.log(n) / math.log(13), "verified": True}
-    assert nonres_row(13, 2, 13)["verified"] is False  # undefined quotient
-    assert nonres_row(13, 3, None) == {"p": 13, "d": 3, "n_min": None, "exponent": None, "verified": False}
+    assert nonres_row(13, 2, n) == NonresRow(p=13, d=2, n_min=n, exponent=math.log(n) / math.log(13), verified=True)
+    assert nonres_row(13, 2, 13).verified is False  # undefined quotient
+    assert nonres_row(13, 3, None) == NonresRow(p=13, d=3, n_min=None, exponent=None, verified=False)
 
 
 def test_nonresidue_search_monotone_in_divisibility():
