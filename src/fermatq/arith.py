@@ -13,8 +13,7 @@ numpy loads through the package's handle `fermatq.np`, at the first array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import np
 
@@ -58,22 +57,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OddPrime:
-    """A validated odd prime with its square cached alongside."""
-
+class _OddPrime(NamedTuple):
     p: int
-    p2: int = field(init=False)
+    p2: int
 
-    def __post_init__(self):
-        p = self.p
+
+class OddPrime(_OddPrime):
+    """A validated odd prime with its square cached alongside.  It is
+    built from p alone, by the constructor, `_make` and `_replace`, and
+    each checks p."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int) -> OddPrime:
         if not isinstance(p, int):
             raise ValueError(f"prime must be an integer, got {type(p).__name__}")
         if p < 3 or p >= 1 << 31:
             raise ValueError(f"prime out of range [3, 2^31): {p}")
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"not an odd prime: {p}")
-        object.__setattr__(self, "p2", p * p)
+        return tuple.__new__(cls, (p, p * p))
+
+    @classmethod
+    def _make(cls, fields) -> OddPrime:
+        p, _ = fields
+        return cls(p)
+
+    def __getnewargs__(self) -> tuple[int]:
+        return (self.p,)
 
 
 def odd_prime(p: int | OddPrime) -> OddPrime:
@@ -86,6 +97,12 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     spf = smallest_prime_factors(limit)
     return (np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2).tolist()
+
+
+def prime_count_bound(x: int) -> int:
+    """An upper bound on the number of primes up to x: 1.25506 x / ln x
+    for x > 1 (Rosser and Schoenfeld, 1962)."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
@@ -102,8 +119,7 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization as ascending (prime, multiplicity) pairs."""
 
     n: int

@@ -20,7 +20,6 @@ import io
 import math
 import sys
 import time
-from fractions import Fraction
 from typing import Callable
 
 from . import np
@@ -72,6 +71,8 @@ def parse_n_rule(text: str) -> Callable[[int], Callable[[int], int]]:
         mapping = _load_n_table(text[1:])
         return lambda p_scale: sieve.table_rule(mapping)
     if text[0] in "pP" and len(text) > 1 and text[1] == "^":
+        from fractions import Fraction  # imported where it is used: most calls build none
+
         try:
             theta = Fraction(text[2:])
         except (ValueError, ZeroDivisionError):

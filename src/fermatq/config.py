@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import BudgetError
 
@@ -31,10 +31,10 @@ DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 
 # bytes per rho report row, by format: the traced peak of rho --M 1 --b 0
 # --nu 1 --kmax 200000 and rho --M 1000 --b 1 --nu 2 --kmax 100000 over the
-# row count, 215 to 241 for csv and 259 to 329 for json, rounded up to a
+# row count, 215 to 240 for csv and 224 to 257 for json, rounded up to a
 # multiple of 32; the row tuple (about 208), and a share of rho's working
-# set and of the chunk being rendered (1.4 MB of csv, 10 MB of json)
-RHO_ROW_BYTES = {"csv": 256, "json": 352}
+# set and of the 4,096-row chunk being rendered, as text in both formats
+RHO_ROW_BYTES = {"csv": 256, "json": 288}
 
 
 def rho_row_entries(rows: int, format: str) -> int:
@@ -43,8 +43,7 @@ def rho_row_entries(rows: int, format: str) -> int:
     return -(-rows * RHO_ROW_BYTES[format] // _TABLE_BYTES_PER_ENTRY)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfig(NamedTuple):
     threads: int = DEFAULT_THREADS
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP
     budget_ops: int = DEFAULT_BUDGET_OPS
@@ -53,7 +52,15 @@ class RunConfig:
     seed: int = 0
     timings: bool = False
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfig):
+    """The settings of one run, checked when it is built: by the
+    constructor, `_make` or `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.memory_cap_bytes < 1 or self.budget_ops < 1:
@@ -62,6 +69,11 @@ class RunConfig:
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> RunConfig:
+        return cls(*fields)
 
     @property
     def max_table_entries(self) -> int:

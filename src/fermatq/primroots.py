@@ -12,10 +12,11 @@ same walk for every prime at once, one numpy lane per prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import np
+# charsums is read through the module: when cli has registered it lazily,
+# the searches, which never read it, leave it unexecuted
+from . import charsums, np
 from .arith import (
     OddPrime,
     arithmetic_functions,
@@ -26,18 +27,17 @@ from .arith import (
     odd_prime,
     pow_mod_lanes,
     pow_mod_p2_lanes,
+    prime_count_bound,
     prime_factor_lanes,
     primitive_root_test,
     smallest_prime_factors,
 )
-from .charsums import CharacterModP
 from .quotients import UNDEFINED, QuotientTable, fermat_quotient, quotient_table
 
 _INDICATOR_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class IndicatorReport:
+class IndicatorReport(NamedTuple):
     p: int
     a: int
     indicator: int
@@ -55,7 +55,7 @@ def primroot_indicator(p: int | OddPrime, a: int) -> IndicatorReport:
         if mu_d == 0:
             continue
         block = 0j
-        for eta in CharacterModP.all_of_order(prime, d):
+        for eta in charsums.CharacterModP.all_of_order(prime, d):
             block += eta(a)
             terms += 1
         total += (mu_d / phi_d) * block
@@ -130,7 +130,7 @@ def convolution_length(p: int | OddPrime) -> int:
     return 1 << (2 * odd_prime(p).p - 2).bit_length()
 
 
-def double_char_sum(p: int | OddPrime, eta: CharacterModP, a_set, b_set) -> complex:
+def double_char_sum(p: int | OddPrime, eta: charsums.CharacterModP, a_set, b_set) -> complex:
     """sum over (a, b) in A x B of eta(a + b); eta vanishes at 0 mod p.
     That is sum over s of eta(s) c(s), c = 1_A * 1_B the cyclic convolution
     mod p, taken by one real FFT of length convolution_length(p)."""
@@ -164,8 +164,7 @@ def first_occurrence_set(table: QuotientTable, cap: int) -> list[int]:
     return np.sort(ns[first]).tolist()
 
 
-@dataclass(frozen=True)
-class SumsetReport:
+class SumsetReport(NamedTuple):
     p: int
     eta_order: int
     card_u: int
@@ -178,7 +177,7 @@ class SumsetReport:
         return self.abs_sum / self.envelope
 
 
-def quotient_sumset_experiment(p: int | OddPrime, u_cap: int, v_cap: int, eta: CharacterModP) -> SumsetReport:
+def quotient_sumset_experiment(p: int | OddPrime, u_cap: int, v_cap: int, eta: charsums.CharacterModP) -> SumsetReport:
     """Double character sum over quotient values realized below the caps,
     both value sets read off the prefixes of one table of max(u_cap, v_cap)
     entries."""
@@ -336,14 +335,14 @@ def check_scan_range(p_min: int, p_max: int) -> None:
 def scan_steps(p_min: int, p_max: int) -> int:
     """Lane steps charged for theorem4_exponent_scan(p_min, p_max), 0 for
     an empty range.  Its lanes are at most the odd numbers of the range and
-    at most 1.25506 x / ln x, a bound on the primes up to x (Rosser and
-    Schoenfeld, 1962).  Each lane, and each of the _ROUND_CELLS cells a
-    round keeps busy, is charged 32 lane steps (one ladder bit, one trial
-    divisor) per bit of p_max; scans from 3 to 10^4..10^7 count 22 to 24."""
+    at most prime_count_bound(p_max).  Each lane, and each of the
+    _ROUND_CELLS cells a round keeps busy, is charged 32 lane steps (one
+    ladder bit, one trial divisor) per bit of p_max; scans from 3 to
+    10^4..10^7 count 22 to 24."""
     lo = max(3, p_min)
     if p_max < lo:
         return 0
-    lanes = min((p_max - lo) // 2 + 1, int(1.25506 * p_max / math.log(p_max)) + 1)
+    lanes = min((p_max - lo) // 2 + 1, prime_count_bound(p_max))
     return 32 * p_max.bit_length() * (lanes + _ROUND_CELLS)
 
 

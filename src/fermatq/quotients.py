@@ -18,14 +18,14 @@ conflated with the value 0.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import np
 from .arith import OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
 from .report import write_atomic
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Sentinel for entries with p | n.  Distinct from every quotient value
 # (0 <= q < p <= 2^31 - 1) in both the int64 table and the u32 dump.
@@ -50,8 +50,7 @@ def fermat_quotient(p: int | OddPrime, u: int) -> int | None:
     return (x - 1) // prime.p % prime.p
 
 
-@dataclass(frozen=True)
-class QuotientTable:
+class QuotientTable(NamedTuple):
     """Quotients for 1..n at a fixed prime; values[0] is unused."""
 
     p: OddPrime
@@ -129,19 +128,28 @@ def image_size(table: QuotientTable) -> int:
     return value_histogram(table).image
 
 
-@dataclass(frozen=True)
-class ResidueHistogram:
-    """Dense counts over residues 0..p-1 with their total."""
-
+class _ResidueHistogram(NamedTuple):
     p: OddPrime
     counts: np.ndarray  # int64, length p
     total: int
 
-    def __post_init__(self):
-        if len(self.counts) != self.p.p:
+
+class ResidueHistogram(_ResidueHistogram):
+    """Dense counts over residues 0..p-1 with their total, checked when
+    built: by the constructor, `_make` or `_replace`."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: OddPrime, counts: np.ndarray, total: int) -> ResidueHistogram:
+        if len(counts) != p.p:
             raise ValueError("histogram length must equal the modulus")
-        if int(self.counts.sum()) != self.total:
+        if int(counts.sum()) != total:
             raise ValueError("histogram total does not match its counts")
+        return tuple.__new__(cls, (p, counts, total))
+
+    @classmethod
+    def _make(cls, fields) -> ResidueHistogram:
+        return cls(*fields)
 
     @property
     def image(self) -> int:
@@ -184,6 +192,8 @@ def collision_count(table: QuotientTable) -> int:
 
 def cauchy_lower_bound(hist: ResidueHistogram) -> Fraction:
     """Exact lower bound total**2 / sum(counts**2) for the image size."""
+    from fractions import Fraction  # imported where it is used: most calls build none
+
     if hist.total == 0:
         raise ValueError("empty histogram has no image bound")
     denom = int((hist.counts.astype(object) ** 2).sum())
@@ -192,6 +202,8 @@ def cauchy_lower_bound(hist: ResidueHistogram) -> Fraction:
 
 def _dump_parts(table: QuotientTable) -> tuple[bytes, np.ndarray]:
     """The 20-byte header and the little-endian u32 body of a dump."""
+    import struct
+
     header = struct.pack("<4sQQ", _DUMP_MAGIC, table.p.p, table.n)
     return header, table.values[1:].astype("<u4")  # UNDEFINED (-1) wraps to 0xFFFFFFFF
 
@@ -203,6 +215,8 @@ def dump_table(table: QuotientTable) -> bytes:
 
 def load_table(blob: bytes) -> QuotientTable:
     """Inverse of dump_table; validates magic, length, and entry ranges."""
+    import struct
+
     if len(blob) < 20 or blob[:4] != _DUMP_MAGIC:
         raise ValueError("bad table header")
     _, p, n = struct.unpack_from("<4sQQ", blob)

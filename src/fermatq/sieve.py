@@ -15,29 +15,39 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import np
-from .arith import OddPrime, primes_up_to
+from .arith import OddPrime, prime_count_bound, primes_up_to
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_TABLE_CAP
 from .quotients import QuotientTable, quotient_rows, value_histogram
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Coefficients alpha_1..alpha_K; index j of the array holds alpha_{j+1}."""
 
+class _TrigPolynomial(NamedTuple):
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+
+class TrigPolynomial(_TrigPolynomial):
+    """Coefficients alpha_1..alpha_K; index j of the array holds alpha_{j+1}.
+    Built, by the constructor, `_make` or `_replace`, as a read-only
+    complex vector, checked to be one-dimensional and nonempty."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs) -> TrigPolynomial:
+        arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("coefficient vector must be one-dimensional and nonempty")
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        return tuple.__new__(cls, (arr,))
+
+    @classmethod
+    def _make(cls, fields) -> TrigPolynomial:
+        return cls(*fields)
 
     @property
     def k_max(self) -> int:
@@ -50,6 +60,8 @@ class TrigPolynomial:
 
 def trig_poly_eval(poly: TrigPolynomial, u: Fraction | float) -> complex:
     """T(u) = sum_k alpha_k e(ku); Fractions evaluate via reduced integers."""
+    from fractions import Fraction
+
     ks = np.arange(1, poly.k_max + 1, dtype=np.int64)
     if isinstance(u, Fraction):
         phases = unit_roots(u.denominator, int(u.numerator) * ks)
@@ -105,14 +117,15 @@ def parseval_check(poly: TrigPolynomial, m: int) -> float:
     """| sum_a |T(a/m)|^2 - m * sum_j |c_j|^2 | over the full residue grid."""
     if m < 1:
         raise ValueError(f"grid length must be >= 1, got {m}")
+    from fractions import Fraction
+
     lhs = sum(abs(trig_poly_eval(poly, Fraction(a, m))) ** 2 for a in range(m))
     c = fold_coefficients(poly, m)
     rhs = m * float(np.sum(np.abs(c) ** 2))
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(NamedTuple):
     r_max: int
     k_max: int
     energy: float
@@ -289,6 +302,8 @@ def power_rule(theta: Fraction | float, p_scale: int) -> NSelector:
     The ceiling is taken in exact integer arithmetic; a float pow here
     would misround perfect powers (27**(1/3) lands above 3).
     """
+    from fractions import Fraction
+
     frac = Fraction(theta)
     if frac < 0:
         raise ValueError(f"exponent must be nonnegative, got {frac}")
@@ -310,8 +325,7 @@ def table_rule(mapping: dict[int, int]) -> NSelector:
     return pick
 
 
-@dataclass(frozen=True)
-class Theorem1Result:
+class Theorem1Result(NamedTuple):
     p_scale: int
     nu: int
     n_ref: int
@@ -324,9 +338,17 @@ class Theorem1Result:
     per_prime: tuple[tuple[int, int, float], ...]  # (p, N_p, max |S|)
 
 
-# Most entries, rows x (largest N_p + 1), in the table one window task
-# builds, and no more than the table cap; a task has one row at least
+# Most entries in the table one window task builds, and no more than the
+# table cap; a task has one row at least
 _BLOCK_ENTRIES = 1 << 16
+
+# Entries that one (p, l) lane of quotient_rows counts for in a block.  Its
+# ladder peaks at 95 to 125 traced bytes a lane, and its table phase at 8
+# bytes an entry plus 40 a lane; at 6 entries of 24 bytes a lane, a block of
+# rows x max(N + 1, 6 pi(N)) entries stays within the 24 bytes an entry that
+# --memcap charges.  Blocks cut for 8,192 entries by N + 1 alone peaked at
+# 28, 47 and 45 bytes an entry at N = 64, 8 and 4.
+_LANE_ENTRIES = 6
 
 
 def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
@@ -364,6 +386,19 @@ def window_pairs(p_scale: int, nu: int, selector: NSelector) -> tuple[list, int]
     return n_by_p, n_ref
 
 
+def _window_blocks(n_by_p: list, workers: int, max_entries: int) -> list:
+    """The pairs of window_pairs in blocks, one quotient_rows table each, of
+    at most min(_BLOCK_ENTRIES, max_entries) entries: a row counts its N + 1
+    entries or _LANE_ENTRIES per ladder lane, whichever is more, and a block
+    has one row at least.  Several workers get four blocks each at least."""
+    n_max = max(n_p for _, n_p in n_by_p)
+    row = max(n_max + 1, _LANE_ENTRIES * prime_count_bound(n_max))  # pi(N) lanes a row, bounded above
+    rows = max(1, min(_BLOCK_ENTRIES, max_entries) // row)
+    if workers > 1:
+        rows = min(rows, -(-len(n_by_p) // (4 * workers)))
+    return [n_by_p[i : i + rows] for i in range(0, len(n_by_p), rows)]
+
+
 def window_cost(n_by_p: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """(table entries, steps) charged for theorem1_average over the pairs of
     window_pairs: the largest N_p as one table, before any block is built,
@@ -385,11 +420,7 @@ def theorem1_average(
     start = time.monotonic()
     n_by_p, n_ref = window_pairs(p_scale, nu, selector)
     workers = min(threads, os.cpu_count() or 1, len(n_by_p))
-    n_max = max(n_p for _, n_p in n_by_p)
-    rows = max(1, min(_BLOCK_ENTRIES, max_entries) // (n_max + 1))
-    if workers > 1:
-        rows = min(rows, -(-len(n_by_p) // (4 * workers)))  # at least four blocks a worker
-    blocks = [n_by_p[i : i + rows] for i in range(0, len(n_by_p), rows)]
+    blocks = _window_blocks(n_by_p, workers, max_entries)
     if workers > 1:
         # imported here: the pool module pulls in multiprocessing, which
         # every other subcommand would pay for at start-up

@@ -14,7 +14,7 @@ containment check exercises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import np
 from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
@@ -25,19 +25,22 @@ from .quotients import collision_count, quotient_table
 _LANE_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
-class SubgroupModM:
-    """A multiplicative subgroup of the units mod m, elements sorted."""
-
+class _SubgroupModM(NamedTuple):
     m: int
     elements: tuple[int, ...]
 
-    def __post_init__(self):
-        m = self.m
+
+class SubgroupModM(_SubgroupModM):
+    """A multiplicative subgroup of the units mod m, elements sorted.  The
+    constructor, `_make` and `_replace` check that the elements are units
+    closed under products and inverses."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, elements) -> SubgroupModM:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        elems = tuple(sorted(set(e % m for e in self.elements)))
-        object.__setattr__(self, "elements", elems)
+        elems = tuple(sorted(set(e % m for e in elements)))
         members = frozenset(elems)
         if 1 not in members:
             raise ValueError("subgroup must contain 1")
@@ -50,6 +53,11 @@ class SubgroupModM:
             for b in elems:
                 if a * b % m not in members:
                     raise ValueError(f"product {a}*{b} escapes the subgroup")
+        return tuple.__new__(cls, (m, elems))
+
+    @classmethod
+    def _make(cls, fields) -> SubgroupModM:
+        return cls(*fields)
 
     @property
     def t(self) -> int:
@@ -60,11 +68,7 @@ class SubgroupModM:
         """A subgroup closed by construction: distinct units mod m, 1
         among them.  Skips the checks, whose pairwise closure test costs
         t**2 products."""
-        group = object.__new__(cls)
-        elems = tuple(sorted(elements))
-        object.__setattr__(group, "m", m)
-        object.__setattr__(group, "elements", elems)
-        return group
+        return tuple.__new__(cls, (m, tuple(sorted(elements))))
 
     @classmethod
     def generated(cls, m: int, g: int) -> "SubgroupModM":
@@ -205,8 +209,7 @@ def lemma7_rhs(m: int, t: int, z: int, nu: int) -> float:
     return first + second
 
 
-@dataclass(frozen=True)
-class ContainmentCheck:
+class ContainmentCheck(NamedTuple):
     p: int
     n: int
     collisions: int

@@ -257,20 +257,6 @@ def test_doublesum_builds_only_the_character_it_uses(capsys):
     assert run(capsys, "doublesum", "--p", "10009", "--order", "7", "--ucap", "100", "--vcap", "100")[0] == 2
 
 
-def test_import_cli_skips_process_pool():
-    # only avg with several workers needs the pool; importing it costs
-    # every other call its start-up time
-    src = os.path.dirname(os.path.dirname(fermatq.__file__))
-    code = (
-        "import sys, fermatq.cli; "
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
-
-
 def test_modules_import_only_what_they_use():
     # the package root re-exports nothing, so a module loads only its own imports
     src = os.path.dirname(os.path.dirname(fermatq.__file__))
@@ -285,15 +271,16 @@ def test_modules_import_only_what_they_use():
     assert done.stdout.strip() == "False ['fermatq', 'fermatq.arith']"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        (),
-        ("quotient", "--p", "1000003", "--u", "5"),
-        ("primroot", "--p", "1000003"),
-        ("nonres", "--p", "1000003", "--d", "2"),
-    ],
-)
+# importing fermatq.cli, and the calls that do integer work only
+_INTEGER_CALLS = [
+    (),
+    ("quotient", "--p", "1000003", "--u", "5"),
+    ("primroot", "--p", "1000003"),
+    ("nonres", "--p", "1000003", "--d", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", _INTEGER_CALLS)
 def test_integer_subcommands_never_load_numpy(argv):
     # numpy is imported only where arrays are built; these calls build none
     src = os.path.dirname(os.path.dirname(fermatq.__file__))
@@ -305,6 +292,33 @@ def test_integer_subcommands_never_load_numpy(argv):
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.stderr.strip().splitlines()[-1] == "0 False", done.stderr
+
+
+# stdlib modules that only some calls use: dataclasses pulls in inspect,
+# fractions pulls in decimal, and the process pool multiprocessing
+_UNUSED_AT_START_UP = (
+    "concurrent.futures.process",
+    "dataclasses",
+    "decimal",
+    "fractions",
+    "inspect",
+    "json",
+    "multiprocessing",
+)
+
+
+@pytest.mark.parametrize("argv", _INTEGER_CALLS)
+def test_integer_subcommands_load_no_unused_stdlib(argv):
+    # none of them loads; a module the interpreter loaded before is not counted
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    code = (
+        "import sys; before = set(sys.modules); import fermatq.cli; "
+        f"rc = fermatq.cli.main({list(argv)!r}) if {bool(argv)} else 0; "
+        f"print(rc, sorted(set({_UNUSED_AT_START_UP!r}) & set(sys.modules) - before), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stderr.strip().splitlines()[-1] == "0 []", done.stderr
 
 
 _CORE = ("arith", "cli", "config", "quotients", "report")
@@ -322,10 +336,10 @@ _CORE = ("arith", "cli", "config", "quotients", "report")
         (("sieve", "--R", "2", "--K", "4"), ("charsums", "sieve")),
         (("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3"), ("charsums", "sieve")),
         (("ratios", "--p", "7", "--Z", "3"), ("subgroups",)),
-        (("primroot", "--p", "7"), ("charsums", "primroots")),
-        (("nonres", "--p", "7", "--d", "2"), ("charsums", "primroots")),
+        (("primroot", "--p", "7"), ("primroots",)),
+        (("nonres", "--p", "7", "--d", "2"), ("primroots",)),
         (("doublesum", "--p", "13", "--order", "2", "--ucap", "5", "--vcap", "5"), ("charsums", "primroots")),
-        (("scan", "--pmin", "3", "--pmax", "30"), ("charsums", "primroots")),
+        (("scan", "--pmin", "3", "--pmax", "30"), ("primroots",)),
         (("selftest", "--seed", "1"), ("charsums", "primroots", "selftest", "sieve", "subgroups")),
     ],
 )
@@ -391,6 +405,20 @@ def test_unwritable_output_path_exits_2_without_temp_file(capsys, tmp_path):
         assert err.startswith("error:")
     assert not missing.exists()
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".report-")]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_out_and_dump_files_get_the_mode_of_a_plain_open(capsys, tmp_path, umask):
+    # the temp file behind each rename is made 0o600; the file it becomes
+    # gets 0o666 less the umask, as open() would give it
+    out, dump = tmp_path / "o.csv", tmp_path / "d.fqt"
+    old = os.umask(umask)
+    try:
+        assert run(capsys, "quotient", "--p", "5", "--u", "2", "--out", str(out))[0] == 0
+        assert run(capsys, "table", "--p", "7", "--n", "10", "--dump", str(dump))[0] == 0
+    finally:
+        os.umask(old)
+    assert [path.stat().st_mode & 0o777 for path in (out, dump)] == [0o666 & ~umask] * 2
 
 
 def test_memcap_env_respected_and_flag_wins(capsys, monkeypatch):

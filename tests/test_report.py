@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fermatq import __version__
 from fermatq.config import RunConfig
-from fermatq.report import CHUNK_ROWS, _json_value, emit, format_cell, render
+from fermatq.report import CHUNK_ROWS, emit, format_cell, render
 
 COLUMNS = ("k", "re", "note", "flag", "blank")
 
@@ -24,6 +24,16 @@ CELLS = st.one_of(
     st.booleans(),
     st.text(),
 )
+
+
+def _json_value(value):
+    """A cell as a json report holds it: bools as 0 and 1, floats at 12
+    significant digits."""
+    if isinstance(value, bool):
+        return 1 if value else 0
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    return value
 
 
 def _one_csv(columns, rows) -> str:

@@ -2,7 +2,7 @@ import cmath
 import inspect
 import math
 import os
-from dataclasses import replace
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatq import arith, sieve
-from fermatq.arith import primes_up_to
+from fermatq.arith import OddPrime, primes_up_to
 from fermatq.cli import main
 from fermatq.config import RunConfig
-from fermatq.quotients import period_histogram, quotient_table
+from fermatq.quotients import period_histogram, quotient_rows, quotient_table
 from fermatq.sieve import (
     Theorem1Result,
     TrigPolynomial,
@@ -230,11 +230,11 @@ def test_window_histograms_match_period_histograms(monkeypatch):
 def test_window_result_does_not_depend_on_block_size(monkeypatch):
     for p_scale, low in UNEVEN_WINDOWS:
         rule = uneven_rule(p_scale, low)
-        want = replace(theorem1_average(p_scale, 2, rule), wall_seconds=0.0)
+        want = theorem1_average(p_scale, 2, rule)._replace(wall_seconds=0.0)
         n_max = max(n for _, n, _ in want.per_prime)
         for rows in (1, 3):
             monkeypatch.setattr(sieve, "_BLOCK_ENTRIES", rows * (n_max + 1))
-            assert replace(theorem1_average(p_scale, 2, rule), wall_seconds=0.0) == want, (p_scale, rows)
+            assert theorem1_average(p_scale, 2, rule)._replace(wall_seconds=0.0) == want, (p_scale, rows)
 
 
 def test_window_sieves_once_per_block(monkeypatch):
@@ -246,8 +246,28 @@ def test_window_sieves_once_per_block(monkeypatch):
     monkeypatch.setattr(sieve, "quotient_rows", lambda primes, last: blocks.append(len(primes)) or rows(primes, last))
     res = theorem1_average(1024, 1, power_rule(1, 1024))
     assert res.prime_count == sum(blocks) == 137
-    assert len(blocks) == 3  # 63 rows of 1,025 entries fit 2^16
+    assert len(blocks) == 3  # 58 rows of 6 x 186 lane entries (186 bounds pi(1024) = 172) fit 2^16
     assert len(sieves) <= 1 + len(blocks)
+
+
+@pytest.mark.parametrize("p_scale, n", [(4096, 64), (16384, 8), (16384, 4)])
+def test_window_block_peaks_within_its_cap(p_scale, n):
+    # a block cut for a cap of E entries peaks within the 24 bytes an entry
+    # that --memcap charges, also where the ladder lanes of small N outweigh
+    # the table (they peaked at 28, 47 and 45 bytes an entry of the cap
+    # when blocks counted entries alone)
+    cap = 8192
+    pairs, _ = window_pairs(p_scale, 1, constant_rule(n))
+    for block in sieve._window_blocks(pairs, 1, cap):
+        primes = [OddPrime(p) for p, _ in block]
+        quotient_rows(primes, n)  # numpy's first calls allocate outside the trace
+        tracemalloc.start()
+        try:
+            quotient_rows(primes, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * cap, (len(block), peak)
 
 
 def test_theorem1_average_small_oracle():
