@@ -144,71 +144,25 @@ def _wheel_divisors(limit: int):
         i = (i + 1) % 8
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n, Brent's cycle variant.
-
-    The increment c walks 1, 2, 3, ... so the factor found is a
-    deterministic function of n.
-    """
-    if n % 2 == 0:
-        return 2
-    for c in range(1, n):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable for composite n
-
-
-_RHO_CUTOFF = 10**7
-
-
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1. Trial division below 1e7, Pollard rho above."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    pairs: dict[int, int] = {}
+    """Factor 1 <= n < 10**14 by trial division over the wheel up to
+    sqrt(n) < 10**7; for p - 1 at any p < 2**31, up to 46,340."""
+    if not 1 <= n < 10**14:
+        raise ValueError(f"factorize requires 1 <= n < 10^14, got {n}")
+    pairs = []
     m = n
-    # trial division over the wheel; switch to rho when the remaining
-    # cofactor is large and prime-free below the cutoff
-    for d in _wheel_divisors(_RHO_CUTOFF - 1):
+    for d in _wheel_divisors(math.isqrt(n)):
         if d * d > m:
-            # no prime factor below d is left, so m is 1 or a prime
-            if m > 1:
-                pairs[m] = pairs.get(m, 0) + 1
-            return Factorization(n, tuple(sorted(pairs.items())))
+            break
+        e = 0
         while m % d == 0:
-            pairs[d] = pairs.get(d, 0) + 1
             m //= d
-    stack = [m]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            pairs[m] = pairs.get(m, 0) + 1
-            continue
-        g = _pollard_rho(m)
-        stack.append(g)
-        stack.append(m // g)
-    return Factorization(n, tuple(sorted(pairs.items())))
+            e += 1
+        if e:
+            pairs.append((d, e))
+    if m > 1:  # no prime factor up to its square root is left, so m is prime
+        pairs.append((m, 1))
+    return Factorization(n, tuple(pairs))
 
 
 def arithmetic_functions(n: int) -> tuple[int, int, int]:

@@ -13,9 +13,8 @@ import functools
 import math
 
 from . import np
-from .arith import BudgetError, OddPrime, least_primitive_root, odd_prime
-from .config import DEFAULT_TABLE_CAP
-from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, period_histogram, quotient_table
+from .arith import OddPrime, least_primitive_root, odd_prime
+from .quotients import UNDEFINED, QuotientTable, ResidueHistogram, quotient_table
 
 # pocketfft takes a prime length n by Bluestein at length n2 = good_size(2n - 1),
 # at most 2.08n for n > 64.  A transform then holds about 64n + 56 n2 <= 181n
@@ -220,18 +219,12 @@ def spectrum_from_histogram(hist: ResidueHistogram) -> np.ndarray:
     return np.abs(np.fft.fft(hist.counts.astype(np.float64)))
 
 
-def max_exp_sum(p: int | OddPrime, n: int, *, hist: ResidueHistogram | None = None) -> tuple[int, float]:
-    """(a, |S_p(a; n)|) maximizing over a = 1..p-1.  The counts are real,
-    so |S(a)| = |S(p - a)| and every maximum is tied with its mirror; FFT
-    rounding, not the least a, decides which one is returned (maxsum
-    --p 311 --n 1555 returns 247, where 64 is the least).  Without hist,
-    n is capped at DEFAULT_TABLE_CAP as a table of n entries would be: the
-    float spectrum of the folded counts loses digits as n / p**2 grows."""
-    prime = odd_prime(p)
-    if hist is None:
-        if n > DEFAULT_TABLE_CAP:
-            raise BudgetError(f"table of {n} entries exceeds cap {DEFAULT_TABLE_CAP}")
-        hist = period_histogram(prime, n)
+def max_exp_sum(hist: ResidueHistogram) -> tuple[int, float]:
+    """(a, |S_p(a; n)|) maximizing over a = 1..p-1, from the histogram of
+    q_p over 1..n.  The counts are real, so |S(a)| = |S(p - a)| and every
+    maximum is tied with its mirror; FFT rounding, not the least a,
+    decides which one is returned (maxsum --p 311 --n 1555 returns 247,
+    where 64 is the least)."""
     mags = spectrum_from_histogram(hist)
     a_star = 1 + int(np.argmax(mags[1:]))
     return a_star, float(mags[a_star])

@@ -123,8 +123,7 @@ def _histogram_table(p, n: int, config: RunConfig, whole: bool):
     builder's peak of about 17 bytes per entry (maxsum --p 211 --n 800000:
     0.8 MiB, where a table of all n took 13 MiB)."""
     prime = odd_prime(p)
-    if n < 1:  # bad input exits 2 whatever the caps
-        raise ValueError(f"n must be >= 1, got {n}")
+    quotients.check_histogram_length(n)  # bad input exits 2 whatever the caps
     config.charge("histogram", entries=prime.p)
     config.charge("table", entries=n if whole else n % prime.p2)
     return prime, quotients.period_histogram(prime, n)
@@ -167,7 +166,7 @@ def cmd_maxsum(args, config: RunConfig):
     # charged n entries, as a whole table was: the float spectrum of the
     # folded counts loses digits as n / p^2 grows
     prime, hist = _histogram_table(args.p, args.n, config, whole=True)
-    a_star, _ = charsums.max_exp_sum(prime, args.n, hist=hist)
+    a_star, _ = charsums.max_exp_sum(hist)
     return _sum_row(prime, a_star, args.n, charsums.exp_sum_from_histogram(hist, a_star))
 
 

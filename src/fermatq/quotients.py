@@ -6,10 +6,9 @@ additive, q_p(uv) = q_p(u) + q_p(v) mod p, which lets a batch table
 over 1..N get away with one modular power per prime below min(N, p**2);
 every other entry is a sum of those, and indices past p**2 repeat.
 Those powers are taken together, by the numpy square-and-multiply
-ladder mod p**2 of arith, once a table has enough primes to pay for it
-(computing quotients in bulk: Ernvall and Metsankyla, Math. Comp. 66,
-1997).  Tables of several primes over one range share that sieve and
-ladder as the rows of one block.
+ladder mod p**2 of arith (computing quotients in bulk: Ernvall and
+Metsankyla, Math. Comp. 66, 1997).  Tables of several primes over one
+range share that sieve and ladder as the rows of one block.
 
 Undefined entries (p | n) carry an explicit sentinel and are never
 conflated with the value 0.
@@ -32,13 +31,6 @@ if TYPE_CHECKING:
 UNDEFINED = -1
 _DUMP_SENTINEL = 0xFFFFFFFF
 _DUMP_MAGIC = b"FQT1"
-
-# Fewest (p, l) lanes for which quotient_rows takes its powers by the
-# numpy ladder rather than one Python pow each.  The ladder's cost is
-# about 2 log2(p) vector products whatever the lane count; break-even is
-# near 190 lanes at p ~ 10^3..10^4 and near 64 at p ~ 2^31, and from 256
-# lanes on the ladder is the faster at every p measured.
-_LADDER_MIN_PRIMES = 256
 
 
 def fermat_quotient(p: int | OddPrime, u: int) -> int | None:
@@ -81,11 +73,7 @@ def quotient_rows(primes: Sequence[int | OddPrime], last: int) -> np.ndarray:
     ps = np.array([prime.p for prime in primes], dtype=np.int64)[:, None]
     ells = np.array(primes_up_to(last), dtype=np.int64)  # its sieve is freed before the table is allocated
     lanes = np.broadcast_to(ells, (len(primes), len(ells)))  # one (p, l) pair per lane
-    if lanes.size >= _LADDER_MIN_PRIMES:
-        pows = pow_mod_p2_lanes(lanes, ps - 1, ps)
-    else:
-        pows = np.array([[pow(ell, p.p - 1, p.p2) for ell in ells.tolist()] for p in primes], dtype=np.int64)
-    quots = (pows - 1) // ps
+    quots = (pow_mod_p2_lanes(lanes, ps - 1, ps) - 1) // ps
     # the lane (p, p) adds only at multiples of p, which become UNDEFINED below
     values = np.zeros((len(primes), last + 1), dtype=np.int64)
     # at most 62 terms below p < 2^31 land on one entry: no overflow
@@ -165,6 +153,14 @@ def value_histogram(table: QuotientTable) -> ResidueHistogram:
     return ResidueHistogram(table.p, counts, len(defined))
 
 
+def check_histogram_length(n: int) -> None:
+    """period_histogram needs 1 <= n < 2**63, where its int64 counts end."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n >= 1 << 63:
+        raise ValueError(f"histogram over {n} entries overflows its int64 counts")
+
+
 def period_histogram(p: int | OddPrime, n: int) -> ResidueHistogram:
     """value_histogram(quotient_table(p, n)) from one period: q_p maps
     (Z/p**2)* onto Z/p, so each run of p**2 consecutive integers takes
@@ -172,10 +168,7 @@ def period_histogram(p: int | OddPrime, n: int) -> ResidueHistogram:
     table (all of n when n < p**2).  Exact for every n below 2**63, where
     the int64 counts end."""
     prime = odd_prime(p)
-    if n < 1:
-        raise ValueError(f"table length must be >= 1, got {n}")
-    if n >= 1 << 63:
-        raise ValueError(f"histogram over {n} entries overflows its int64 counts")
+    check_histogram_length(n)
     periods, tail = divmod(n, prime.p2)
     counts = np.full(prime.p, periods * (prime.p - 1), dtype=np.int64)
     if tail:

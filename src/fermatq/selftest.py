@@ -45,6 +45,7 @@ from .quotients import (
     fermat_quotient,
     image_size,
     load_table,
+    period_histogram,
     quotient_table,
     value_histogram,
 )
@@ -153,7 +154,7 @@ def _suite_char_sums(rng: np.random.Generator, fault: str | None):
             if abs(exp_sum_from_histogram(h, b) - exp_sum_direct(prime, b, p * p, table=table)) > 1e-6:
                 failures.append(f"char-sums exp_sum_from_histogram p={p} b={b}")
             checks += 1
-        a_star, m_val = max_exp_sum(prime, 3 * p)
+        a_star, m_val = max_exp_sum(period_histogram(prime, 3 * p))
         if not 1 <= a_star < p or m_val < 0:
             failures.append(f"char-sums max_exp_sum p={p}")
         checks += 1

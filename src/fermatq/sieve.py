@@ -360,7 +360,7 @@ def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
     maxima = []
     for prime, (_, n_p), row in zip(primes, pairs, rows):
         hist = value_histogram(QuotientTable(prime, n_p, row[: n_p + 1]))
-        maxima.append(max_exp_sum(prime, n_p, hist=hist)[1])
+        maxima.append(max_exp_sum(hist)[1])
     return maxima
 
 

@@ -111,8 +111,9 @@ def ratio_steps(m: int, t: int) -> int:
 
 
 def check_ratio_bound(m: int, z: int) -> None:
-    """count_ratios needs 1 <= Z < m/2, so that w*x mod m admits one y."""
-    if not 1 <= z < m / 2:
+    """count_ratios needs 1 <= Z < m/2, so that w*x mod m admits one y;
+    compared as 2 Z < m in integers, exact at every m."""
+    if z < 1 or 2 * z >= m:
         raise ValueError(f"Z must satisfy 1 <= Z < m/2, got Z={z}, m={m}")
 
 
@@ -224,7 +225,7 @@ def collision_vs_ratio_check(p: int | OddPrime, n: int) -> ContainmentCheck:
     """Quotient collisions over 1..n embed into ratio triples of the
     (p-1)-element group mod p**2; requires n < p**2 / 2."""
     prime = odd_prime(p)
-    if not 1 <= n < prime.p2 / 2:
+    if n < 1 or 2 * n >= prime.p2:
         raise ValueError(f"need 1 <= n < p^2/2, got n={n}, p={prime.p}")
     collisions = collision_count(quotient_table(prime, n))
     ratios = count_ratios(prime.p2, pth_power_residues(prime), n)

@@ -213,7 +213,7 @@ def test_criterion_10_dft_matches_per_twist_maximum(capfd):
             for n in (p, 5 * p):
                 table = quotient_table(p, n)
                 hist = value_histogram(table)
-                a_star, m_fft = max_exp_sum(p, n, hist=hist)
+                a_star, m_fft = max_exp_sum(hist)
                 direct = [abs(exp_sum_direct(p, a, n, table=table)) for a in range(1, p)]
                 m_direct = max(direct)
                 assert abs(m_fft - m_direct) < 1e-6, (p, n, m_fft, m_direct)

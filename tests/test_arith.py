@@ -88,9 +88,14 @@ def test_factorize_rejects_zero():
 
 
 def test_factorize_large_semiprime():
-    # forces the rho path: both factors exceed the trial-division cutoff
-    p, q = 10000019, 10000079
+    # the wheel splits a product of two primes just below 10^7, and
+    # refuses n >= 10^14 before any division
+    p, q = 9999973, 9999991
     assert factorize(p * q).pairs == ((p, 1), (q, 1))
+    assert factorize(10**14 - 1).pairs == ((3, 2), (11, 1), (239, 1), (4649, 1), (909091, 1))
+    for n in (10**14, 10000019 * 10000079):
+        with pytest.raises(ValueError):
+            factorize(n)
 
 
 @given(st.integers(min_value=1, max_value=100000))

@@ -17,10 +17,9 @@ from fermatq.config import RHO_ROW_BYTES
 
 SRC = Path(fermatq.__file__).resolve().parent
 
-# the functions that may refuse work themselves: the charge, a walk whose
-# length is known only by walking it, and the precision guard of a float
-# spectrum taken without a histogram
-REFUSERS = {"config.py": {"charge"}, "subgroups.py": {"generated_within"}, "charsums.py": {"max_exp_sum"}}
+# the functions that may refuse work themselves: the charge, and a walk
+# whose length is known only by walking it
+REFUSERS = {"config.py": {"charge"}, "subgroups.py": {"generated_within"}}
 
 # subcommands whose work no flag-sized argument can make large
 COST_FREE = {"quotient", "primroot", "nonres", "selftest"}
@@ -52,11 +51,11 @@ def _raising_functions(path: Path) -> set[str]:
     return found
 
 
-def test_budget_errors_are_raised_only_by_the_charge_and_two_guards():
+def test_budget_errors_are_raised_only_by_the_charge_and_one_guard():
     raised = {path.name: _raising_functions(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: fns for name, fns in raised.items() if fns} == REFUSERS
     text = "\n".join(path.read_text() for path in SRC.glob("*.py"))
-    assert text.count("raise BudgetError") == 4
+    assert text.count("raise BudgetError") == 3
 
 
 def test_no_public_function_takes_a_cap():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermatq
-from fermatq.arith import BudgetError, arithmetic_functions, multiplicative_order, primes_up_to
+from fermatq.arith import arithmetic_functions, multiplicative_order, primes_up_to
 from fermatq.charsums import (
     CharacterModP,
     CharacterModPSquared,
@@ -31,8 +31,7 @@ from fermatq.charsums import (
     unit_root,
     unit_roots,
 )
-from fermatq.config import DEFAULT_TABLE_CAP
-from fermatq.quotients import fermat_quotient, quotient_table, value_histogram
+from fermatq.quotients import fermat_quotient, period_histogram, quotient_table, value_histogram
 
 
 def test_unit_root_reduced_arguments():
@@ -199,15 +198,7 @@ def test_exp_sum_from_histogram_matches_direct():
 
 
 def test_max_exp_sum_single_entry():
-    assert max_exp_sum(5, 1) == (1, 1.0)
-
-
-def test_max_exp_sum_keeps_the_table_cap():
-    # the folded counts need no table of n, but their float spectrum loses
-    # digits as n / p**2 grows, so n stays capped as a table of n was
-    assert max_exp_sum(7, DEFAULT_TABLE_CAP)[1] > 0
-    with pytest.raises(BudgetError):
-        max_exp_sum(7, DEFAULT_TABLE_CAP + 1)
+    assert max_exp_sum(period_histogram(5, 1)) == (1, 1.0)
 
 
 def naive_max(p, n):
@@ -224,7 +215,7 @@ def naive_max(p, n):
 def test_max_exp_sum_matches_naive():
     for p in (5, 7, 13, 31):
         for n in (p, 3 * p, 2 * p + 1):
-            a_fft, m_fft = max_exp_sum(p, n)
+            a_fft, m_fft = max_exp_sum(period_histogram(p, n))
             a_naive, m_naive = naive_max(p, n)
             assert abs(m_fft - m_naive) < 1e-6, (p, n)
             assert 1 <= a_fft <= p - 1
@@ -347,5 +338,5 @@ def test_hb_bound_rhs():
 def test_quotient_sums_beat_envelope_eventually():
     # with n = p and nu = 1 the envelope is p >= |S| trivially; sanity only
     for p in primes_up_to(60)[1:]:
-        _, m = max_exp_sum(p, p)
+        _, m = max_exp_sum(period_histogram(p, p))
         assert m <= hb_bound_rhs(p, p, 1) + 1e-9

@@ -143,6 +143,8 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
         ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
         # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
         ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
+        # 2Z = p^2 - 1 is a valid Z, whose group is charged; the float p^2 / 2 refused it
+        ("ratios", "--p", "2147483647", "--Z", "2305843007066210304"),
     ],
 )
 def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
@@ -175,6 +177,12 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
         ("avg", "--P", "256", "--N-rule", "0"),
         ("ratios", "--p", "1000003", "--Z", "10", "--nu", "0"),
         ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "0", "--vcap", "10"),
+        # 2Z > m by 200 and by 1, which the float m / 2 admitted
+        ("ratios", "--m", "4611686018427388504", "--gen", "4611686018427388503", "--Z", "2305843009213694352"),
+        ("ratios", "--p", "2147483629", "--Z", "2305842968411504821"),
+        # n past the int64 counts, before the histogram's charge and maxsum's charge of n
+        ("image", "--p", "7", "--n", "9223372036854775808"),
+        ("maxsum", "--p", "7", "--n", "9223372036854775808"),
     ],
 )
 def test_bad_input_exits_2_before_the_work(capsys, tmp_path, argv):
@@ -692,6 +700,12 @@ def test_ratios_exact_beyond_int64_products(capsys):
     assert rc == 0
     _, rows = parse_csv(out)
     assert rows[0][:5] == [str(m), "2", "10", "2", "40"]
+    # 2Z = m - 1, which the float m / 2 refused: every nonzero |x| <= Z
+    # pairs with y = x and y = -x, so 4Z triples
+    m, z = 4611686018427387905, 2305843009213693952
+    rc, out, _ = run(capsys, "ratios", "--m", str(m), "--gen", str(m - 1), "--Z", str(z))
+    assert rc == 0
+    assert parse_csv(out)[1][0][:5] == [str(m), "2", str(z), "2", str(4 * z)]
 
 
 def test_selftest_clean_run(capsys):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermatq import quotients
 from fermatq.arith import BudgetError, is_prime, pow_mod_p2_lanes, primes_up_to
 from fermatq.cli import main
 from fermatq.config import _TABLE_BYTES_PER_ENTRY, RunConfig
 from fermatq.quotients import (
+    UNDEFINED,
     QuotientTable,
     cauchy_lower_bound,
     collision_count,
@@ -30,9 +30,6 @@ from fermatq.quotients import (
 )
 
 ODD_PRIMES = primes_up_to(500)[1:]
-# least n whose table takes the ladder when p > n: the
-# _LADDER_MIN_PRIMES-th prime
-LADDER_EDGE = primes_up_to(10**4)[quotients._LADDER_MIN_PRIMES - 1]
 
 
 def bigint_quotient(p, u):
@@ -110,8 +107,7 @@ def table_cases(draw):
     if draw(st.booleans()):
         # primes within 1e5 below 2^31; the table then has n < p
         p = _prime_at_or_above(draw(st.integers(2**31 - 10**5, 2**31 - 1)))
-        # per-prime pow below LADDER_EDGE, the ladder from it on
-        n = draw(st.one_of(st.integers(1, 20_000), st.sampled_from([LADDER_EDGE - 1, LADDER_EDGE])))
+        n = draw(st.integers(1, 20_000))
     else:
         p = draw(st.sampled_from(ODD_PRIMES))
         p2 = p * p
@@ -152,13 +148,11 @@ def test_pow_mod_p2_ladder_matches_pow():
         assert pow_mod_p2_lanes(small, e, 3).tolist() == [pow(u, e, 9) for u in range(9)]
 
 
-def test_quotient_table_ladder_matches_per_prime_pow(monkeypatch):
-    # tables below the crossover, built once per path
-    cases = ((3, 8), (5, 30), (7, 1000), (13, 3 * 169), (2**31 - 1, LADDER_EDGE - 1))
-    per_prime = [quotient_table(p, n).values for p, n in cases]
-    monkeypatch.setattr(quotients, "_LADDER_MIN_PRIMES", 0)
-    for (p, n), want in zip(cases, per_prime):
-        assert np.array_equal(quotient_table(p, n).values, want), (p, n)
+def test_quotient_table_ladder_matches_per_prime_pow():
+    # tables of 4 to 255 ladder lanes, entry by entry against one Python pow each
+    for p, n in ((3, 8), (5, 30), (7, 1000), (13, 3 * 169), (2**31 - 1, 1618)):
+        want = [UNDEFINED if q is None else q for q in (fermat_quotient(p, u) for u in range(n + 1))]
+        assert quotient_table(p, n).values.tolist() == want, (p, n)
 
 
 @st.composite
@@ -169,16 +163,12 @@ def row_blocks(draw):
     return primes, draw(st.integers(1, min(min(primes) ** 2 - 1, 2000)))
 
 
-@given(row_blocks(), st.booleans())
-@example(([7, 11, 13], 48), False)
-@example(([7, 11, 13], 48), True)
+@given(row_blocks())
+@example(([7, 11, 13], 48))
 @settings(max_examples=150, deadline=None)
-def test_quotient_rows_match_per_prime_tables(case, ladder):
+def test_quotient_rows_match_per_prime_tables(case):
     primes, last = case
-    with pytest.MonkeyPatch.context() as mp:
-        # every block on one side of the lane crossover
-        mp.setattr(quotients, "_LADDER_MIN_PRIMES", 0 if ladder else 1 << 62)
-        rows = quotient_rows(primes, last)
+    rows = quotient_rows(primes, last)
     assert rows.shape == (len(primes), last + 1)
     for p, row in zip(primes, rows):
         assert np.array_equal(row, quotient_table(p, last).values), (p, last)
@@ -191,8 +181,7 @@ def test_quotient_rows_validation():
 
 
 def test_quotient_table_peak_memory_within_cap_rate():
-    n = 100_000  # 9,592 primes: the ladder path
-    assert len(primes_up_to(n)) >= quotients._LADDER_MIN_PRIMES
+    n = 100_000  # 9,592 primes, one ladder lane each
     tracemalloc.start()
     try:
         table = quotient_table(2**31 - 1, n)

@@ -216,7 +216,7 @@ UNEVEN_WINDOWS = ((64, 32), (16, 64))
 def test_window_histograms_match_period_histograms(monkeypatch):
     seen = []
     spectrum = sieve.max_exp_sum
-    monkeypatch.setattr(sieve, "max_exp_sum", lambda prime, n, hist: seen.append(hist) or spectrum(prime, n, hist=hist))
+    monkeypatch.setattr(sieve, "max_exp_sum", lambda hist: seen.append(hist) or spectrum(hist))
     for p_scale, low in UNEVEN_WINDOWS:
         seen.clear()
         res = theorem1_average(p_scale, 2, uneven_rule(p_scale, low))

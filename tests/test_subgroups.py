@@ -213,6 +213,9 @@ def test_collision_vs_ratio_bounds():
         collision_vs_ratio_check(5, 13)  # 13 >= 25/2
     with pytest.raises(ValueError):
         collision_vs_ratio_check(5, 0)
+    p = 2147483629  # 2n = p^2 + 1, where the float p^2 / 2 rounds up to n
+    with pytest.raises(ValueError):
+        collision_vs_ratio_check(p, (p * p + 1) // 2)
 
 
 def test_collision_vs_ratio_sweep_small_primes():
