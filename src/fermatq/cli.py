@@ -5,6 +5,12 @@ Every subcommand shares the --out/--format/--threads/--seed/--budget/
 the atomic writer.  Exit codes: 0 success, 1 internal failure, 2
 argument or domain error, 3 budget or cap refusal.
 
+COMMANDS is the one table of subcommands.  A plan validates every argument
+and prices the call, but does no work: it returns its charges, as
+RunConfig.charge arguments, and a run thunk.  main charges them all, then
+runs.  Only avg's windows, after their charged sieves, and the walk of
+ratios --m/--gen are charged in run.
+
 arith, config and report, which every call runs, are imported as usual.
 The six modules of the experiments are registered in sys.modules as lazy
 modules and called through their names (`sieve.theorem1_average(...)`),
@@ -20,7 +26,8 @@ import io
 import math
 import sys
 import time
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import np
 from .arith import BudgetError, odd_prime
@@ -108,82 +115,87 @@ def _load_n_table(path: str) -> dict[int, int]:
     return mapping
 
 
-def _build_table(p, n: int, config: RunConfig):
+def _histogram_charges(p, n: int, whole: bool):
+    """(prime, the charges of period_histogram(prime, n)): p counts, then
+    a table of the n mod p^2 tail, or all n entries when whole is set.  The
+    traced peak at n = 10 and p = 10^6 is 24 bytes per p for image and 48
+    for maxsum (its length-p FFT), against the 24 charged; the tail's table
+    adds its builder's peak of about 17 bytes per entry (maxsum --p 211
+    --n 800000: 0.8 MiB, where a table of all n took 13 MiB)."""
     prime = odd_prime(p)
-    config.charge("table", entries=n)
-    return prime, quotients.quotient_table(prime, n)
+    quotients.check_histogram_length(n)
+    return prime, [("histogram", prime.p, 0), ("table", n if whole else n % prime.p2, 0)]
 
 
-def _histogram_table(p, n: int, config: RunConfig, whole: bool):
-    """(prime, value histogram over 1..n), built by period_histogram from
-    a table of the n mod p^2 tail.  Charged before any of it: p counts,
-    then that tail, or all n entries when whole is set.  The traced peak at
-    n = 10 and p = 10^6 is 24 bytes per p for image and 48 for maxsum (its
-    length-p FFT), against the 24 charged; the tail's table adds its
-    builder's peak of about 17 bytes per entry (maxsum --p 211 --n 800000:
-    0.8 MiB, where a table of all n took 13 MiB)."""
-    prime = odd_prime(p)
-    quotients.check_histogram_length(n)  # bad input exits 2 whatever the caps
-    config.charge("histogram", entries=prime.p)
-    config.charge("table", entries=n if whole else n % prime.p2)
-    return prime, quotients.period_histogram(prime, n)
-
-
-def cmd_quotient(args, config: RunConfig):
+def plan_quotient(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.u < 0:
         raise ValueError(f"u must be nonnegative, got {args.u}")
-    q = quotients.fermat_quotient(prime, args.u)
-    return ("p", "u", "q"), [(prime.p, args.u, q)]
+    return [], lambda: (("p", "u", "q"), [(prime.p, args.u, quotients.fermat_quotient(prime, args.u))])
 
 
-def cmd_table(args, config: RunConfig):
-    prime, table = _build_table(args.p, args.n, config)
-    if args.dump:
-        quotients.write_table(table, args.dump)
-    return ("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)]
+def plan_table(args, config: RunConfig):
+    prime = odd_prime(args.p)
+
+    def run():
+        table = quotients.quotient_table(prime, args.n)
+        if args.dump:
+            quotients.write_table(table, args.dump)
+        return ("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)]
+
+    return [("table", args.n, 0)], run
 
 
-def cmd_image(args, config: RunConfig):
-    prime, hist = _histogram_table(args.p, args.n, config, whole=False)
-    img = hist.image
-    bound = quotients.cauchy_lower_bound(hist)
-    # ratio against the Cauchy floor is diagnostic only, never a report column
-    print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
-    return ("p", "n", "image"), [(prime.p, args.n, img)]
+def plan_image(args, config: RunConfig):
+    prime, charges = _histogram_charges(args.p, args.n, whole=False)
+
+    def run():
+        hist = quotients.period_histogram(prime, args.n)
+        img = hist.image
+        bound = quotients.cauchy_lower_bound(hist)
+        # ratio against the Cauchy floor is diagnostic only, never a report column
+        print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
+        return ("p", "n", "image"), [(prime.p, args.n, img)]
+
+    return charges, run
 
 
 def _sum_row(prime, a: int, n: int, s: complex):
     return SUM_COLUMNS, [(prime.p, a, n, s.real, s.imag, abs(s), charsums.hb_bound_rhs(prime, n, 2))]
 
 
-def cmd_expsum(args, config: RunConfig):
-    prime, table = _build_table(args.p, args.n, config)
-    return _sum_row(prime, args.a, args.n, charsums.exp_sum_direct(prime, args.a, args.n, table=table))
+def plan_expsum(args, config: RunConfig):
+    prime = odd_prime(args.p)
+    return [("table", args.n, 0)], lambda: _sum_row(
+        prime, args.a, args.n, charsums.exp_sum_direct(prime, args.a, args.n)
+    )
 
 
-def cmd_maxsum(args, config: RunConfig):
+def plan_maxsum(args, config: RunConfig):
     # charged n entries, as a whole table was: the float spectrum of the
     # folded counts loses digits as n / p^2 grows
-    prime, hist = _histogram_table(args.p, args.n, config, whole=True)
-    a_star, _ = charsums.max_exp_sum(hist)
-    return _sum_row(prime, a_star, args.n, charsums.exp_sum_from_histogram(hist, a_star))
+    prime, charges = _histogram_charges(args.p, args.n, whole=True)
+
+    def run():
+        hist = quotients.period_histogram(prime, args.n)
+        a_star, _ = charsums.max_exp_sum(hist)
+        return _sum_row(prime, a_star, args.n, charsums.exp_sum_from_histogram(hist, a_star))
+
+    return charges, run
 
 
 def _window_scales(args) -> list[int]:
-    """The window scales, each P >= 3 and nu >= 1 checked before any is charged."""
-    if args.nu < 1:
-        raise ValueError(f"nu must be >= 1, got {args.nu}")
+    """The window scales, the least of them and nu checked by sieve.check_window."""
     if args.P:
         if args.pmin is not None or args.pmax is not None:
             raise ValueError("give either --P or --pmin/--pmax, not both")
-        if min(args.P) < 3:
-            raise ValueError(f"P must be >= 3, got {min(args.P)}")
-        return list(args.P)
-    if args.pmin is None or args.pmax is None:
+    elif args.pmin is None or args.pmax is None:
         raise ValueError("avg requires --P or both --pmin and --pmax")
-    if not 3 <= args.pmin < args.pmax:
+    elif args.pmin >= args.pmax:
         raise ValueError(f"need 3 <= pmin < pmax, got {args.pmin}, {args.pmax}")
+    sieve.check_window(min(args.P or [args.pmin]), args.nu)
+    if args.P:
+        return list(args.P)
     scales, p = [], args.pmin
     while p < args.pmax:  # dyadic ladder of windows (P, 2P]
         scales.append(p)
@@ -191,97 +203,113 @@ def _window_scales(args) -> list[int]:
     return scales
 
 
-def cmd_avg(args, config: RunConfig):
+def plan_avg(args, config: RunConfig):
     scales = _window_scales(args)
     rule = parse_n_rule(args.n_rule)
-    selectors = [rule(p_scale) for p_scale in scales]  # a bad N rule exits 2 before any charge
-    for p_scale, selector in zip(scales, selectors):  # every window is charged before the first is computed
-        config.charge("sieve", entries=2 * p_scale + 1)  # before the sieve that lists its primes
-        entries, steps = sieve.window_cost(sieve.window_pairs(p_scale, args.nu, selector)[0])
-        config.charge("window", entries=entries, steps=steps)
-    rows = []
-    for p_scale, selector in zip(scales, selectors):
-        res = sieve.theorem1_average(
-            p_scale, args.nu, selector, threads=config.threads, max_entries=config.max_table_entries
-        )
-        window = (res.p_scale, res.nu, res.n_ref)
-        if args.kappa:
-            counts = sieve.exceptional_counts(res, args.kappa)
-            rows += [(*window, kappa, exceeded, res.prime_count) for kappa, exceeded in counts]
-        else:
-            wall = res.wall_seconds if config.timings else 0.0
-            rows.append((*window, res.lhs, res.rhs_envelope, res.trivial_bound, res.ratio, res.prime_count, wall))
-    return (KAPPA_COLUMNS if args.kappa else AVG_COLUMNS), rows
+    selectors = [rule(p_scale) for p_scale in scales]
+
+    def run():
+        # each window needs the primes of its charged sieve; every window is
+        # charged before the first is computed
+        for p_scale, selector in zip(scales, selectors):
+            entries, steps = sieve.window_cost(sieve.window_pairs(p_scale, args.nu, selector)[0])
+            config.charge("window", entries, steps)
+        rows = []
+        for p_scale, selector in zip(scales, selectors):
+            res = sieve.theorem1_average(
+                p_scale, args.nu, selector, threads=config.threads, max_entries=config.max_table_entries
+            )
+            window = (res.p_scale, res.nu, res.n_ref)
+            if args.kappa:
+                counts = sieve.exceptional_counts(res, args.kappa)
+                rows += [(*window, kappa, exceeded, res.prime_count) for kappa, exceeded in counts]
+            else:
+                wall = res.wall_seconds if config.timings else 0.0
+                rows.append((*window, res.lhs, res.rhs_envelope, res.trivial_bound, res.ratio, res.prime_count, wall))
+        return (KAPPA_COLUMNS if args.kappa else AVG_COLUMNS), rows
+
+    # the least-prime-factor sieve of 2P + 1 entries that lists each window's primes
+    return [("sieve", 2 * p_scale + 1, 0) for p_scale in scales], run
 
 
-def cmd_sieve(args, config: RunConfig):
+def plan_sieve(args, config: RunConfig):
     if args.K < 1:
         raise ValueError(f"K must be >= 1, got {args.K}")
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
-    config.charge("coefficients", entries=args.K)
-    config.charge("evaluation points", steps=sieve.sieve_points(max(args.R)))  # the largest R, before the first
-    rng = np.random.default_rng(config.seed)
-    coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
-    poly = sieve.TrigPolynomial(coeffs)
-    reps = (sieve.sieve_report(poly, r_max) for r_max in args.R)
-    rows = [(r.r_max, r.k_max, r.energy, r.lhs, r.rhs_bz, r.rhs_zhao, r.ratio_bz, r.ratio_zhao) for r in reps]
-    return SIEVE_COLUMNS, rows
+
+    def run():
+        rng = np.random.default_rng(config.seed)
+        coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
+        poly = sieve.TrigPolynomial(coeffs)
+        reps = (sieve.sieve_report(poly, r_max) for r_max in args.R)
+        rows = [(r.r_max, r.k_max, r.energy, r.lhs, r.rhs_bz, r.rhs_zhao, r.ratio_bz, r.ratio_zhao) for r in reps]
+        return SIEVE_COLUMNS, rows
+
+    # the points of the largest R, which bound every other R's
+    return [("coefficients", args.K, 0), ("evaluation points", 0, sieve.sieve_points(max(args.R)))], run
 
 
-def cmd_rho(args, config: RunConfig):
+def plan_rho(args, config: RunConfig):
     if args.k is not None and args.kmax is not None:
         raise ValueError("give either --k or --kmax, not both")
     ks = args.k if args.k is not None else range(1, (args.kmax or 0) + 1)
     if not ks:
         raise ValueError("rho requires --k or --kmax")
-    # every k, before the charge and the first row; a --kmax range starts at 1
-    for name, value in (("M", args.M), ("nu", args.nu), ("k", min(args.k or [1]))):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    sieve.check_rho(args.M, args.nu, min(args.k or [1]))  # every k; a --kmax range starts at 1
     steps = sieve.rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
-    config.charge("rho rows", entries=rho_row_entries(len(ks), config.format), steps=steps)
-    coefficients = ((k, sieve.rho_coefficient(args.M, args.b, args.nu, k)) for k in ks)
-    return RHO_COLUMNS, [(args.M, args.b, args.nu, k, c.real, c.imag, abs(c)) for k, c in coefficients]
+
+    def run():
+        coefficients = ((k, sieve.rho_coefficient(args.M, args.b, args.nu, k)) for k in ks)
+        return RHO_COLUMNS, [(args.M, args.b, args.nu, k, c.real, c.imag, abs(c)) for k, c in coefficients]
+
+    return [("rho rows", rho_row_entries(len(ks), config.format), steps)], run
 
 
-def cmd_ratios(args, config: RunConfig):
-    if args.nu < 1:  # bad input exits 2 whatever the caps
+def plan_ratios(args, config: RunConfig):
+    if args.nu < 1:
         raise ValueError(f"nu must be >= 1, got {args.nu}")
     if args.p is not None:
         if args.m is not None or args.gen is not None:
             raise ValueError("give either --p or --m/--gen, not both")
         prime = odd_prime(args.p)
         m = prime.p2
-        subgroups.check_ratio_bound(m, args.Z)  # before the group is built
-        config.charge("floor-sum lanes", steps=subgroups.ratio_steps(m, prime.p - 1))
-        group = subgroups.pth_power_residues(prime)
+        charges = [("floor-sum lanes", 0, subgroups.ratio_steps(m, prime.p - 1))]  # t = p - 1, known without G_p
+        build = partial(subgroups.pth_power_residues, prime)
     else:
         if args.m is None or args.gen is None:
             raise ValueError("ratios requires --p or both --m and --gen")
-        m = args.m
-        subgroups.check_ratio_bound(m, args.Z)
-        group = subgroups.generated_within(m, args.gen, config.budget_ops)  # its walk stops at the budget
-    count = subgroups.count_ratios(m, group, args.Z)
-    rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
-    return RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))]
+        m, charges = args.m, []
+        build = partial(subgroups.generated_within, m, args.gen, config.budget_ops)  # its walk stops at the budget
+    subgroups.check_ratio_bound(m, args.Z)
+
+    def run():
+        group = build()
+        count = subgroups.count_ratios(m, group, args.Z)
+        rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
+        return RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))]
+
+    return charges, run
 
 
-def cmd_primroot(args, config: RunConfig):
+def plan_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
-    n = primroots.smallest_primroot_quotient(prime, cap)
-    return SCAN_COLUMNS, [primroots.scan_row(prime, n)]
+    return [], lambda: (SCAN_COLUMNS, [primroots.scan_row(prime, primroots.smallest_primroot_quotient(prime, cap))])
 
 
-def cmd_nonres(args, config: RunConfig):
+def plan_nonres(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
-    n = primroots.smallest_dth_nonresidue_quotient(prime, args.d, cap)
-    return NONRES_COLUMNS, [primroots.nonres_row(prime, args.d, n)]
+
+    def run():
+        n = primroots.smallest_dth_nonresidue_quotient(prime, args.d, cap)
+        return NONRES_COLUMNS, [primroots.nonres_row(prime, args.d, n)]
+
+    return [], run
 
 
-def cmd_doublesum(args, config: RunConfig):
+def plan_doublesum(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.order < 1 or (prime.p - 1) % args.order != 0:
         raise ValueError(f"order {args.order} does not divide {prime.p - 1}")
@@ -289,31 +317,110 @@ def cmd_doublesum(args, config: RunConfig):
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
     if min(args.ucap, args.vcap) < 1:
         raise ValueError(f"caps must be >= 1, got ucap={args.ucap}, vcap={args.vcap}")
-    # both charges come before the character's discrete-log loop
-    config.charge("convolution", entries=primroots.convolution_length(prime))
-    config.charge("table", entries=max(args.ucap, args.vcap))
-    eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
-    rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
-    row = (rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)
-    return DOUBLESUM_COLUMNS, [row]
+
+    def run():
+        eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
+        rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
+        return DOUBLESUM_COLUMNS, [(rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)]
+
+    return [("convolution", primroots.convolution_length(prime), 0), ("table", max(args.ucap, args.vcap), 0)], run
 
 
-def cmd_scan(args, config: RunConfig):
-    primroots.check_scan_range(args.pmin, args.pmax)  # bad input exits 2 whatever the caps
-    config.charge("sieve", entries=args.pmax + 1)
-    config.charge("scan lane steps", steps=primroots.scan_steps(args.pmin, args.pmax))
-    return SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax)
+def plan_scan(args, config: RunConfig):
+    primroots.check_scan_range(args.pmin, args.pmax)
+    charges = [("sieve", args.pmax + 1, 0), ("scan lane steps", 0, primroots.scan_steps(args.pmin, args.pmax))]
+    return charges, lambda: (SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax))
 
 
-def cmd_selftest(args, config: RunConfig):
-    out = sys.stdout if config.output_path is None else io.StringIO()
-    code = selftest.run_selftest(config.seed, args.inject_fault, out)
-    if config.output_path is not None:
-        write_atomic([out.getvalue()], config.output_path)
-    return code
+def plan_selftest(args, config: RunConfig):
+    def run():
+        out = sys.stdout if config.output_path is None else io.StringIO()
+        code = selftest.run_selftest(config.seed, args.inject_fault, out)
+        if config.output_path is not None:
+            write_atomic([out.getvalue()], config.output_path)
+        return code
+
+    return [], run
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    help: str
+    arguments: tuple  # each a flag, for a required integer option, or a (flag, add_argument keywords) pair
+    plan: Callable  # (args, config) -> (charges, run)
+
+
+_CAP = ("--cap", {"type": int, "help": "search bound (default p^2)"})
+
+COMMANDS = {  # in the order of --help
+    "quotient": Command("single quotient value q_p(u)", ("--p", "--u"), plan_quotient),
+    "table": Command(
+        "batch quotient table, optionally dumped to binary",
+        ("--p", "--n", ("--dump", {"metavar": "PATH", "help": "write the binary table dump here"})),
+        plan_table,
+    ),
+    "image": Command("distinct values attained over 1..n", ("--p", "--n"), plan_image),
+    "expsum": Command("twisted exponential sum at one a", ("--p", "--a", "--n"), plan_expsum),
+    "maxsum": Command("maximal twisted sum over a, via the DFT", ("--p", "--n"), plan_maxsum),
+    "avg": Command(
+        "averaged 2nu-th moment over a prime window",
+        (
+            ("--P", {"type": int, "nargs": "+", "metavar": "P", "help": "window scales; primes run over (P, 2P]"}),
+            ("--pmin", {"type": int}),
+            ("--pmax", {"type": int}),
+            ("--nu", {"type": int, "default": 2}),
+            ("--N-rule", {"dest": "n_rule", "required": True, "metavar": "RULE", "help": "integer, P^theta, or @file"}),
+            ("--kappa", {"type": float, "nargs": "+", "help": "report exceptional counts at these exponents instead"}),
+        ),
+        plan_avg,
+    ),
+    "sieve": Command(
+        "large-sieve inequality over square moduli",
+        (
+            ("--R", {"type": int, "nargs": "+", "required": True, "help": "moduli bounds; one report row each"}),
+            ("--K", {"type": int, "required": True, "help": "coefficient count; entries drawn from the seed"}),
+        ),
+        plan_sieve,
+    ),
+    "rho": Command(
+        "factorization-sum coefficients rho(k)",
+        (
+            "--M",
+            "--b",
+            "--nu",
+            ("--k", {"type": int, "nargs": "+", "help": "explicit k values"}),
+            ("--kmax", {"type": int, "help": "or all k in 1..kmax"}),
+        ),
+        plan_rho,
+    ),
+    "ratios": Command(
+        "small-ratio counter N(m, G, Z)",
+        (
+            ("--p", {"type": int, "help": "use G_p inside Z/p^2"}),
+            ("--m", {"type": int, "help": "explicit modulus (with --gen)"}),
+            ("--gen", {"type": int, "help": "generator of the subgroup mod m"}),
+            "--Z",
+            ("--nu", {"type": int, "default": 2}),
+        ),
+        plan_ratios,
+    ),
+    "primroot": Command("least n with q_p(n) a primitive root", ("--p", _CAP), plan_primroot),
+    "nonres": Command("least n with q_p(n) a dth power nonresidue", ("--p", "--d", _CAP), plan_nonres),
+    "doublesum": Command(
+        "double character sum over quotient value sets",
+        ("--p", ("--order", {"type": int, "default": 2, "help": "order of the character eta"}), "--ucap", "--vcap"),
+        plan_doublesum,
+    ),
+    "scan": Command("primroot search for every prime in a range", ("--pmin", "--pmax"), plan_scan),
+    "selftest": Command(
+        "run every module's invariant suite",
+        (("--inject-fault", {"help": argparse.SUPPRESS}),),  # run_selftest checks the name
+        plan_selftest,
+    ),
+}
+
+
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the subcommands named, by default of all of them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, metavar="PATH", help="write the report here (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -325,89 +432,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="fermatq", description="Fermat quotient experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("quotient", cmd_quotient, "single quotient value q_p(u)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-
-    p = add("table", cmd_table, "batch quotient table, optionally dumped to binary")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dump", metavar="PATH", help="write the binary table dump here")
-
-    p = add("image", cmd_image, "distinct values attained over 1..n")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("expsum", cmd_expsum, "twisted exponential sum at one a")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("maxsum", cmd_maxsum, "maximal twisted sum over a, via the DFT")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("avg", cmd_avg, "averaged 2nu-th moment over a prime window")
-    p.add_argument("--P", type=int, nargs="+", metavar="P", help="window scales; primes run over (P, 2P]")
-    p.add_argument("--pmin", type=int)
-    p.add_argument("--pmax", type=int)
-    p.add_argument("--nu", type=int, default=2)
-    p.add_argument("--N-rule", dest="n_rule", required=True, metavar="RULE", help="integer, P^theta, or @file")
-    p.add_argument("--kappa", type=float, nargs="+", help="report exceptional counts at these exponents instead")
-
-    p = add("sieve", cmd_sieve, "large-sieve inequality over square moduli")
-    p.add_argument("--R", type=int, nargs="+", required=True, help="moduli bounds; one report row each")
-    p.add_argument("--K", type=int, required=True, help="coefficient count; entries drawn from the seed")
-
-    p = add("rho", cmd_rho, "factorization-sum coefficients rho(k)")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--k", type=int, nargs="+", help="explicit k values")
-    p.add_argument("--kmax", type=int, help="or all k in 1..kmax")
-
-    p = add("ratios", cmd_ratios, "small-ratio counter N(m, G, Z)")
-    p.add_argument("--p", type=int, help="use G_p inside Z/p^2")
-    p.add_argument("--m", type=int, help="explicit modulus (with --gen)")
-    p.add_argument("--gen", type=int, help="generator of the subgroup mod m")
-    p.add_argument("--Z", type=int, required=True)
-    p.add_argument("--nu", type=int, default=2)
-
-    p = add("primroot", cmd_primroot, "least n with q_p(n) a primitive root")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--cap", type=int, help="search bound (default p^2)")
-
-    p = add("nonres", cmd_nonres, "least n with q_p(n) a dth power nonresidue")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--cap", type=int, help="search bound (default p^2)")
-
-    p = add("doublesum", cmd_doublesum, "double character sum over quotient value sets")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--order", type=int, default=2, help="order of the character eta")
-    p.add_argument("--ucap", type=int, required=True)
-    p.add_argument("--vcap", type=int, required=True)
-
-    p = add("scan", cmd_scan, "primroot search for every prime in a range")
-    p.add_argument("--pmin", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-
-    p = add("selftest", cmd_selftest, "run every module's invariant suite")
-    p.add_argument("--inject-fault", help=argparse.SUPPRESS)  # run_selftest checks the name
-
+    for name in names:
+        p = sub.add_parser(name, parents=[common], help=COMMANDS[name].help)
+        for argument in COMMANDS[name].arguments:
+            flag, kwargs = (argument, {"type": int, "required": True}) if isinstance(argument, str) else argument
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand argv names, or all of them for --help, an unknown name or none
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(names).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -421,7 +459,10 @@ def main(argv=None) -> int:
             timings=args.timings,
         )
         started = time.monotonic()
-        outcome = args.handler(args, config)
+        charges, run = COMMANDS[args.command].plan(args, config)
+        for what, entries, steps in charges:
+            config.charge(what, entries, steps)
+        outcome = run()
         if isinstance(outcome, int):
             return outcome
         columns, rows = outcome

@@ -81,8 +81,8 @@ class RunConfig(_RunConfig):
 
     def charge(self, what: str, entries: int = 0, steps: int | float = 0) -> None:
         """Refuse work of `entries` table entries or `steps` steps that passes
-        --memcap or --budget.  The one place a count meets a cap: each
-        handler charges what it will build and run, before it starts."""
+        --memcap or --budget.  The one place a count meets a cap: cli's main
+        charges what each plan will build and run, before it starts."""
         if entries > self.max_table_entries:
             raise BudgetError(f"{what}: {entries} entries exceed cap {self.max_table_entries}")
         if steps > self.budget_ops:

@@ -252,15 +252,20 @@ def rho_steps(m_max: int, nu: int, ks: Sequence[int], stop: float = math.inf) ->
     return steps
 
 
+def check_rho(m_max: int, nu: int, k_min: int) -> None:
+    """rho_coefficient needs 1 <= M < 2^63, where its roots of unity take
+    int64 arguments, nu >= 1 and every k >= k_min >= 1."""
+    for name, value in (("M", m_max), ("nu", nu), ("k", k_min)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if m_max >= 1 << 63:
+        raise ValueError(f"M must be below 2^63, got {m_max}")
+
+
 def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
     """sum of e(b*(m_1 + ... + m_nu)/M) over ordered factorizations of k
     into nu factors, each in [1, M]."""
-    if m_max < 1:
-        raise ValueError(f"M must be >= 1, got {m_max}")
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_rho(m_max, nu, k)
     # (cofactor left to split, factor sum so far mod M) -> number of ways
     states: dict[tuple[int, int], int] = {(k, 0): 1}
     for left in range(nu - 1, 0, -1):  # factors still to place after this one
@@ -283,7 +288,8 @@ def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
     b_red = b % m_max
     total = 0j
     for s, count in sorted(sums.items()):
-        total += count * complex(unit_roots(m_max, np.array([b_red * s]))[0])
+        # reduced in Python ints: b * s passes int64 where M is near 2^63
+        total += count * complex(unit_roots(m_max, np.array([b_red * s % m_max]))[0])
     return total
 
 
@@ -364,13 +370,18 @@ def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
     return maxima
 
 
+def check_window(p_scale: int, nu: int) -> None:
+    """A window (P, 2P] needs P >= 3, and its moments nu >= 1."""
+    if nu < 1:
+        raise ValueError(f"nu must be >= 1, got {nu}")
+    if p_scale < 3:
+        raise ValueError(f"P must be >= 3, got {p_scale}")
+
+
 def window_pairs(p_scale: int, nu: int, selector: NSelector) -> tuple[list, int]:
     """(the (p, N_p) pairs of the window, N) after every check of
     theorem1_average.  Its primes come from a sieve of 2P + 1 entries."""
-    if p_scale < 3:
-        raise ValueError(f"P must be >= 3, got {p_scale}")
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    check_window(p_scale, nu)
     primes = [p for p in primes_up_to(2 * p_scale) if p > p_scale]
     n_by_p = [(p, selector(p)) for p in primes]
     n_max = max(n for _, n in n_by_p)
@@ -406,6 +417,16 @@ def window_cost(n_by_p: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return max(n_p for _, n_p in n_by_p), sum(n_p + p for p, n_p in n_by_p)
 
 
+def _power(x: float, e: float) -> float:
+    """x ** e, or inf where the float power overflows: the correctly rounded
+    float of a value past the range.  An inf moment makes lhs inf, and
+    ratio inf / inf nan."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 def theorem1_average(
     p_scale: int,
     nu: int,
@@ -431,10 +452,11 @@ def theorem1_average(
     else:
         done = [_moment_block(b) for b in blocks]
     maxima = [m for block in done for m in block]  # ascending prime order
-    moments = np.array([m ** (2 * nu) for m in maxima], dtype=np.float64)
+    moments = np.array([_power(m, 2 * nu) for m in maxima], dtype=np.float64)
     lhs = float(moments.sum())  # fixed ascending-prime order
     n, p = float(n_ref), float(p_scale)
-    rhs = (p**3 + n**nu + min(n**nu * p**0.5, n ** (nu / 2.0) * p**2)) * n**nu
+    n_nu = _power(n, nu)
+    rhs = (p**3 + n_nu + min(n_nu * p**0.5, _power(n, nu / 2.0) * p**2)) * n_nu
     trivial = sum(n_p ** (2 * nu) for _, n_p in n_by_p)
     return Theorem1Result(
         p_scale,
@@ -454,6 +476,6 @@ def exceptional_counts(result: Theorem1Result, kappas: Sequence[float]) -> list[
     """#{p in the window : max |S_p| > N_p * p^(-kappa)} for each kappa."""
     out = []
     for kappa in kappas:
-        count = sum(1 for p, n_p, m in result.per_prime if m > n_p * p ** (-kappa))
+        count = sum(1 for p, n_p, m in result.per_prime if m > n_p * _power(p, -kappa))
         out.append((float(kappa), count))
     return out

@@ -1,7 +1,7 @@
 """--memcap and --budget are checked in one place, RunConfig.charge, which
-every handler with a cost calls before its work; the library takes no caps."""
+cli's main calls on every plan's charges before its run; the library takes
+no caps."""
 
-import argparse
 import ast
 import importlib
 import inspect
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fermatq
-from fermatq.cli import build_parser, main
+from fermatq.cli import COMMANDS, main
 from fermatq.config import RHO_ROW_BYTES
 
 SRC = Path(fermatq.__file__).resolve().parent
@@ -71,14 +71,36 @@ def test_no_public_function_takes_a_cap():
     assert takers == ["fermatq.sieve.theorem1_average(max_entries)"]
 
 
-def _subcommands() -> set[str]:
-    parser = build_parser()
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return set(action.choices)
-
-
 def test_every_subcommand_is_charged_or_cost_free():
-    assert _subcommands() == COST_FREE | set(MINIMAL)
+    assert set(COMMANDS) == COST_FREE | set(MINIMAL)
+
+
+def _calls_by_function(path: Path, name: str) -> list[str]:
+    """The functions of a module, nested ones as outer.inner, that call name
+    or a method of that name, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func.attr if isinstance(child.func, ast.Attribute) else getattr(child.func, "id", None)
+                if callee == name:
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_main_charges_every_plan_then_runs_it():
+    # main charges each plan's tuples and is the one caller of run; the
+    # one other charge is avg's windows, which need their charged sieves
+    assert _calls_by_function(SRC / "cli.py", "run") == ["main"]
+    charges = {path.name: _calls_by_function(path, "charge") for path in SRC.glob("*.py")}
+    assert {name: fns for name, fns in charges.items() if fns} == {"cli.py": ["plan_avg.run", "main"]}
 
 
 @pytest.mark.parametrize("command", sorted(MINIMAL))

@@ -10,13 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fermatq
-from fermatq.arith import primes_up_to
+from fermatq.arith import is_prime, primes_up_to
 from fermatq.charsums import discrete_log_table
-from fermatq.cli import main, parse_n_rule
+from fermatq.cli import COMMANDS, main, parse_n_rule
 from fermatq.report import parse_csv
 
 
@@ -107,46 +107,46 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # least-prime-factor sieves of pmax + 1 and 2P + 1 entries; a scan's
-        # pmax stays below 2^31, or the range itself is bad input
-        ("scan", "--pmin", "3", "--pmax", "2000000000"),
-        ("scan", "--pmin", "3", "--pmax", "100000000", "--memcap", "1000"),
-        ("avg", "--P", "1000000000000", "--N-rule", "1"),
-        # the convolution is charged before the character's discrete-log table
-        ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
-        # and so is its one quotient table, of max(ucap, vcap) entries
-        ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10000000000", "--vcap", "10"),
-        # the group's order is charged before its p - 1 powers, or its walk stops at the budget
-        ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
-        ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
-        # the scan's lanes are charged before its sieve
-        ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
-        # R(R + 1)(2R + 1)/6 evaluation points, not a loop over r, and the largest R before the first
-        ("sieve", "--R", "30000000", "--K", "4"),
-        ("sieve", "--R", "400", "30000000", "--K", "4"),
-        # every scale's sieve and cost are charged before the first window
-        ("avg", "--pmin", "256", "--pmax", "100000000", "--N-rule", "100", "--memcap", "2400000"),
-        # k rows against --memcap and their steps against --budget, before the k list
-        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "100000000"),
-        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000000", "--budget", "1000", "--memcap", "3000000000"),
-        # rows at their traced size: 3000 rows at 24 bytes fit 10^5 bytes, at about 900 they do not
-        ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000", "--memcap", "100000"),
-        # the length-p histogram is charged before the table
-        ("image", "--p", "2147483647", "--n", "10"),
-        ("maxsum", "--p", "2147483647", "--n", "10", "--memcap", "1000000"),
-        # maxsum charges all n entries although it folds them into one period
-        ("maxsum", "--p", "7", "--n", "100000000"),
-        # the largest N_p against the table cap, before any table's sieve
-        ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
-        # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
-        ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
-        # 2Z = p^2 - 1 is a valid Z, whose group is charged; the float p^2 / 2 refused it
-        ("ratios", "--p", "2147483647", "--Z", "2305843007066210304"),
-    ],
-)
+_REFUSED = [
+    # least-prime-factor sieves of pmax + 1 and 2P + 1 entries; a scan's
+    # pmax stays below 2^31, or the range itself is bad input
+    ("scan", "--pmin", "3", "--pmax", "2000000000"),
+    ("scan", "--pmin", "3", "--pmax", "100000000", "--memcap", "1000"),
+    ("avg", "--P", "1000000000000", "--N-rule", "1"),
+    # the convolution is charged before the character's discrete-log table
+    ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
+    # and so is its one quotient table, of max(ucap, vcap) entries
+    ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10000000000", "--vcap", "10"),
+    # the group's order is charged before its p - 1 powers, or its walk stops at the budget
+    ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
+    ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
+    # the scan's lanes are charged before its sieve
+    ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
+    # R(R + 1)(2R + 1)/6 evaluation points, not a loop over r, and the largest R before the first
+    ("sieve", "--R", "30000000", "--K", "4"),
+    ("sieve", "--R", "400", "30000000", "--K", "4"),
+    # every scale's sieve and cost are charged before the first window
+    ("avg", "--pmin", "256", "--pmax", "100000000", "--N-rule", "100", "--memcap", "2400000"),
+    # k rows against --memcap and their steps against --budget, before the k list
+    ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "100000000"),
+    ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000000", "--budget", "1000", "--memcap", "3000000000"),
+    # rows at their traced size: 3000 rows at 24 bytes fit 10^5 bytes, at about 900 they do not
+    ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "3000", "--memcap", "100000"),
+    # the length-p histogram is charged before the table
+    ("image", "--p", "2147483647", "--n", "10"),
+    ("maxsum", "--p", "2147483647", "--n", "10", "--memcap", "1000000"),
+    # maxsum charges all n entries although it folds them into one period
+    ("maxsum", "--p", "7", "--n", "100000000"),
+    # the largest N_p against the table cap, before any table's sieve
+    ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
+    # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
+    ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
+    # 2Z = p^2 - 1 is a valid Z, whose group is charged; the float p^2 / 2 refused it
+    ("ratios", "--p", "2147483647", "--Z", "2305843007066210304"),
+]
+
+
+@pytest.mark.parametrize("argv", _REFUSED)
 def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
     out_path = tmp_path / "report.csv"
     dlog_builds = discrete_log_table.cache_info().misses
@@ -158,33 +158,35 @@ def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
     assert not os.listdir(tmp_path)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("ratios", "--p", "1000003", "--Z", "0"),
-        # Z = m is invalid whatever the group's order, which a walk would take 5.5 * 10^6 steps to learn
-        ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "4611686018427388039"),
-        # a range past 2^31, whose sieve the default cap refuses
-        ("scan", "--pmin", "3", "--pmax", "4000000000"),
-        # the trivial character, whose convolution --memcap refuses
-        ("doublesum", "--p", "1000003", "--order", "1", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
-        # a bad later item, before the earlier ones are summed or factored
-        ("sieve", "--R", "300", "0", "--K", "4096"),
-        ("rho", "--M", "1000", "--b", "1", "--nu", "6", "--k", "735134400", "0"),
-        # each exited 3 at a small cap, whose charge came before the check
-        ("image", "--p", "1000003", "--n", "0"),
-        ("maxsum", "--p", "7", "--n", "0"),
-        ("avg", "--P", "256", "--N-rule", "0"),
-        ("ratios", "--p", "1000003", "--Z", "10", "--nu", "0"),
-        ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "0", "--vcap", "10"),
-        # 2Z > m by 200 and by 1, which the float m / 2 admitted
-        ("ratios", "--m", "4611686018427388504", "--gen", "4611686018427388503", "--Z", "2305843009213694352"),
-        ("ratios", "--p", "2147483629", "--Z", "2305842968411504821"),
-        # n past the int64 counts, before the histogram's charge and maxsum's charge of n
-        ("image", "--p", "7", "--n", "9223372036854775808"),
-        ("maxsum", "--p", "7", "--n", "9223372036854775808"),
-    ],
-)
+_BAD_INPUT = [
+    ("ratios", "--p", "1000003", "--Z", "0"),
+    # Z = m is invalid whatever the group's order, which a walk would take 5.5 * 10^6 steps to learn
+    ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "4611686018427388039"),
+    # a range past 2^31, whose sieve the default cap refuses
+    ("scan", "--pmin", "3", "--pmax", "4000000000"),
+    # the trivial character, whose convolution --memcap refuses
+    ("doublesum", "--p", "1000003", "--order", "1", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
+    # a bad later item, before the earlier ones are summed or factored
+    ("sieve", "--R", "300", "0", "--K", "4096"),
+    ("rho", "--M", "1000", "--b", "1", "--nu", "6", "--k", "735134400", "0"),
+    # each exited 3 at a small cap, whose charge came before the check
+    ("image", "--p", "1000003", "--n", "0"),
+    ("maxsum", "--p", "7", "--n", "0"),
+    ("avg", "--P", "256", "--N-rule", "0"),
+    ("ratios", "--p", "1000003", "--Z", "10", "--nu", "0"),
+    ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "0", "--vcap", "10"),
+    # 2Z > m by 200 and by 1, which the float m / 2 admitted
+    ("ratios", "--m", "4611686018427388504", "--gen", "4611686018427388503", "--Z", "2305843009213694352"),
+    ("ratios", "--p", "2147483629", "--Z", "2305842968411504821"),
+    # n past the int64 counts, before the histogram's charge and maxsum's charge of n
+    ("image", "--p", "7", "--n", "9223372036854775808"),
+    ("maxsum", "--p", "7", "--n", "9223372036854775808"),
+    # M past int64, whose roots of unity took M as an int64 (exit 1)
+    ("rho", "--M", "9223372036854775808", "--b", "1", "--nu", "2", "--k", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUT)
 def test_bad_input_exits_2_before_the_work(capsys, tmp_path, argv):
     _exits_2_before_the_work(capsys, tmp_path, argv)
 
@@ -207,6 +209,67 @@ def _exits_2_before_the_work(capsys, out_dir, argv):
         assert rc == 2 and err.startswith("error:"), err
         assert time.monotonic() - started < 1.0
         assert not os.listdir(out_dir)
+
+
+# refused in run by design: a window's charge needs the primes of its
+# charged sieve, and the --gen walk learns the group's order by walking
+_STAGED = [
+    ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
+    ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
+]
+
+
+def _planned(monkeypatch, argv):
+    """main(argv) with its plan watched: the exit code, and "planned" once
+    the plan returned, then "ran" once main called run, which fails the test
+    unless argv is one of _STAGED."""
+    command, seen = COMMANDS[argv[0]], []
+
+    def plan(args, config):
+        charges, run = command.plan(args, config)
+        seen.append("planned")
+
+        def watched():
+            seen.append("ran")
+            if argv not in _STAGED:
+                pytest.fail(f"{argv} ran past its charges")
+            return run()
+
+        return charges, watched
+
+    monkeypatch.setitem(COMMANDS, argv[0], command._replace(plan=plan))
+    return main(list(argv)), seen
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUT)
+def test_plan_itself_refuses_bad_input(capsys, monkeypatch, argv):
+    for caps in ((), ("--memcap", "24", "--budget", "1")):
+        assert _planned(monkeypatch, (*argv, *caps)) == (2, [])
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_plan_itself_refuses_an_n_table_row_below_1(capsys, monkeypatch, tmp_path):
+    table = tmp_path / "np.csv"
+    table.write_text("p,N\n" + "".join(f"{p},{0 if p == 83 else 10}\n" for p in primes_up_to(128) if p > 64))
+    assert _planned(monkeypatch, ("avg", "--P", "64", "--N-rule", f"@{table}", "--memcap", "24")) == (2, [])
+    assert "N_p must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _REFUSED)
+def test_plan_charges_refuse_before_run(capsys, monkeypatch, argv):
+    assert set(_STAGED) <= set(_REFUSED)
+    rc, seen = _planned(monkeypatch, argv)
+    assert rc == 3 and capsys.readouterr().err.startswith("budget:")
+    assert seen == (["planned", "ran"] if argv in _STAGED else ["planned"])
+
+
+def test_help_lists_every_subcommand(capsys):
+    rc, out, _ = run(capsys, "--help")
+    assert rc == 0
+    assert len(COMMANDS) == 14 and "{" + ",".join(COMMANDS) + "}" in out
+    for name in COMMANDS:
+        rc, out, _ = run(capsys, name, "--help")
+        assert rc == 0 and out.startswith(f"usage: fermatq {name}")
 
 
 def test_table_rule_window_bytes_do_not_depend_on_threads(tmp_path):
@@ -663,6 +726,49 @@ def test_rho_deep_nu_over_a_range(capsys):
     assert parse_csv(out)[1][0][3] == "1"
 
 
+def test_rho_roots_past_int64_products(capsys):
+    # k is prime, so its two factorizations (1, k) and (k, 1) both sum to
+    # k + 1: rho = 2 e(b (k + 1) / M).  b (k + 1) passes 2^63, and M is not
+    # a power of two, so a product wrapped mod 2^64 lands elsewhere mod M
+    m, b, k = 10**12, 10**12 - 1, 10000019
+    assert is_prime(k) and b * (k + 1) >= 1 << 63
+    rc, out, err = run(capsys, "rho", "--M", str(m), "--b", str(b), "--nu", "2", "--k", str(k))
+    assert rc == 0, err
+    angle = 2 * math.pi * (b * (k + 1) % m) / m
+    re_, im_ = map(float, parse_csv(out)[1][0][4:6])
+    assert abs(re_ - 2 * math.cos(angle)) < 1e-9 and abs(im_ - 2 * math.sin(angle)) < 1e-9
+    assert abs(re_ - 1.99999999605) < 1e-9 and abs(im_ + 0.000125663957389) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, lhs, rhs, ratio",
+    [
+        # a moment past the float range reads inf, as does the envelope's n^nu
+        (("avg", "--P", "4", "--nu", "1009", "--N-rule", "P^1"), "inf", "inf", "nan"),
+        (("avg", "--P", "4", "--nu", "1100", "--N-rule", "P^1/2"), "inf", "67", "inf"),
+    ],
+)
+def test_avg_moments_past_the_float_range_read_inf(capsys, argv, lhs, rhs, ratio):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["lhs"], row["rhs_envelope"], row["ratio"]) == (lhs, rhs, ratio)
+    n_p = 4 if argv[-1] == "P^1" else 2  # over the primes 5 and 7
+    assert int(row["trivial_bound"]) == 2 * n_p ** (2 * int(argv[4]))
+
+
+def test_avg_kappa_rows_do_not_use_the_moments(capsys):
+    # kappa rows count maxima, never their 2 nu-th powers; at kappa = -1000
+    # the threshold N_p p^1000 passes the float range, and no maximum exceeds it
+    rows = []
+    for nu in ("2", "1009"):
+        rc, out, err = run(capsys, "avg", "--P", "4", "--nu", nu, "--N-rule", "P^1", "--kappa", "0.1", "-1000")
+        assert rc == 0, err
+        rows.append([r[:1] + r[2:6] for r in parse_csv(out)[1]])
+    assert rows[0] == rows[1] and rows[0][1][2:] == ["-1000", "0", "2"]
+
+
 def test_ratios_subgroup_modes(capsys):
     rc, out, _ = run(capsys, "ratios", "--p", "5", "--Z", "3")
     assert rc == 0
@@ -758,29 +864,54 @@ def _ints(lo, hi):
 # selftest takes no integer inputs and runs for about a second, so it is left out
 _P = st.one_of(_ints(-3, 1999), st.sampled_from(primes_up_to(1999)).map(str))
 _N, _SMALL = _ints(-3, 99_999), _ints(-3, 40)
-_SUBCOMMANDS = st.one_of(
-    st.tuples(st.just("quotient"), st.just("--p"), _P, st.just("--u"), _N),
-    st.tuples(st.sampled_from(("table", "image", "maxsum")), st.just("--p"), _P, st.just("--n"), _N),
-    st.tuples(st.just("expsum"), st.just("--p"), _P, st.just("--a"), _N, st.just("--n"), _N),
-    st.tuples(st.just("avg"), st.just("--P"), _ints(-3, 300), st.just("--N-rule"), _ints(-3, 2000)),
-    st.tuples(st.just("sieve"), st.just("--R"), _SMALL, st.just("--K"), _ints(-3, 9_999)),
-    st.tuples(st.just("rho"), st.just("--M"), _P, st.just("--b"), _N, st.just("--nu"), _SMALL, st.just("--k"), _N),
-    st.tuples(st.just("ratios"), st.just("--p"), _P, st.just("--Z"), _N),
-    st.tuples(st.just("ratios"), st.just("--m"), _N, st.just("--gen"), _N, st.just("--Z"), _N),
-    st.tuples(st.just("primroot"), st.just("--p"), _P, st.just("--cap"), _N),
-    st.tuples(st.just("nonres"), st.just("--p"), _P, st.just("--d"), _SMALL, st.just("--cap"), _N),
-    st.tuples(
-        st.just("doublesum"), st.just("--p"), _P, st.just("--order"), _SMALL, st.just("--ucap"), _N, st.just("--vcap"), _N
-    ),
-    st.tuples(st.just("scan"), st.just("--pmin"), _P, st.just("--pmax"), _P),
-)
+_BOUNDARY = st.sampled_from((0, 1, -1, 2**31 - 1, 2**31, 2**53 + 1, 2**63 - 1, 2**63)).map(str)
+
+
+def _calls(drawn):
+    """Argv of every subcommand but selftest, where drawn(s) is the strategy
+    of an integer argument whose usual values s draws."""
+    p, n, small = drawn(_P), drawn(_N), drawn(_SMALL)
+    scale, rule, count = drawn(_ints(-3, 300)), drawn(_ints(-3, 2000)), drawn(_ints(-3, 9_999))
+    return st.one_of(
+        st.tuples(st.just("quotient"), st.just("--p"), p, st.just("--u"), n),
+        st.tuples(st.sampled_from(("table", "image", "maxsum")), st.just("--p"), p, st.just("--n"), n),
+        st.tuples(st.just("expsum"), st.just("--p"), p, st.just("--a"), n, st.just("--n"), n),
+        st.tuples(st.just("avg"), st.just("--P"), scale, st.just("--nu"), small, st.just("--N-rule"), rule),
+        st.tuples(st.just("sieve"), st.just("--R"), small, st.just("--K"), count),
+        st.tuples(st.just("rho"), st.just("--M"), p, st.just("--b"), n, st.just("--nu"), small, st.just("--k"), n),
+        st.tuples(st.just("ratios"), st.just("--p"), p, st.just("--Z"), n),
+        st.tuples(st.just("ratios"), st.just("--m"), n, st.just("--gen"), n, st.just("--Z"), n),
+        st.tuples(st.just("primroot"), st.just("--p"), p, st.just("--cap"), n),
+        st.tuples(st.just("nonres"), st.just("--p"), p, st.just("--d"), small, st.just("--cap"), n),
+        st.tuples(
+            st.just("doublesum"), st.just("--p"), p, st.just("--order"), small, st.just("--ucap"), n, st.just("--vcap"), n
+        ),
+        st.tuples(st.just("scan"), st.just("--pmin"), p, st.just("--pmax"), p),
+    )
+
+
 _LIMIT = st.sampled_from((None, "1", "1000"))  # None keeps the default
+_CALLS = st.one_of(
+    st.tuples(_calls(lambda s: s), _LIMIT, _LIMIT),
+    # boundary values only under the smallest caps, where no call runs long
+    st.tuples(_calls(lambda s: st.one_of(s, _BOUNDARY)), st.just("24"), st.just("1")),
+)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_SUBCOMMANDS, memcap=_LIMIT, budget=_LIMIT)
-def test_cli_exits_0_2_or_3_and_leaves_no_temp_file(capsys, tmp_path, argv, memcap, budget):
+# each exited 1 at the default caps: three float powers past the range,
+# the third in a --kappa call that reads no moment, and an M past int64
+@example(call=(("avg", "--P", "4", "--nu", "1009", "--N-rule", "P^1"), None, None))
+@example(call=(("avg", "--P", "4", "--nu", "1100", "--N-rule", "P^1/2"), None, None))
+@example(call=(("avg", "--P", "4", "--nu", "1009", "--N-rule", "P^1", "--kappa", "0.1"), None, None))
+@example(call=(("rho", "--M", "9223372036854775808", "--b", "1", "--nu", "2", "--k", "3"), None, None))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_CALLS)
+def test_cli_exits_0_2_or_3_and_leaves_no_temp_file(capsys, tmp_path, call):
+    argv, memcap, budget = call
     limits = [arg for flag, value in (("--memcap", memcap), ("--budget", budget)) if value for arg in (flag, value)]
-    rc, _, err = run(capsys, *argv, *limits, "--out", str(tmp_path / "report.csv"))
-    assert rc in (0, 2, 3), err
-    assert not [f for f in os.listdir(tmp_path) if f.startswith(".report-")]
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out_dir:
+        rc, _, err = run(capsys, *argv, *limits, "--out", os.path.join(out_dir, "report.csv"))
+        assert rc in (0, 2, 3), err
+        assert not [f for f in os.listdir(out_dir) if f.startswith(".report-")]
+        if rc:  # a refusal leaves no file at all
+            assert not os.listdir(out_dir)
