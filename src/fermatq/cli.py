@@ -5,11 +5,12 @@ Every subcommand shares the --out/--format/--threads/--seed/--budget/
 the atomic writer.  Exit codes: 0 success, 1 internal failure, 2
 argument or domain error, 3 budget or cap refusal.
 
-COMMANDS is the one table of subcommands.  A plan validates every argument
-and prices the call, but does no work: it returns its charges, as
-RunConfig.charge arguments, and a run thunk.  main charges them all, then
-runs.  Only avg's windows, after their charged sieves, and the walk of
-ratios --m/--gen are charged in run.
+COMMANDS is the one table of subcommands.  A plan is a generator: it
+validates the arguments and yields its charges, as RunConfig.charge
+arguments, before any work; main charges them all, then resumes it for its
+outcome.  Only avg's windows, after their charged sieves, and the walk of
+ratios --m/--gen are charged after that.  The plans that charge nothing
+leave cap and d to the library search their work begins with.
 
 arith, config and report, which every call runs, are imported as usual.
 The six modules of the experiments are registered in sys.modules as lazy
@@ -26,7 +27,6 @@ import io
 import math
 import sys
 import time
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import np
@@ -131,33 +131,30 @@ def plan_quotient(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.u < 0:
         raise ValueError(f"u must be nonnegative, got {args.u}")
-    return [], lambda: (("p", "u", "q"), [(prime.p, args.u, quotients.fermat_quotient(prime, args.u))])
+    yield []
+    yield ("p", "u", "q"), [(prime.p, args.u, quotients.fermat_quotient(prime, args.u))]
 
 
 def plan_table(args, config: RunConfig):
     prime = odd_prime(args.p)
-
-    def run():
-        table = quotients.quotient_table(prime, args.n)
-        if args.dump:
-            quotients.write_table(table, args.dump)
-        return ("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)]
-
-    return [("table", args.n, 0)], run
+    if args.n < 1:
+        raise ValueError(f"table length must be >= 1, got {args.n}")
+    yield [("table", args.n, 0)]
+    table = quotients.quotient_table(prime, args.n)
+    if args.dump:
+        quotients.write_table(table, args.dump)
+    yield ("p", "n", "defined"), [(prime.p, table.n, table.n - table.n // prime.p)]
 
 
 def plan_image(args, config: RunConfig):
     prime, charges = _histogram_charges(args.p, args.n, whole=False)
-
-    def run():
-        hist = quotients.period_histogram(prime, args.n)
-        img = hist.image
-        bound = quotients.cauchy_lower_bound(hist)
-        # ratio against the Cauchy floor is diagnostic only, never a report column
-        print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
-        return ("p", "n", "image"), [(prime.p, args.n, img)]
-
-    return charges, run
+    yield charges
+    hist = quotients.period_histogram(prime, args.n)
+    img = hist.image
+    bound = quotients.cauchy_lower_bound(hist)
+    # ratio against the Cauchy floor is diagnostic only, never a report column
+    print(f"image {img} >= cauchy floor {float(bound):.6g} (slack {img / float(bound):.4g}x)", file=sys.stderr)
+    yield ("p", "n", "image"), [(prime.p, args.n, img)]
 
 
 def _sum_row(prime, a: int, n: int, s: complex):
@@ -166,26 +163,23 @@ def _sum_row(prime, a: int, n: int, s: complex):
 
 def plan_expsum(args, config: RunConfig):
     prime = odd_prime(args.p)
-    return [("table", args.n, 0)], lambda: _sum_row(
-        prime, args.a, args.n, charsums.exp_sum_direct(prime, args.a, args.n)
-    )
+    if args.n < 1:
+        raise ValueError(f"range must be >= 1, got {args.n}")
+    yield [("table", args.n, 0)]
+    yield _sum_row(prime, args.a, args.n, charsums.exp_sum_direct(prime, args.a, args.n))
 
 
 def plan_maxsum(args, config: RunConfig):
     # charged n entries, as a whole table was: the float spectrum of the
     # folded counts loses digits as n / p^2 grows
     prime, charges = _histogram_charges(args.p, args.n, whole=True)
-
-    def run():
-        hist = quotients.period_histogram(prime, args.n)
-        a_star, _ = charsums.max_exp_sum(hist)
-        return _sum_row(prime, a_star, args.n, charsums.exp_sum_from_histogram(hist, a_star))
-
-    return charges, run
+    yield charges
+    hist = quotients.period_histogram(prime, args.n)
+    a_star, _ = charsums.max_exp_sum(hist)
+    yield _sum_row(prime, a_star, args.n, charsums.exp_sum_from_histogram(hist, a_star))
 
 
-def _window_scales(args) -> list[int]:
-    """The window scales, the least of them and nu checked by sieve.check_window."""
+def plan_avg(args, config: RunConfig):
     if args.P:
         if args.pmin is not None or args.pmax is not None:
             raise ValueError("give either --P or --pmin/--pmax, not both")
@@ -193,43 +187,39 @@ def _window_scales(args) -> list[int]:
         raise ValueError("avg requires --P or both --pmin and --pmax")
     elif args.pmin >= args.pmax:
         raise ValueError(f"need 3 <= pmin < pmax, got {args.pmin}, {args.pmax}")
-    sieve.check_window(min(args.P or [args.pmin]), args.nu)
+    sieve.check_window(min(args.P or [args.pmin]), args.nu)  # the least scale, before the dyadic ladder
     if args.P:
-        return list(args.P)
-    scales, p = [], args.pmin
-    while p < args.pmax:  # dyadic ladder of windows (P, 2P]
-        scales.append(p)
-        p *= 2
-    return scales
-
-
-def plan_avg(args, config: RunConfig):
-    scales = _window_scales(args)
+        scales = list(args.P)
+    else:
+        scales, p = [], args.pmin
+        while p < args.pmax:  # dyadic ladder of windows (P, 2P]
+            scales.append(p)
+            p *= 2
     rule = parse_n_rule(args.n_rule)
     selectors = [rule(p_scale) for p_scale in scales]
-
-    def run():
-        # each window needs the primes of its charged sieve; every window is
-        # charged before the first is computed
+    if not args.n_rule.strip().startswith("@"):  # an integer or power rule's N needs no primes
         for p_scale, selector in zip(scales, selectors):
-            entries, steps = sieve.window_cost(sieve.window_pairs(p_scale, args.nu, selector)[0])
-            config.charge("window", entries, steps)
-        rows = []
-        for p_scale, selector in zip(scales, selectors):
-            res = sieve.theorem1_average(
-                p_scale, args.nu, selector, threads=config.threads, max_entries=config.max_table_entries
-            )
-            window = (res.p_scale, res.nu, res.n_ref)
-            if args.kappa:
-                counts = sieve.exceptional_counts(res, args.kappa)
-                rows += [(*window, kappa, exceeded, res.prime_count) for kappa, exceeded in counts]
-            else:
-                wall = res.wall_seconds if config.timings else 0.0
-                rows.append((*window, res.lhs, res.rhs_envelope, res.trivial_bound, res.ratio, res.prime_count, wall))
-        return (KAPPA_COLUMNS if args.kappa else AVG_COLUMNS), rows
-
+            sieve.check_window(p_scale, args.nu, selector(p_scale))  # the one N it takes at every p
     # the least-prime-factor sieve of 2P + 1 entries that lists each window's primes
-    return [("sieve", 2 * p_scale + 1, 0) for p_scale in scales], run
+    yield [("sieve", 2 * p_scale + 1, 0) for p_scale in scales]
+    # each window needs the primes of its charged sieve, and an N table's
+    # rows are checked on them; every window is charged before the first is computed
+    for p_scale, selector in zip(scales, selectors):
+        entries, steps = sieve.window_cost(sieve.window_pairs(p_scale, args.nu, selector)[0])
+        config.charge("window", entries, steps)
+    rows = []
+    for p_scale, selector in zip(scales, selectors):
+        res = sieve.theorem1_average(
+            p_scale, args.nu, selector, threads=config.threads, max_entries=config.max_table_entries
+        )
+        window = (res.p_scale, res.nu, res.n_ref)
+        if args.kappa:
+            counts = sieve.exceptional_counts(res, args.kappa)
+            rows += [(*window, kappa, exceeded, res.prime_count) for kappa, exceeded in counts]
+        else:
+            wall = res.wall_seconds if config.timings else 0.0
+            rows.append((*window, res.lhs, res.rhs_envelope, res.trivial_bound, res.ratio, res.prime_count, wall))
+    yield (KAPPA_COLUMNS if args.kappa else AVG_COLUMNS), rows
 
 
 def plan_sieve(args, config: RunConfig):
@@ -237,17 +227,14 @@ def plan_sieve(args, config: RunConfig):
         raise ValueError(f"K must be >= 1, got {args.K}")
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
-
-    def run():
-        rng = np.random.default_rng(config.seed)
-        coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
-        poly = sieve.TrigPolynomial(coeffs)
-        reps = (sieve.sieve_report(poly, r_max) for r_max in args.R)
-        rows = [(r.r_max, r.k_max, r.energy, r.lhs, r.rhs_bz, r.rhs_zhao, r.ratio_bz, r.ratio_zhao) for r in reps]
-        return SIEVE_COLUMNS, rows
-
     # the points of the largest R, which bound every other R's
-    return [("coefficients", args.K, 0), ("evaluation points", 0, sieve.sieve_points(max(args.R)))], run
+    yield [("coefficients", args.K, 0), ("evaluation points", 0, sieve.sieve_points(max(args.R)))]
+    rng = np.random.default_rng(config.seed)
+    coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
+    poly = sieve.TrigPolynomial(coeffs)
+    reps = (sieve.sieve_report(poly, r_max) for r_max in args.R)
+    rows = [(r.r_max, r.k_max, r.energy, r.lhs, r.rhs_bz, r.rhs_zhao, r.ratio_bz, r.ratio_zhao) for r in reps]
+    yield SIEVE_COLUMNS, rows
 
 
 def plan_rho(args, config: RunConfig):
@@ -258,55 +245,48 @@ def plan_rho(args, config: RunConfig):
         raise ValueError("rho requires --k or --kmax")
     sieve.check_rho(args.M, args.nu, min(args.k or [1]))  # every k; a --kmax range starts at 1
     steps = sieve.rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
-
-    def run():
-        coefficients = ((k, sieve.rho_coefficient(args.M, args.b, args.nu, k)) for k in ks)
-        return RHO_COLUMNS, [(args.M, args.b, args.nu, k, c.real, c.imag, abs(c)) for k, c in coefficients]
-
-    return [("rho rows", rho_row_entries(len(ks), config.format), steps)], run
+    yield [("rho rows", rho_row_entries(len(ks), config.format), steps)]
+    coefficients = ((k, sieve.rho_coefficient(args.M, args.b, args.nu, k)) for k in ks)
+    yield RHO_COLUMNS, [(args.M, args.b, args.nu, k, c.real, c.imag, abs(c)) for k, c in coefficients]
 
 
 def plan_ratios(args, config: RunConfig):
     if args.nu < 1:
         raise ValueError(f"nu must be >= 1, got {args.nu}")
-    if args.p is not None:
-        if args.m is not None or args.gen is not None:
-            raise ValueError("give either --p or --m/--gen, not both")
+    if args.p is None:
+        if args.m is None or args.gen is None:
+            raise ValueError("ratios requires --p or both --m and --gen")
+        m, charges = args.m, []  # the walk of generated_within stops at the budget
+    elif args.m is not None or args.gen is not None:
+        raise ValueError("give either --p or --m/--gen, not both")
+    else:
         prime = odd_prime(args.p)
         m = prime.p2
         charges = [("floor-sum lanes", 0, subgroups.ratio_steps(m, prime.p - 1))]  # t = p - 1, known without G_p
-        build = partial(subgroups.pth_power_residues, prime)
-    else:
-        if args.m is None or args.gen is None:
-            raise ValueError("ratios requires --p or both --m and --gen")
-        m, charges = args.m, []
-        build = partial(subgroups.generated_within, m, args.gen, config.budget_ops)  # its walk stops at the budget
     subgroups.check_ratio_bound(m, args.Z)
-
-    def run():
-        group = build()
-        count = subgroups.count_ratios(m, group, args.Z)
-        rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
-        return RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))]
-
-    return charges, run
+    yield charges
+    if args.p is None:
+        group = subgroups.generated_within(m, args.gen, config.budget_ops)
+    else:
+        group = subgroups.pth_power_residues(prime)
+    count = subgroups.count_ratios(m, group, args.Z)
+    rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
+    yield RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))]
 
 
 def plan_primroot(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
-    return [], lambda: (SCAN_COLUMNS, [primroots.scan_row(prime, primroots.smallest_primroot_quotient(prime, cap))])
+    yield []
+    yield SCAN_COLUMNS, [primroots.scan_row(prime, primroots.smallest_primroot_quotient(prime, cap))]
 
 
 def plan_nonres(args, config: RunConfig):
     prime = odd_prime(args.p)
     cap = args.cap if args.cap is not None else prime.p2
-
-    def run():
-        n = primroots.smallest_dth_nonresidue_quotient(prime, args.d, cap)
-        return NONRES_COLUMNS, [primroots.nonres_row(prime, args.d, n)]
-
-    return [], run
+    yield []
+    n = primroots.smallest_dth_nonresidue_quotient(prime, args.d, cap)
+    yield NONRES_COLUMNS, [primroots.nonres_row(prime, args.d, n)]
 
 
 def plan_doublesum(args, config: RunConfig):
@@ -317,36 +297,31 @@ def plan_doublesum(args, config: RunConfig):
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
     if min(args.ucap, args.vcap) < 1:
         raise ValueError(f"caps must be >= 1, got ucap={args.ucap}, vcap={args.vcap}")
-
-    def run():
-        eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
-        rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
-        return DOUBLESUM_COLUMNS, [(rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)]
-
-    return [("convolution", primroots.convolution_length(prime), 0), ("table", max(args.ucap, args.vcap), 0)], run
+    yield [("convolution", primroots.convolution_length(prime), 0), ("table", max(args.ucap, args.vcap), 0)]
+    eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
+    rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
+    yield DOUBLESUM_COLUMNS, [(rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)]
 
 
 def plan_scan(args, config: RunConfig):
     primroots.check_scan_range(args.pmin, args.pmax)
-    charges = [("sieve", args.pmax + 1, 0), ("scan lane steps", 0, primroots.scan_steps(args.pmin, args.pmax))]
-    return charges, lambda: (SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax))
+    yield [("sieve", args.pmax + 1, 0), ("scan lane steps", 0, primroots.scan_steps(args.pmin, args.pmax))]
+    yield SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax)
 
 
 def plan_selftest(args, config: RunConfig):
-    def run():
-        out = sys.stdout if config.output_path is None else io.StringIO()
-        code = selftest.run_selftest(config.seed, args.inject_fault, out)
-        if config.output_path is not None:
-            write_atomic([out.getvalue()], config.output_path)
-        return code
-
-    return [], run
+    yield []
+    out = sys.stdout if config.output_path is None else io.StringIO()
+    code = selftest.run_selftest(config.seed, args.inject_fault, out)
+    if config.output_path is not None:
+        write_atomic([out.getvalue()], config.output_path)
+    yield code
 
 
 class Command(NamedTuple):
     help: str
     arguments: tuple  # each a flag, for a required integer option, or a (flag, add_argument keywords) pair
-    plan: Callable  # (args, config) -> (charges, run)
+    plan: Callable  # (args, config) -> a generator of its charges, then its outcome
 
 
 _CAP = ("--cap", {"type": int, "help": "search bound (default p^2)"})
@@ -459,10 +434,10 @@ def main(argv=None) -> int:
             timings=args.timings,
         )
         started = time.monotonic()
-        charges, run = COMMANDS[args.command].plan(args, config)
-        for what, entries, steps in charges:
+        plan = COMMANDS[args.command].plan(args, config)
+        for what, entries, steps in next(plan):  # every check comes before the charges
             config.charge(what, entries, steps)
-        outcome = run()
+        outcome = next(plan)  # the work
         if isinstance(outcome, int):
             return outcome
         columns, rows = outcome

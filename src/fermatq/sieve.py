@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -311,8 +312,8 @@ def power_rule(theta: Fraction | float, p_scale: int) -> NSelector:
     from fractions import Fraction
 
     frac = Fraction(theta)
-    if frac < 0:
-        raise ValueError(f"exponent must be nonnegative, got {frac}")
+    if not 0 <= frac <= 2:  # P^theta > P^2 fits no window: refused before P^numerator is built
+        raise ValueError(f"exponent must lie in [0, 2], got {frac}")
     target = p_scale**frac.numerator
     n = max(1, round(float(target) ** (1.0 / frac.denominator))) if frac.denominator > 1 else target
     while n**frac.denominator < target:
@@ -370,12 +371,19 @@ def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
     return maxima
 
 
-def check_window(p_scale: int, nu: int) -> None:
-    """A window (P, 2P] needs P >= 3, and its moments nu >= 1."""
+def check_window(p_scale: int, nu: int, n_max: int = 1) -> None:
+    """A window (P, 2P] needs P >= 3, moments of nu >= 1 and every N_p <= n_max
+    <= P^2.  Its trivial bound, a sum of fewer than P powers N_p^(2 nu), must
+    print within int's str digit limit, which also bounds their cost."""
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
     if p_scale < 3:
         raise ValueError(f"P must be >= 3, got {p_scale}")
+    if n_max > p_scale * p_scale:
+        raise ValueError(f"N_p = {n_max} exceeds P^2 = {p_scale * p_scale}")
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if n_max > 1 and nu >= (digits - math.log10(p_scale)) / (2 * math.log10(n_max)):
+        raise ValueError(f"the trivial bound at N_p = {n_max}, nu = {nu} passes {digits} digits")
 
 
 def window_pairs(p_scale: int, nu: int, selector: NSelector) -> tuple[list, int]:
@@ -389,11 +397,10 @@ def window_pairs(p_scale: int, nu: int, selector: NSelector) -> tuple[list, int]
     for p, n_p in n_by_p:
         if n_p < 1:
             raise ValueError(f"N_p must be >= 1, got {n_p} at p={p}")
-        if n_p > p_scale * p_scale:
-            raise ValueError(f"N_p = {n_p} exceeds P^2 at p={p}")
         # the all-ones rule is the lone waiver: no integer window holds N_p = 1
         if n_p <= n_ref and n_max > 1:
             raise ValueError(f"N_p = {n_p} at p={p} falls outside the dyadic window ({n_ref}, {2 * n_ref}]")
+    check_window(p_scale, nu, n_max)
     return n_by_p, n_ref
 
 
@@ -418,9 +425,8 @@ def window_cost(n_by_p: Sequence[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _power(x: float, e: float) -> float:
-    """x ** e, or inf where the float power overflows: the correctly rounded
-    float of a value past the range.  An inf moment makes lhs inf, and
-    ratio inf / inf nan."""
+    """x ** e, or inf, the correctly rounded float of a value past the
+    range, where the float power overflows."""
     try:
         return x**e
     except OverflowError:
@@ -455,8 +461,7 @@ def theorem1_average(
     moments = np.array([_power(m, 2 * nu) for m in maxima], dtype=np.float64)
     lhs = float(moments.sum())  # fixed ascending-prime order
     n, p = float(n_ref), float(p_scale)
-    n_nu = _power(n, nu)
-    rhs = (p**3 + n_nu + min(n_nu * p**0.5, _power(n, nu / 2.0) * p**2)) * n_nu
+    rhs = (p**3 + _power(n, nu) + min(_power(n, nu) * p**0.5, _power(n, nu / 2.0) * p**2)) * _power(n, nu)
     trivial = sum(n_p ** (2 * nu) for _, n_p in n_by_p)
     return Theorem1Result(
         p_scale,

@@ -96,11 +96,13 @@ def _calls_by_function(path: Path, name: str) -> list[str]:
 
 
 def test_main_charges_every_plan_then_runs_it():
-    # main charges each plan's tuples and is the one caller of run; the
-    # one other charge is avg's windows, which need their charged sieves
-    assert _calls_by_function(SRC / "cli.py", "run") == ["main"]
+    # a plan is a generator that main alone resumes: for its charges, which
+    # main charges, and then for its work; the one other charge is avg's
+    # windows, which need their charged sieves
+    assert all(inspect.isgeneratorfunction(command.plan) for command in COMMANDS.values())
+    assert _calls_by_function(SRC / "cli.py", "next") == ["main", "main"]
     charges = {path.name: _calls_by_function(path, "charge") for path in SRC.glob("*.py")}
-    assert {name: fns for name, fns in charges.items() if fns} == {"cli.py": ["plan_avg.run", "main"]}
+    assert {name: fns for name, fns in charges.items() if fns} == {"cli.py": ["plan_avg", "main"]}
 
 
 @pytest.mark.parametrize("command", sorted(MINIMAL))

@@ -183,6 +183,17 @@ _BAD_INPUT = [
     ("maxsum", "--p", "7", "--n", "9223372036854775808"),
     # M past int64, whose roots of unity took M as an int64 (exit 1)
     ("rho", "--M", "9223372036854775808", "--b", "1", "--nu", "2", "--k", "3"),
+    # n below 1, which a table's charge of n entries let through to the work
+    ("table", "--p", "7", "--n", "0"),
+    ("expsum", "--p", "7", "--a", "1", "--n", "0"),
+    # trivial bounds sum N_p^(2 nu) past int's str digit limit, of 60,207
+    # digits and of about 9.5 * 10^8, whose moments exited 1 past the float range
+    ("avg", "--P", "4", "--N-rule", "2", "--nu", "100000"),
+    ("avg", "--P", "4", "--N-rule", "3", "--nu", "1000000000"),
+    # N > P^2 at the first scale, before the sieves' charges, which the last scale's passes
+    ("avg", "--pmin", "3", "--pmax", "100000000", "--N-rule", "10"),
+    # an exponent past 2, before P^(10^9) is computed
+    ("avg", "--P", "4", "--N-rule", "P^1000000000"),
 ]
 
 
@@ -221,21 +232,19 @@ _STAGED = [
 
 def _planned(monkeypatch, argv):
     """main(argv) with its plan watched: the exit code, and "planned" once
-    the plan returned, then "ran" once main called run, which fails the test
-    unless argv is one of _STAGED."""
+    the plan yielded its charges, then "ran" once main resumed it for its
+    work, which fails the test unless argv is one of _STAGED."""
     command, seen = COMMANDS[argv[0]], []
 
     def plan(args, config):
-        charges, run = command.plan(args, config)
+        steps = command.plan(args, config)
+        charges = next(steps)
         seen.append("planned")
-
-        def watched():
-            seen.append("ran")
-            if argv not in _STAGED:
-                pytest.fail(f"{argv} ran past its charges")
-            return run()
-
-        return charges, watched
+        yield charges
+        seen.append("ran")
+        if argv not in _STAGED:
+            pytest.fail(f"{argv} ran past its charges")
+        yield next(steps)
 
     monkeypatch.setitem(COMMANDS, argv[0], command._replace(plan=plan))
     return main(list(argv)), seen
@@ -261,6 +270,17 @@ def test_plan_charges_refuse_before_run(capsys, monkeypatch, argv):
     rc, seen = _planned(monkeypatch, argv)
     assert rc == 3 and capsys.readouterr().err.startswith("budget:")
     assert seen == (["planned", "ran"] if argv in _STAGED else ["planned"])
+
+
+def test_avg_trivial_bound_past_the_digit_limit_writes_nothing(capsys, tmp_path):
+    # an N table's rows are known after the window's sieve, and are checked
+    # with the window's charge, before any work; the csv header went to
+    # stdout before the bound failed to print
+    table = tmp_path / "np.csv"
+    table.write_text("".join(f"{p},2\n" for p in primes_up_to(128) if p > 64))
+    for rule in ("2", f"@{table}"):
+        rc, out, err = run(capsys, "avg", "--P", "64", "--N-rule", rule, "--nu", "100000")
+        assert (rc, out) == (2, "") and "digits" in err, err
 
 
 def test_help_lists_every_subcommand(capsys):
