@@ -194,6 +194,7 @@ _BAD_INPUT = [
     ("avg", "--pmin", "3", "--pmax", "100000000", "--N-rule", "10"),
     # an exponent past 2, before P^(10^9) is computed
     ("avg", "--P", "4", "--N-rule", "P^1000000000"),
+    ("avg", "--pmin", "3", "--pmax", "100000000", "--N-rule", "P^3"),
 ]
 
 
