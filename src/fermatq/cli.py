@@ -6,11 +6,11 @@ the atomic writer.  Exit codes: 0 success, 1 internal failure, 2
 argument or domain error, 3 budget or cap refusal.
 
 COMMANDS is the one table of subcommands.  A plan is a generator: it
-validates the arguments and yields its charges, as RunConfig.charge
-arguments, before any work; main charges them all, then resumes it for its
-outcome.  Only avg's windows, after their charged sieves, and the walk of
-ratios --m/--gen are charged after that.  The plans that charge nothing
-leave cap and d to the library search their work begins with.
+validates the arguments, then yields lists of charges, as RunConfig.charge
+arguments, and last its outcome; main charges each list before it resumes
+the plan.  Only the walk of ratios --m/--gen refuses inside the library.
+The plans that charge nothing leave cap and d to the library search their
+work begins with.
 
 arith, config and report, which every call runs, are imported as usual.
 The six modules of the experiments are registered in sys.modules as lazy
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import np
 from .arith import BudgetError, odd_prime
-from .config import RunConfig, resolve_config, rho_row_entries
+from .config import DEFAULT_BUDGET_OPS, DEFAULT_MEMORY_CAP, DEFAULT_THREADS, RunConfig, rho_row_entries, setting
 from .report import emit, write_atomic
 
 
@@ -64,8 +64,9 @@ DOUBLESUM_COLUMNS = ("p", "order_of_eta", "card_A", "card_B", "abs_sum", "lemma3
 RHO_COLUMNS = ("M", "b", "nu", "k", "re", "im", "abs")
 
 
-def parse_n_rule(text: str) -> Callable[[int], Callable[[int], int]]:
-    """Turn an --N-rule string into a selector factory keyed on P.
+def parse_n_rule(text: str) -> Callable[[int], int | dict[int, int]]:
+    """Turn an --N-rule string into a function of the window scale P that
+    gives the N_p of every p in the window, or a table of N_p by p.
 
     Accepted forms: a bare integer ("100"), a power of the window
     scale ("P^0.5" or "P^1/2"), or "@path" naming a two-column p,N
@@ -76,7 +77,7 @@ def parse_n_rule(text: str) -> Callable[[int], Callable[[int], int]]:
         raise ValueError("empty N rule")
     if text.startswith("@"):
         mapping = _load_n_table(text[1:])
-        return lambda p_scale: sieve.table_rule(mapping)
+        return lambda p_scale: mapping
     if text[0] in "pP" and len(text) > 1 and text[1] == "^":
         from fractions import Fraction  # imported where it is used: most calls build none
 
@@ -89,7 +90,9 @@ def parse_n_rule(text: str) -> Callable[[int], Callable[[int], int]]:
         n = int(text)
     except ValueError:
         raise ValueError(f"bad N rule {text!r}; expected an integer, P^theta, or @file") from None
-    return lambda p_scale: sieve.constant_rule(n)
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    return lambda p_scale: n
 
 
 def _load_n_table(path: str) -> dict[int, int]:
@@ -196,21 +199,20 @@ def plan_avg(args, config: RunConfig):
             scales.append(p)
             p *= 2
     rule = parse_n_rule(args.n_rule)
-    selectors = [rule(p_scale) for p_scale in scales]
-    if not args.n_rule.strip().startswith("@"):  # an integer or power rule's N needs no primes
-        for p_scale, selector in zip(scales, selectors):
-            sieve.check_window(p_scale, args.nu, selector(p_scale))  # the one N it takes at every p
+    n_rules = [rule(p_scale) for p_scale in scales]
+    for p_scale, n_rule in zip(scales, n_rules):
+        if not isinstance(n_rule, dict):  # the one N it takes at every p, known without the primes
+            sieve.check_window(p_scale, args.nu, n_rule)
     # the least-prime-factor sieve of 2P + 1 entries that lists each window's primes
     yield [("sieve", 2 * p_scale + 1, 0) for p_scale in scales]
     # each window needs the primes of its charged sieve, and an N table's
     # rows are checked on them; every window is charged before the first is computed
-    for p_scale, selector in zip(scales, selectors):
-        entries, steps = sieve.window_cost(sieve.window_pairs(p_scale, args.nu, selector)[0])
-        config.charge("window", entries, steps)
+    for p_scale, n_rule in zip(scales, n_rules):
+        yield [("window", *sieve.window_cost(sieve.window_pairs(p_scale, args.nu, n_rule)[0]))]
     rows = []
-    for p_scale, selector in zip(scales, selectors):
+    for p_scale, n_rule in zip(scales, n_rules):
         res = sieve.theorem1_average(
-            p_scale, args.nu, selector, threads=config.threads, max_entries=config.max_table_entries
+            p_scale, args.nu, n_rule, threads=config.threads, max_entries=config.max_table_entries
         )
         window = (res.p_scale, res.nu, res.n_ref)
         if args.kappa:
@@ -424,10 +426,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = resolve_config(
-            threads=args.threads,
-            budget_ops=args.budget,
-            memory_cap_bytes=args.memcap,
+        config = RunConfig(
+            threads=setting(args.threads, "FERMATQ_THREADS", DEFAULT_THREADS),
+            budget_ops=setting(args.budget, "FERMATQ_BUDGET", DEFAULT_BUDGET_OPS),
+            memory_cap_bytes=setting(args.memcap, "FERMATQ_MEMCAP", DEFAULT_MEMORY_CAP),
             output_path=args.out,
             format=args.format,
             seed=args.seed,
@@ -435,9 +437,11 @@ def main(argv=None) -> int:
         )
         started = time.monotonic()
         plan = COMMANDS[args.command].plan(args, config)
-        for what, entries, steps in next(plan):  # every check comes before the charges
-            config.charge(what, entries, steps)
-        outcome = next(plan)  # the work
+        outcome = next(plan)  # every check comes before the first charges
+        while isinstance(outcome, list):  # each list of charges before the work it prices
+            for what, entries, steps in outcome:
+                config.charge(what, entries, steps)
+            outcome = next(plan)
         if isinstance(outcome, int):
             return outcome
         columns, rows = outcome

@@ -7,10 +7,6 @@ from typing import NamedTuple
 
 from .arith import BudgetError
 
-ENV_THREADS = "FERMATQ_THREADS"
-ENV_BUDGET = "FERMATQ_BUDGET"
-ENV_MEMCAP = "FERMATQ_MEMCAP"
-
 DEFAULT_THREADS = 1
 DEFAULT_BUDGET_OPS = 1_000_000_000
 DEFAULT_MEMORY_CAP = 2 * 1024**3
@@ -90,35 +86,14 @@ class RunConfig(_RunConfig):
             raise BudgetError(f"{what}: {shown} steps exceed budget {self.budget_ops}")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
+def setting(flag: int | None, env: str, default: int) -> int:
+    """A run setting: its flag, else its environment variable, else its default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(env)
+    if not raw:
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def resolve_config(
-    *,
-    threads: int | None = None,
-    budget_ops: int | None = None,
-    memory_cap_bytes: int | None = None,
-    output_path: str | None = None,
-    format: str = "csv",
-    seed: int = 0,
-    timings: bool = False,
-) -> RunConfig:
-    """Merge explicit flag values over environment variables over defaults."""
-    return RunConfig(
-        threads=threads if threads is not None else _env_int(ENV_THREADS, DEFAULT_THREADS),
-        budget_ops=budget_ops if budget_ops is not None else _env_int(ENV_BUDGET, DEFAULT_BUDGET_OPS),
-        memory_cap_bytes=(
-            memory_cap_bytes if memory_cap_bytes is not None else _env_int(ENV_MEMCAP, DEFAULT_MEMORY_CAP)
-        ),
-        output_path=output_path,
-        format=format,
-        seed=seed,
-        timings=timings,
-    )
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from None

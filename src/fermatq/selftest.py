@@ -49,7 +49,7 @@ from .quotients import (
     quotient_table,
     value_histogram,
 )
-from .sieve import TrigPolynomial, constant_rule, parseval_check, rho_coefficient, sieve_report, theorem1_average
+from .sieve import TrigPolynomial, parseval_check, rho_coefficient, sieve_report, theorem1_average
 from .subgroups import SubgroupModM, collision_vs_ratio_check, count_ratios, lemma7_rhs, pth_power_residues
 
 
@@ -207,7 +207,7 @@ def _suite_sieve_lab(rng: np.random.Generator, fault: str | None):
         if abs(rho_coefficient(6, 2, 2, k)) > count_factorizations(k, 2, 6) + 1e-9:
             failures.append(f"sieve-lab rho_coefficient k={k}: triangle bound")
         checks += 1
-    res = theorem1_average(8, 1, constant_rule(3))
+    res = theorem1_average(8, 1, 3)
     if res.lhs > res.trivial_bound + 1e-9:
         failures.append("sieve-lab theorem1_average P=8: trivial bound violated")
     checks += 1

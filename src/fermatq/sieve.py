@@ -294,42 +294,30 @@ def rho_coefficient(m_max: int, b: int, nu: int, k: int) -> complex:
     return total
 
 
-NSelector = Callable[[int], int]
+def power_rule(theta: Fraction | float, p_scale: int) -> int:
+    """N = ceil(P^theta) for rational theta, the N_p of every p in the window.
 
-
-def constant_rule(n: int) -> NSelector:
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return lambda p: n
-
-
-def power_rule(theta: Fraction | float, p_scale: int) -> NSelector:
-    """N_p = ceil(P^theta) for rational theta, fixed across the window.
-
-    The ceiling is taken in exact integer arithmetic; a float pow here
-    would misround perfect powers (27**(1/3) lands above 3).
+    The ceiling is taken in exact integer arithmetic, as the least n with
+    n^d >= P^a for theta = a/d; a float pow would misround perfect powers
+    (27**(1/3) lands above 3), and P^a passes the float range.
     """
     from fractions import Fraction
 
     frac = Fraction(theta)
     if not 0 <= frac <= 2:  # P^theta > P^2 fits no window: refused before P^numerator is built
         raise ValueError(f"exponent must lie in [0, 2], got {frac}")
-    target = p_scale**frac.numerator
-    n = max(1, round(float(target) ** (1.0 / frac.denominator))) if frac.denominator > 1 else target
-    while n**frac.denominator < target:
-        n += 1
-    while n > 1 and (n - 1) ** frac.denominator >= target:
-        n -= 1
-    return constant_rule(int(n))
-
-
-def table_rule(mapping: dict[int, int]) -> NSelector:
-    def pick(p: int) -> int:
-        if p not in mapping:
-            raise ValueError(f"no N_p entry for prime {p}")
-        return mapping[p]
-
-    return pick
+    a, d, digits = frac.numerator, frac.denominator, _max_digits()
+    if a * math.log10(p_scale) >= digits:
+        raise ValueError(f"P^{a} at P = {p_scale} passes {digits} digits")
+    target = p_scale**a
+    log_n = math.log2(target) / d
+    if log_n < 1:  # P^theta < 2
+        return min(target, 2)
+    # at least the root, from the float log; Newton's integer steps fall to its floor
+    n = int(2**log_n * 1.000001) + 1 if log_n < 1000 else 1 << (math.ceil(log_n) + 1)
+    while (step := ((d - 1) * n + target // n ** (d - 1)) // d) < n:
+        n = step
+    return n + (n**d < target)
 
 
 class Theorem1Result(NamedTuple):
@@ -371,6 +359,11 @@ def _moment_block(pairs: Sequence[tuple[int, int]]) -> list[float]:
     return maxima
 
 
+def _max_digits() -> int:
+    """The digits int's str conversion admits, which bound the powers avg builds."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def check_window(p_scale: int, nu: int, n_max: int = 1) -> None:
     """A window (P, 2P] needs P >= 3, moments of nu >= 1 and every N_p <= n_max
     <= P^2.  Its trivial bound, a sum of fewer than P powers N_p^(2 nu), must
@@ -381,17 +374,21 @@ def check_window(p_scale: int, nu: int, n_max: int = 1) -> None:
         raise ValueError(f"P must be >= 3, got {p_scale}")
     if n_max > p_scale * p_scale:
         raise ValueError(f"N_p = {n_max} exceeds P^2 = {p_scale * p_scale}")
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    digits = _max_digits()
     if n_max > 1 and nu >= (digits - math.log10(p_scale)) / (2 * math.log10(n_max)):
         raise ValueError(f"the trivial bound at N_p = {n_max}, nu = {nu} passes {digits} digits")
 
 
-def window_pairs(p_scale: int, nu: int, selector: NSelector) -> tuple[list, int]:
+def window_pairs(p_scale: int, nu: int, n_rule: int | dict[int, int]) -> tuple[list, int]:
     """(the (p, N_p) pairs of the window, N) after every check of
-    theorem1_average.  Its primes come from a sieve of 2P + 1 entries."""
+    theorem1_average, where n_rule is the N_p of every p or a table of N_p
+    by p.  Its primes come from a sieve of 2P + 1 entries."""
     check_window(p_scale, nu)
     primes = [p for p in primes_up_to(2 * p_scale) if p > p_scale]
-    n_by_p = [(p, selector(p)) for p in primes]
+    try:
+        n_by_p = [(p, n_rule[p] if isinstance(n_rule, dict) else n_rule) for p in primes]
+    except KeyError as exc:
+        raise ValueError(f"no N_p entry for prime {exc.args[0]}") from None
     n_max = max(n for _, n in n_by_p)
     n_ref = max(1, (n_max + 1) // 2)
     for p, n_p in n_by_p:
@@ -436,16 +433,16 @@ def _power(x: float, e: float) -> float:
 def theorem1_average(
     p_scale: int,
     nu: int,
-    selector: NSelector,
+    n_rule: int | dict[int, int],
     *,
     threads: int = 1,
     max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Theorem1Result:
-    """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P].
-    Its tables are built by blocks of at most max_entries entries, or of one
-    row where a row is larger."""
+    """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P],
+    with N_p from n_rule as in window_pairs.  Its tables are built by blocks
+    of at most max_entries entries, or of one row where a row is larger."""
     start = time.monotonic()
-    n_by_p, n_ref = window_pairs(p_scale, nu, selector)
+    n_by_p, n_ref = window_pairs(p_scale, nu, n_rule)
     workers = min(threads, os.cpu_count() or 1, len(n_by_p))
     blocks = _window_blocks(n_by_p, workers, max_entries)
     if workers > 1:

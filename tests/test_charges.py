@@ -96,13 +96,13 @@ def _calls_by_function(path: Path, name: str) -> list[str]:
 
 
 def test_main_charges_every_plan_then_runs_it():
-    # a plan is a generator that main alone resumes: for its charges, which
-    # main charges, and then for its work; the one other charge is avg's
-    # windows, which need their charged sieves
+    # a plan is a generator that main alone resumes: for each list of its
+    # charges, which main charges, and then for its work; avg yields a list
+    # for each window once its charged sieve has listed the primes
     assert all(inspect.isgeneratorfunction(command.plan) for command in COMMANDS.values())
     assert _calls_by_function(SRC / "cli.py", "next") == ["main", "main"]
     charges = {path.name: _calls_by_function(path, "charge") for path in SRC.glob("*.py")}
-    assert {name: fns for name, fns in charges.items() if fns} == {"cli.py": ["plan_avg", "main"]}
+    assert {name: fns for name, fns in charges.items() if fns} == {"cli.py": ["main"]}
 
 
 @pytest.mark.parametrize("command", sorted(MINIMAL))

@@ -223,8 +223,10 @@ def _exits_2_before_the_work(capsys, out_dir, argv):
         assert not os.listdir(out_dir)
 
 
-# refused in run by design: a window's charge needs the primes of its
-# charged sieve, and the --gen walk learns the group's order by walking
+# refused after the plan is resumed past its first charges, by design: a
+# window's charge, which main makes, needs the primes of its charged sieve,
+# and the --gen walk, the one refusal inside the library, learns the group's
+# order by walking
 _STAGED = [
     ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
     ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
@@ -233,8 +235,9 @@ _STAGED = [
 
 def _planned(monkeypatch, argv):
     """main(argv) with its plan watched: the exit code, and "planned" once
-    the plan yielded its charges, then "ran" once main resumed it for its
-    work, which fails the test unless argv is one of _STAGED."""
+    the plan yielded its first charges, then "ran" once main resumed it past
+    them, which fails the test unless argv is one of _STAGED.  Every later
+    yield, a list of charges or the outcome, is passed on to main."""
     command, seen = COMMANDS[argv[0]], []
 
     def plan(args, config):
@@ -245,7 +248,7 @@ def _planned(monkeypatch, argv):
         seen.append("ran")
         if argv not in _STAGED:
             pytest.fail(f"{argv} ran past its charges")
-        yield next(steps)
+        yield from steps
 
     monkeypatch.setitem(COMMANDS, argv[0], command._replace(plan=plan))
     return main(list(argv)), seen
@@ -590,16 +593,16 @@ def test_avg_dyadic_ladder(capsys):
 
 
 def test_n_rule_parser_forms(tmp_path):
-    assert parse_n_rule("100")(8)(11) == 100
-    assert parse_n_rule("P^0.5")(256)(601) == 16
-    assert parse_n_rule("P^1/2")(256)(601) == 16
-    assert parse_n_rule("P^1/3")(27)(31) == 3  # exact integer ceiling
+    # each rule gives, for a window scale P, the int N of every p or the table of N_p by p
+    assert parse_n_rule("100")(8) == 100
+    assert parse_n_rule("P^0.5")(256) == 16
+    assert parse_n_rule("P^1/2")(256) == 16
+    assert parse_n_rule("P^1/3")(27) == 3  # exact integer ceiling
     table = tmp_path / "n.csv"
     table.write_text("p,N\n11,5\n13,7\n")
-    rule = parse_n_rule(f"@{table}")(8)
-    assert (rule(11), rule(13)) == (5, 7)
+    assert parse_n_rule(f"@{table}")(8) == {11: 5, 13: 7}
     with pytest.raises(ValueError):
-        rule(17)
+        parse_n_rule("0")
     with pytest.raises(ValueError):
         parse_n_rule("P^x")
     with pytest.raises(ValueError):
@@ -892,7 +895,8 @@ def _calls(drawn):
     """Argv of every subcommand but selftest, where drawn(s) is the strategy
     of an integer argument whose usual values s draws."""
     p, n, small = drawn(_P), drawn(_N), drawn(_SMALL)
-    scale, rule, count = drawn(_ints(-3, 300)), drawn(_ints(-3, 2000)), drawn(_ints(-3, 9_999))
+    scale, count = drawn(_ints(-3, 300)), drawn(_ints(-3, 9_999))
+    rule = st.one_of(drawn(_ints(-3, 2000)), st.tuples(small, small).map(lambda ab: f"P^{ab[0]}/{ab[1]}"))
     return st.one_of(
         st.tuples(st.just("quotient"), st.just("--p"), p, st.just("--u"), n),
         st.tuples(st.sampled_from(("table", "image", "maxsum")), st.just("--p"), p, st.just("--n"), n),
@@ -919,20 +923,40 @@ _CALLS = st.one_of(
 )
 
 
+# every call drawn under --memcap 24 --budget 1 returns within this bound:
+# over 4,500 drawn calls on a 2-core host the slowest took 0.076 s, the
+# first call of a process, which loads numpy; the bound is 13 times that
+_SMALL_CAPS_SECONDS = 1.0
+
+
 # each exited 1 at the default caps: three float powers past the range,
-# the third in a --kappa call that reads no moment, and an M past int64
+# the third in a --kappa call that reads no moment, and an M past int64;
+# then three power rules whose P^numerator passed the float range
 @example(call=(("avg", "--P", "4", "--nu", "1009", "--N-rule", "P^1"), None, None))
 @example(call=(("avg", "--P", "4", "--nu", "1100", "--N-rule", "P^1/2"), None, None))
 @example(call=(("avg", "--P", "4", "--nu", "1009", "--N-rule", "P^1", "--kappa", "0.1"), None, None))
 @example(call=(("rho", "--M", "9223372036854775808", "--b", "1", "--nu", "2", "--k", "3"), None, None))
+@example(call=(("avg", "--P", "4", "--N-rule", "P^1999/1000"), None, None))
+@example(call=(("avg", "--P", str(10**200), "--N-rule", "P^3/2"), None, None))
+@example(call=(("avg", "--P", "1000", "--N-rule", "P^4001/2001"), None, None))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(call=_CALLS)
 def test_cli_exits_0_2_or_3_and_leaves_no_temp_file(capsys, tmp_path, call):
     argv, memcap, budget = call
     limits = [arg for flag, value in (("--memcap", memcap), ("--budget", budget)) if value for arg in (flag, value)]
     with tempfile.TemporaryDirectory(dir=tmp_path) as out_dir:
-        rc, _, err = run(capsys, *argv, *limits, "--out", os.path.join(out_dir, "report.csv"))
+        out = os.path.join(out_dir, "report.csv")
+        started = time.monotonic()
+        rc, _, err = run(capsys, *argv, *limits, "--threads", "1", "--out", out)
         assert rc in (0, 2, 3), err
+        if (memcap, budget) == ("24", "1"):
+            assert time.monotonic() - started < _SMALL_CAPS_SECONDS, argv
         assert not [f for f in os.listdir(out_dir) if f.startswith(".report-")]
         if rc:  # a refusal leaves no file at all
             assert not os.listdir(out_dir)
+        else:  # and a success writes the same bytes at two workers
+            with open(out, "rb") as fh:
+                report = fh.read()
+            assert run(capsys, *argv, *limits, "--threads", "2", "--out", out)[0] == 0
+            with open(out, "rb") as fh:
+                assert fh.read() == report, argv

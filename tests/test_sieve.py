@@ -19,7 +19,6 @@ from fermatq.quotients import period_histogram, quotient_rows, quotient_table
 from fermatq.sieve import (
     Theorem1Result,
     TrigPolynomial,
-    constant_rule,
     exceptional_counts,
     fold_coefficients,
     large_sieve_lhs,
@@ -29,7 +28,6 @@ from fermatq.sieve import (
     rho_coefficient,
     sieve_points,
     sieve_report,
-    table_rule,
     theorem1_average,
     trig_poly_eval,
     window_cost,
@@ -205,8 +203,8 @@ def test_window_validates_each_prime_once(monkeypatch):
 
 
 def uneven_rule(p_scale, low):
-    """A table_rule over the window (P, 2P] whose N_p run through (low, 2 low]."""
-    return table_rule({p: low + 1 + 9 * p % low for p in primes_up_to(2 * p_scale) if p > p_scale})
+    """A table of N_p over the window (P, 2P] whose N_p run through (low, 2 low]."""
+    return {p: low + 1 + 9 * p % low for p in primes_up_to(2 * p_scale) if p > p_scale}
 
 
 # N_p in (32, 64] below every p in (64, 128], and in (64, 128] above every p in (16, 32]
@@ -257,7 +255,7 @@ def test_window_block_peaks_within_its_cap(p_scale, n):
     # the table (they peaked at 28, 47 and 45 bytes an entry of the cap
     # when blocks counted entries alone)
     cap = 8192
-    pairs, _ = window_pairs(p_scale, 1, constant_rule(n))
+    pairs, _ = window_pairs(p_scale, 1, n)
     for block in sieve._window_blocks(pairs, 1, cap):
         primes = [OddPrime(p) for p, _ in block]
         quotient_rows(primes, n)  # numpy's first calls allocate outside the trace
@@ -271,7 +269,7 @@ def test_window_block_peaks_within_its_cap(p_scale, n):
 
 
 def test_theorem1_average_small_oracle():
-    res = theorem1_average(8, 1, constant_rule(3))
+    res = theorem1_average(8, 1, 3)
     expect, count = naive_moment_sum(8, 1, 3)
     assert res.prime_count == count == 2  # primes 11 and 13
     assert res.lhs == pytest.approx(expect, rel=1e-9)
@@ -282,39 +280,43 @@ def test_theorem1_average_small_oracle():
 
 
 def test_theorem1_all_ones_rule():
-    res = theorem1_average(8, 1, constant_rule(1))
+    res = theorem1_average(8, 1, 1)
     assert res.lhs == pytest.approx(float(res.prime_count))
     assert res.trivial_bound == res.prime_count
 
 
 def test_theorem1_rules():
-    assert power_rule(0.5, 256)(257) == 16
-    assert power_rule(0.5, 512)(521) == 23
-    rule = table_rule({11: 3, 13: 4})
-    assert rule(11) == 3
-    with pytest.raises(ValueError):
-        rule(17)
+    # a power rule is one int N for the window; a table gives N_p by p and must cover every prime
+    assert power_rule(0.5, 256) == 16
+    assert power_rule(0.5, 512) == 23
+    assert power_rule(Fraction(1, 3), 27) == 3  # a perfect power stays exact
+    assert power_rule(Fraction(1999, 1000), 4) == 16  # 4^1999 passes the float range
+    assert window_pairs(8, 1, {11: 3, 13: 4, 17: 5}) == ([(11, 3), (13, 4)], 2)
+    with pytest.raises(ValueError, match="no N_p entry for prime 13"):
+        window_pairs(8, 1, {11: 3})
+    with pytest.raises(ValueError, match="digits"):
+        power_rule(Fraction(4001, 2001), 1000)  # refused before 1000^4001 is built
 
 
 def test_theorem1_validation_and_budget():
     with pytest.raises(ValueError):
-        theorem1_average(2, 1, constant_rule(1))
+        theorem1_average(2, 1, 1)
     with pytest.raises(ValueError):
-        theorem1_average(8, 0, constant_rule(1))
+        theorem1_average(8, 0, 1)
     with pytest.raises(ValueError):
-        theorem1_average(8, 1, constant_rule(100))  # exceeds P^2 = 64
+        theorem1_average(8, 1, 100)  # exceeds P^2 = 64
     with pytest.raises(ValueError):
-        theorem1_average(8, 1, table_rule({11: 3, 13: 40}))  # 3 and 40 share no window
+        theorem1_average(8, 1, {11: 3, 13: 40})  # 3 and 40 share no window
     # primes 11 and 13 at N_p = 3: one table of 3 entries, (3 + 11) + (3 + 13) steps
-    assert window_cost(window_pairs(8, 1, constant_rule(3))[0]) == (3, 30)
+    assert window_cost(window_pairs(8, 1, 3)[0]) == (3, 30)
     assert main(["avg", "--P", "8", "--nu", "1", "--N-rule", "3", "--budget", "10"]) == 3
     # the one table cap the library keeps, the block size of a window, is the CLI's at the default --memcap
     assert inspect.signature(theorem1_average).parameters["max_entries"].default == RunConfig().max_table_entries
 
 
 def test_theorem1_thread_count_does_not_change_bits():
-    serial = theorem1_average(16, 2, constant_rule(4))
-    pooled = theorem1_average(16, 2, constant_rule(4), threads=4)
+    serial = theorem1_average(16, 2, 4)
+    pooled = theorem1_average(16, 2, 4, threads=4)
     assert serial.lhs == pooled.lhs
     assert serial.per_prime == pooled.per_prime
 
@@ -338,15 +340,15 @@ def test_theorem1_worker_count_is_clamped(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    serial = theorem1_average(16, 2, constant_rule(4))
-    wide = theorem1_average(16, 2, constant_rule(4), threads=10**6)  # 7 primes in (16, 32]
-    few = theorem1_average(8, 1, constant_rule(3), threads=10**6)  # 2 primes in (8, 16]
+    serial = theorem1_average(16, 2, 4)
+    wide = theorem1_average(16, 2, 4, threads=10**6)  # 7 primes in (16, 32]
+    few = theorem1_average(8, 1, 3, threads=10**6)  # 2 primes in (8, 16]
     assert seen == [4, 2]
     assert wide.per_prime == serial.per_prime and few.prime_count == 2
 
 
 def test_exceptional_counts():
-    res = theorem1_average(8, 1, constant_rule(3))
+    res = theorem1_average(8, 1, 3)
     assert isinstance(res, Theorem1Result)
     pairs = exceptional_counts(res, [0.0, 5.0])
     # kappa = 0: threshold N_p itself; kappa = 5: threshold near zero
