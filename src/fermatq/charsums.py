@@ -53,13 +53,6 @@ def resident_transform_memory(n: int) -> None:
         _resident_bytes = size
 
 
-def unit_root(r: int, k: int) -> complex:
-    """exp(2*pi*i*k/r) evaluated at the reduced argument k mod r."""
-    if r < 1:
-        raise ValueError(f"root order must be >= 1, got {r}")
-    return complex(np.exp(2j * np.pi * ((k % r) / r)))
-
-
 def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
     """Vector of exp(2*pi*i*k/r) over integer arguments, reduced mod r."""
     if r < 1:
@@ -104,15 +97,6 @@ class CharacterModP:
     def quadratic(cls, p: int | OddPrime) -> "CharacterModP":
         prime = odd_prime(p)
         return cls(prime, (prime.p - 1) // 2)
-
-    @classmethod
-    def all_of_order(cls, p: int | OddPrime, d: int) -> list["CharacterModP"]:
-        """The phi(d) characters of exact order d; requires d | p-1."""
-        prime = odd_prime(p)
-        if d < 1 or (prime.p - 1) % d != 0:
-            raise ValueError(f"order {d} does not divide {prime.p - 1}")
-        step = (prime.p - 1) // d
-        return [cls(prime, step * j) for j in range(1, d + 1) if math.gcd(j, d) == 1]
 
     @property
     def modulus(self) -> int:

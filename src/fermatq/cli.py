@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from . import np
 from .arith import BudgetError, odd_prime
-from .config import DEFAULT_BUDGET_OPS, DEFAULT_MEMORY_CAP, DEFAULT_THREADS, RunConfig, rho_row_entries, setting
+from .config import DEFAULT_BUDGET_OPS, DEFAULT_MEMORY_CAP, DEFAULT_THREADS, RunConfig, charged_entries, setting
 from .report import emit, write_atomic
 
 
@@ -118,16 +118,20 @@ def _load_n_table(path: str) -> dict[int, int]:
     return mapping
 
 
-def _histogram_charges(p, n: int, whole: bool):
+def _histogram_charges(p, n: int, spectrum: bool):
     """(prime, the charges of period_histogram(prime, n)): p counts, then
-    a table of the n mod p^2 tail, or all n entries when whole is set.  The
-    traced peak at n = 10 and p = 10^6 is 24 bytes per p for image and 48
-    for maxsum (its length-p FFT), against the 24 charged; the tail's table
-    adds its builder's peak of about 17 bytes per entry (maxsum --p 211
-    --n 800000: 0.8 MiB, where a table of all n took 13 MiB)."""
+    a table of the n mod p^2 tail; for maxsum's spectrum, the counts at
+    its "spectrum count" bytes (a length-p FFT), then all n entries.  The
+    traced peak at n = 10 and p = 10^6 is 24 bytes per p for image; the
+    tail's table adds its builder's peak of about 17 bytes per entry
+    (maxsum --p 211 --n 800000: 0.8 MiB, where a table of all n took 13
+    MiB).  Below p of about 7 * 10^5 maxsum's traced peak is the block of
+    up to 256 bytes per p that resident_transform_memory allocates and
+    frees untouched, which no page backs and which is not charged."""
     prime = odd_prime(p)
     quotients.check_histogram_length(n)
-    return prime, [("histogram", prime.p, 0), ("table", n if whole else n % prime.p2, 0)]
+    counts = charged_entries(prime.p, "spectrum count") if spectrum else prime.p
+    return prime, [("histogram", counts, 0), ("table", n if spectrum else n % prime.p2, 0)]
 
 
 def plan_quotient(args, config: RunConfig):
@@ -150,7 +154,7 @@ def plan_table(args, config: RunConfig):
 
 
 def plan_image(args, config: RunConfig):
-    prime, charges = _histogram_charges(args.p, args.n, whole=False)
+    prime, charges = _histogram_charges(args.p, args.n, spectrum=False)
     yield charges
     hist = quotients.period_histogram(prime, args.n)
     img = hist.image
@@ -168,14 +172,14 @@ def plan_expsum(args, config: RunConfig):
     prime = odd_prime(args.p)
     if args.n < 1:
         raise ValueError(f"range must be >= 1, got {args.n}")
-    yield [("table", args.n, 0)]
+    yield [("table", charged_entries(args.n, "expsum entry"), 0)]
     yield _sum_row(prime, args.a, args.n, charsums.exp_sum_direct(prime, args.a, args.n))
 
 
 def plan_maxsum(args, config: RunConfig):
     # charged n entries, as a whole table was: the float spectrum of the
     # folded counts loses digits as n / p^2 grows
-    prime, charges = _histogram_charges(args.p, args.n, whole=True)
+    prime, charges = _histogram_charges(args.p, args.n, spectrum=True)
     yield charges
     hist = quotients.period_histogram(prime, args.n)
     a_star, _ = charsums.max_exp_sum(hist)
@@ -229,8 +233,12 @@ def plan_sieve(args, config: RunConfig):
         raise ValueError(f"K must be >= 1, got {args.K}")
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
-    # the points of the largest R, which bound every other R's
-    yield [("coefficients", args.K, 0), ("evaluation points", 0, sieve.sieve_points(max(args.R)))]
+    # the points of the largest R, and its r^2 grid, which bound every other R's
+    yield [
+        ("coefficients", charged_entries(args.K, "sieve coefficient"), 0),
+        ("evaluation points", 0, sieve.sieve_points(max(args.R))),
+        ("evaluation grid", charged_entries(max(args.R) ** 2, "sieve grid point"), 0),
+    ]
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = sieve.TrigPolynomial(coeffs)
@@ -247,7 +255,7 @@ def plan_rho(args, config: RunConfig):
         raise ValueError("rho requires --k or --kmax")
     sieve.check_rho(args.M, args.nu, min(args.k or [1]))  # every k; a --kmax range starts at 1
     steps = sieve.rho_steps(args.M, args.nu, ks, stop=config.budget_ops)
-    yield [("rho rows", rho_row_entries(len(ks), config.format), steps)]
+    yield [("rho rows", charged_entries(len(ks), f"{config.format} row"), steps)]
     coefficients = ((k, sieve.rho_coefficient(args.M, args.b, args.nu, k)) for k in ks)
     yield RHO_COLUMNS, [(args.M, args.b, args.nu, k, c.real, c.imag, abs(c)) for k, c in coefficients]
 
@@ -264,7 +272,8 @@ def plan_ratios(args, config: RunConfig):
     else:
         prime = odd_prime(args.p)
         m = prime.p2
-        charges = [("floor-sum lanes", 0, subgroups.ratio_steps(m, prime.p - 1))]  # t = p - 1, known without G_p
+        t = prime.p - 1  # G_p's order, known without G_p
+        charges = [("floor-sum lanes", 0, subgroups.ratio_steps(m, t)), ("G_p", charged_entries(t, "group element"), 0)]
     subgroups.check_ratio_bound(m, args.Z)
     yield charges
     if args.p is None:
@@ -299,7 +308,8 @@ def plan_doublesum(args, config: RunConfig):
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
     if min(args.ucap, args.vcap) < 1:
         raise ValueError(f"caps must be >= 1, got ucap={args.ucap}, vcap={args.vcap}")
-    yield [("convolution", primroots.convolution_length(prime), 0), ("table", max(args.ucap, args.vcap), 0)]
+    convolution = charged_entries(primroots.convolution_length(prime), "convolution entry")
+    yield [("convolution", convolution, 0), ("table", max(args.ucap, args.vcap), 0)]
     eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
     rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
     yield DOUBLESUM_COLUMNS, [(rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)]

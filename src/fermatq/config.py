@@ -16,27 +16,36 @@ DEFAULT_MEMORY_CAP = 2 * 1024**3
 # sieve, int64 index ramp, bool mask, freed before its int64 table; the
 # power ladder's temporaries, a few arrays of pi(n) entries, stay below
 # that), plus slack.  Every other --memcap charge is counted in these units:
-# doublesum's pair-count convolution of transform length n is n entries
-# (its traced peak, 57 to 81 bytes per p at p = 10^4 to 10^6, is within a
-# factor of 1.2 of those 24 * n bytes), the int64 least-prime-factor sieves
-# of scan and avg one entry per integer, and rho's rows their RHO_ROW_BYTES
-# rounded up to whole entries.
+# the int64 least-prime-factor sieves of scan and avg one entry per integer,
+# and each working set below its bytes rounded up to whole entries.
 _TABLE_BYTES_PER_ENTRY = 24
 
 DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 
-# bytes per rho report row, by format: the traced peak of rho --M 1 --b 0
-# --nu 1 --kmax 200000 and rho --M 1000 --b 1 --nu 2 --kmax 100000 over the
-# row count, 215 to 240 for csv and 224 to 257 for json, rounded up to a
-# multiple of 32; the row tuple (about 208), and a share of rho's working
-# set and of the 4,096-row chunk being rendered, as text in both formats
-RHO_ROW_BYTES = {"csv": 256, "json": 288}
+# bytes per unit of each working set charged at its traced peak: the
+# tracemalloc peak of cli.main over the unit count, its modules loaded
+# first, rounded up to a multiple of 8
+PEAK_BYTES = {
+    "expsum entry": 56,  # its table, mask and phases: 49 at n = 2.5 * 10^5 and 2 * 10^6
+    "sieve coefficient": 40,  # 32 to 34 at K = 10^5 and 10^6 (R = 2)
+    "sieve grid point": 64,  # of the largest R's r^2 grid: 57 at R = 300 and 600 (K = 4)
+    "convolution entry": 48,  # doublesum's length n: 40 at n about 2p, 29 to 39 at p = 10^4 to 10^6
+    "spectrum count": 56,  # maxsum's length-p FFT: 48.01 at p = 10^6 + 3 and 2 * 10^6 + 3
+    "group element": 72,  # ratios' G_p of p - 1 elements: 68 at p = 10^5 + 3, 57 at 10^6 + 3
+    # a rho report row, by format: the traced peak of rho --M 1 --b 0 --nu 1
+    # --kmax 200000 and rho --M 1000 --b 1 --nu 2 --kmax 100000 over the row
+    # count, 215 to 240 for csv and 224 to 257 for json, rounded up to a
+    # multiple of 32; the row tuple (about 208), and a share of rho's working
+    # set and of the 4,096-row chunk being rendered, as text in both formats
+    "csv row": 256,
+    "json row": 288,
+}
 
 
-def rho_row_entries(rows: int, format: str) -> int:
-    """Entries charged for rows rho report rows in format: their bytes,
-    rounded up to whole table entries."""
-    return -(-rows * RHO_ROW_BYTES[format] // _TABLE_BYTES_PER_ENTRY)
+def charged_entries(count: int, unit: str) -> int:
+    """Entries charged for count units of a PEAK_BYTES working set: their
+    bytes, rounded up to whole table entries."""
+    return -(-count * PEAK_BYTES[unit] // _TABLE_BYTES_PER_ENTRY)
 
 
 class _RunConfig(NamedTuple):

@@ -3,10 +3,12 @@
 The character-sum indicator for primitive roots mod p evaluates
 (phi(p-1)/(p-1)) * sum over d | p-1 of (mu(d)/phi(d)) * sum over the
 characters eta of exact order d of eta(a), which is 1 on primitive
-roots and 0 elsewhere.  The least-n searches for one prime share one
-walk that computes q_p(n) directly for n = 2, 3, ..., since the typical
-hit is a handful of steps in.  A scan over a range of primes takes the
-same walk for every prime at once, one numpy lane per prime.
+roots and 0 elsewhere.  At a = g**k the inner sum is the Ramanujan sum
+c_d(k) = mu(e) phi(d)/phi(e), e = d/gcd(d, k): each term is the exact
+Fraction mu(d) mu(e)/phi(e).  The least-n searches for one prime share
+one walk that computes q_p(n) directly for n = 2, 3, ..., since the
+typical hit is a handful of steps in.  A scan over a range of primes
+takes the same walk for every prime at once, one numpy lane per prime.
 """
 
 from __future__ import annotations
@@ -34,37 +36,35 @@ from .arith import (
 )
 from .quotients import UNDEFINED, QuotientTable, fermat_quotient, quotient_table
 
-_INDICATOR_TOL = 1e-6
-
 
 class IndicatorReport(NamedTuple):
     p: int
     a: int
     indicator: int
-    terms: int  # characters actually summed: phi(d) over squarefree d | p-1
+    terms: int  # characters the sum runs over: phi(d) over squarefree d | p-1
 
 
 def primroot_indicator(p: int | OddPrime, a: int) -> IndicatorReport:
-    """Exact 0/1 primitive-root indicator via the order-d character sums."""
+    """Exact 0/1 primitive-root indicator by the Ramanujan sums; 0 at a = 0."""
+    from fractions import Fraction  # imported where it is used: most calls build none
+
     prime = odd_prime(p)
     a %= prime.p
-    total = 0j
+    k = int(charsums.discrete_log_table(prime.p)[1][a])
+    total = Fraction(0)
     terms = 0
     for d in divisors(prime.p - 1):
         phi_d, mu_d, _ = arithmetic_functions(d)
         if mu_d == 0:
             continue
-        block = 0j
-        for eta in charsums.CharacterModP.all_of_order(prime, d):
-            block += eta(a)
-            terms += 1
-        total += (mu_d / phi_d) * block
-    phi_top = arithmetic_functions(prime.p - 1)[0]
-    value = (phi_top / (prime.p - 1)) * total
-    rounded = int(round(value.real))
-    if abs(value.imag) > _INDICATOR_TOL or abs(value.real - rounded) > _INDICATOR_TOL or rounded not in (0, 1):
+        terms += phi_d
+        if a:
+            phi_e, mu_e, _ = arithmetic_functions(d // math.gcd(d, k))
+            total += Fraction(mu_d * mu_e, phi_e)
+    value = Fraction(arithmetic_functions(prime.p - 1)[0], prime.p - 1) * total
+    if value not in (0, 1):
         raise AssertionError(f"indicator failed to settle at p={prime.p}, a={a}: {value}")
-    return IndicatorReport(prime.p, a, rounded, terms)
+    return IndicatorReport(prime.p, a, int(value), terms)
 
 
 def _least_n(prime: OddPrime, cap: int, hit: Callable[[int], bool]) -> int | None:

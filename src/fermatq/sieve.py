@@ -59,16 +59,10 @@ class TrigPolynomial(_TrigPolynomial):
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def trig_poly_eval(poly: TrigPolynomial, u: Fraction | float) -> complex:
-    """T(u) = sum_k alpha_k e(ku); Fractions evaluate via reduced integers."""
-    from fractions import Fraction
-
+def trig_poly_eval(poly: TrigPolynomial, u: Fraction) -> complex:
+    """T(u) = sum_k alpha_k e(ku), its phases at reduced integer arguments."""
     ks = np.arange(1, poly.k_max + 1, dtype=np.int64)
-    if isinstance(u, Fraction):
-        phases = unit_roots(u.denominator, int(u.numerator) * ks)
-    else:
-        phases = np.exp(2j * np.pi * (ks * float(u) % 1.0))
-    return complex(np.dot(poly.coeffs, phases))
+    return complex(np.dot(poly.coeffs, unit_roots(u.denominator, u.numerator * ks)))
 
 
 def fold_coefficients(poly: TrigPolynomial, m: int) -> np.ndarray:

@@ -143,7 +143,7 @@ def test_criterion_06_primroot_indicator_exact(capfd):
         for p in (7, 11, 13, 101):
             total = 0
             for a in range(p):
-                rep = primroot_indicator(p, a)  # raises if any imag part > 1e-6
+                rep = primroot_indicator(p, a)  # raises unless the exact sum is 0 or 1
                 assert rep.indicator == int(is_primitive_root(a, p)), (p, a)
                 total += rep.indicator
             assert total == arithmetic_functions(p - 1)[0], p

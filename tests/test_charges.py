@@ -13,7 +13,6 @@ import pytest
 
 import fermatq
 from fermatq.cli import COMMANDS, main
-from fermatq.config import RHO_ROW_BYTES
 
 SRC = Path(fermatq.__file__).resolve().parent
 
@@ -115,17 +114,33 @@ def test_charged_subcommand_refuses_at_the_smallest_caps(capsys, tmp_path, comma
     assert not os.listdir(tmp_path)
 
 
-@pytest.mark.parametrize("format", ["csv", "json"])
-def test_rho_rows_peak_within_their_charge(tmp_path, format):
-    # the first of the two calls RHO_ROW_BYTES was traced on, at half its
-    # rows, where the chunk being rendered weighs twice as much per row
-    argv = ["rho", "--M", "1", "--b", "0", "--nu", "1", "--format", format, "--out", str(tmp_path / "rho.out")]
-    assert main([*argv, "--kmax", "50"]) == 0  # its modules load outside the trace
-    rows = 100_000
+# a call of each subcommand whose working set a flag makes large, at a size
+# its config.PEAK_BYTES were traced at; rho's rows at half the rows of the
+# first call traced, where the chunk being rendered weighs twice as much a row
+TRACED = {
+    "expsum": ("expsum", "--p", "1000003", "--a", "1", "--n", "250000"),
+    "sieve-K": ("sieve", "--R", "2", "--K", "100000"),
+    "sieve-R": ("sieve", "--R", "300", "--K", "4"),
+    "doublesum": ("doublesum", "--p", "65521", "--ucap", "10", "--vcap", "10"),  # n = 2^17, about 2p
+    "maxsum": ("maxsum", "--p", "1000003", "--n", "10"),
+    "ratios": ("ratios", "--p", "100003", "--Z", "10"),
+    "rho-csv": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000"),
+    "rho-json": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("argv", TRACED.values(), ids=TRACED)
+def test_traced_peak_within_its_charge(capsys, tmp_path, argv):
+    # the charges cover the traced peak exactly when a cap one byte below it refuses the call
+    out = ("--out", str(tmp_path / "report.out"))
+    for format in ("csv", "json"):  # the modules and both writers load outside the trace
+        assert main([argv[0], *MINIMAL[argv[0]], "--format", format, *out]) == 0
     tracemalloc.start()
     try:
-        assert main([*argv, "--kmax", str(rows)]) == 0
+        assert main([*argv, *out]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / rows <= RHO_ROW_BYTES[format]
+    capsys.readouterr()
+    assert main([*argv, *out, "--memcap", str(peak - 1)]) == 3
+    assert capsys.readouterr().err.startswith("budget:")

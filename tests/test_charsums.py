@@ -28,26 +28,20 @@ from fermatq.charsums import (
     max_exp_sum,
     resident_transform_memory,
     spectrum_from_histogram,
-    unit_root,
     unit_roots,
 )
 from fermatq.quotients import fermat_quotient, period_histogram, quotient_table, value_histogram
 
 
 def test_unit_root_reduced_arguments():
-    assert abs(unit_root(4, 1) - 1j) < 1e-15
-    assert unit_root(4, 5) == unit_root(4, 1)  # bit-identical after reduction
-    assert unit_root(7, 0) == 1.0
-    assert unit_root(5, -1) == unit_root(5, 4)
+    roots = unit_roots(4, [1, 5])
+    assert abs(roots[0] - 1j) < 1e-15
+    assert roots[1] == roots[0]  # bit-identical after reduction
+    assert unit_roots(7, [0])[0] == 1.0
+    assert unit_roots(5, [-1])[0] == unit_roots(5, [4])[0]
+    assert (unit_roots(7, [0, 1, 2, 9, -3]) == unit_roots(7, [0, 1, 2, 2, 4])).all()
     with pytest.raises(ValueError):
-        unit_root(0, 1)
-
-
-def test_unit_roots_vector_matches_scalar():
-    ks = np.array([0, 1, 2, 9, -3])
-    vec = unit_roots(7, ks)
-    for k, v in zip(ks, vec):
-        assert v == unit_root(7, int(k))
+        unit_roots(0, [1])
 
 
 def test_orthogonality_exact_indices():
@@ -55,7 +49,7 @@ def test_orthogonality_exact_indices():
     for r in (5, 12, 49):
         for z in (0, 1, 3, r, 2 * r, r // 2):
             idx = Counter(b * z % r for b in range(r))
-            s = sum(unit_root(r, b * z) for b in range(r))
+            s = complex(unit_roots(r, z * np.arange(r)).sum())
             if z % r == 0:
                 assert idx == Counter({0: r})
                 assert s == r  # all terms exactly 1.0
@@ -96,14 +90,15 @@ def test_quadratic_character_euler_criterion():
 
 
 def test_character_orders_and_counts():
+    # eta_k has order d = (p - 1)/gcd(k, p - 1), phi(d) of the k in 0..p-2 for each d | p - 1,
+    # and takes each d-th root of unity on the units
     p = 13
-    for d in (1, 2, 3, 4, 6, 12):
-        chars = CharacterModP.all_of_order(p, d)
-        assert len(chars) == arithmetic_functions(d)[0]
-        for eta in chars:
-            assert eta.order == d
-    with pytest.raises(ValueError):
-        CharacterModP.all_of_order(13, 5)
+    chars = [CharacterModP(p, k) for k in range(p - 1)]
+    assert Counter(eta.order for eta in chars) == {d: arithmetic_functions(d)[0] for d in (1, 2, 3, 4, 6, 12)}
+    for eta in chars:
+        image = {complex(round(v.real, 9), round(v.imag, 9)) for v in eta.value_array()[1:]}
+        assert len(image) == eta.order
+    assert CharacterModP(p, 16).order == 3  # k is reduced mod p - 1
 
 
 def test_character_multiplicative():
@@ -131,7 +126,7 @@ def test_hb_character_one_plus_p():
     for p, a in ((5, 1), (7, 3), (11, 9)):
         chi = hb_character(p, a)
         assert fermat_quotient(p, 1 + p) == p - 1
-        assert abs(chi(1 + p) - unit_root(p, a * (p - 1))) < 1e-12
+        assert abs(chi(1 + p) - unit_roots(p, [a * (p - 1)])[0]) < 1e-12
 
 
 def test_hb_character_multiplicative_and_periodic():
@@ -173,7 +168,7 @@ def test_hb_partial_sums_match_direct():
 
 def test_exp_sum_direct_example():
     s = exp_sum_direct(5, 1, 4)
-    expected = 1 + unit_root(5, 3) + 2 * unit_root(5, 1)
+    expected = complex(unit_roots(5, [0, 3, 1, 1]).sum())
     assert abs(s - expected) < 1e-12
 
 

@@ -17,6 +17,7 @@ import fermatq
 from fermatq.arith import is_prime, primes_up_to
 from fermatq.charsums import discrete_log_table
 from fermatq.cli import COMMANDS, main, parse_n_rule
+from fermatq.config import PEAK_BYTES
 from fermatq.report import parse_csv
 
 
@@ -143,6 +144,12 @@ _REFUSED = [
     ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
     # 2Z = p^2 - 1 is a valid Z, whose group is charged; the float p^2 / 2 refused it
     ("ratios", "--p", "2147483647", "--Z", "2305843007066210304"),
+    # working sets charged at their traced bytes, PEAK_BYTES, past the default cap or the one given
+    ("expsum", "--p", "7", "--a", "1", "--n", "80000000"),
+    ("sieve", "--R", "10000", "--K", "4", "--budget", "1000000000000"),
+    ("doublesum", "--p", "16777259", "--order", "2", "--ucap", "10", "--vcap", "10"),  # n = 2^26
+    ("maxsum", "--p", "50000017", "--n", "10"),
+    ("ratios", "--p", "1000003", "--Z", "10", "--memcap", "1000000"),
 ]
 
 
@@ -331,7 +338,7 @@ def test_memcap_bounds_avg_and_doublesum(capsys, tmp_path):
     assert rc == 3 and "convolution" in err
     assert not out_path.exists()
     assert not os.listdir(tmp_path)
-    rc, out, _ = run(capsys, *pinned[1][0], "--memcap", str(24 * 32768))
+    rc, out, _ = run(capsys, *pinned[1][0], "--memcap", str(PEAK_BYTES["convolution entry"] * 32768))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pinned[1][1]
 
@@ -665,7 +672,9 @@ def test_sieve_memcap_charges_coefficients(capsys, tmp_path):
     rc, _, err = run(capsys, "sieve", "--R", "2", "--K", "5000", "--memcap", "24000", "--out", str(out_path))
     assert rc == 3 and "coefficients" in err
     assert not os.listdir(tmp_path)
-    assert run(capsys, "sieve", "--R", "2", "--K", "1000", "--memcap", "24000")[0] == 0
+    admitted = 24000 // PEAK_BYTES["sieve coefficient"]
+    assert run(capsys, "sieve", "--R", "2", "--K", str(admitted), "--memcap", "24000")[0] == 0
+    assert run(capsys, "sieve", "--R", "2", "--K", str(admitted + 1), "--memcap", "24000")[0] == 3
 
 
 def test_sieve_seed_changes_rows(capsys):

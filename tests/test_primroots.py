@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,12 +14,13 @@ from fermatq.arith import (
     factorize,
     is_prime,
     is_primitive_root,
+    least_primitive_root,
     pow_mod_p2_lanes,
     primes_up_to,
 )
 from fermatq.charsums import CharacterModP
 from fermatq.cli import main
-from fermatq.config import DEFAULT_BUDGET_OPS
+from fermatq.config import DEFAULT_BUDGET_OPS, PEAK_BYTES
 from fermatq.primroots import (
     IndicatorReport,
     NonresRow,
@@ -55,13 +57,23 @@ def test_indicator_terms_counts_squarefree_orders():
 
 
 def test_indicator_agrees_with_direct_test():
-    for p in (7, 11, 13, 101):
+    for p in primes_up_to(400)[1:]:  # every odd prime below 400
         total = 0
         for a in range(p):
             rep = primroot_indicator(p, a)
             assert rep.indicator == int(is_primitive_root(a, p)), (p, a)
             total += rep.indicator
         assert total == arithmetic_functions(p - 1)[0], p
+
+
+def test_indicator_near_a_million_returns_at_once():
+    # a sum of the characters themselves would build about 10^6 of length p here
+    p = 1000003  # p - 1 = 2 * 3 * 166667 is squarefree, so every character is summed
+    g = least_primitive_root(p)
+    started = time.monotonic()
+    assert primroot_indicator(p, g) == IndicatorReport(p, g, 1, p - 1)
+    assert primroot_indicator(p, g * g % p) == IndicatorReport(p, g * g % p, 0, p - 1)
+    assert time.monotonic() - started < 5.0
 
 
 def test_smallest_primroot_quotient_examples():
@@ -187,9 +199,10 @@ def test_double_char_sum_caps_the_convolution_not_the_sets(capsys):
     assert double_char_sum(10009, eta, {1}, {2}) == eta(3)
     assert abs(double_char_sum(10009, eta, range(10009), range(10009))) < 1e-6
     argv = ["doublesum", "--p", "10009", "--ucap", "1", "--vcap", "1", "--memcap"]
-    assert main([*argv, str(24 * ((1 << 15) - 1))]) == 3
+    convolution_bytes = PEAK_BYTES["convolution entry"] << 15
+    assert main([*argv, str(convolution_bytes - 1)]) == 3
     assert "convolution" in capsys.readouterr().err
-    assert main([*argv, str(24 << 15)]) == 0
+    assert main([*argv, str(convolution_bytes)]) == 0
     with pytest.raises(ValueError, match="nonempty"):
         double_char_sum(10009, eta, [], {1})
 
