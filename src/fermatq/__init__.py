@@ -7,7 +7,7 @@ import os
 
 # One BLAS thread per process, set before numpy is first imported; an
 # explicit setting in the environment wins.  fermatq's BLAS calls are 1-D
-# dot products, and its parallelism is its own worker processes (`avg
+# dot products, and its parallelism is its own worker threads (`avg
 # --threads`).  OpenBLAS splits a long dot product by thread count, so its
 # rounding, and with it a report's bytes, would depend on the host's core
 # count; and its idle thread pool spins a second core for about 0.1 s of

@@ -83,9 +83,6 @@ class OddPrime(_OddPrime):
         p, _ = fields
         return cls(p)
 
-    def __getnewargs__(self) -> tuple[int]:
-        return (self.p,)
-
 
 def odd_prime(p: int | OddPrime) -> OddPrime:
     return p if isinstance(p, OddPrime) else OddPrime(p)

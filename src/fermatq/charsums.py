@@ -30,7 +30,9 @@ _RESIDENT_BYTES_PER_POINT = 256
 # margin covers the chunk header rounded up to any page size
 _RESIDENT_CAP = 32 * 1024 * 1024 - 64 * 1024
 # the largest block freed so far, from glibc's default mmap threshold on;
-# process-wide, like the threshold it raised
+# process-wide, like the threshold it raised.  avg's worker threads read and
+# set it without a lock: a race costs at most one more untouched allocation,
+# and glibc's threshold only moves up
 _resident_bytes = 128 * 1024
 
 
@@ -63,14 +65,22 @@ def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def discrete_log_table(p: int) -> tuple[int, np.ndarray]:
-    """(least primitive root g, index table ind with g**ind[x] = x mod p)."""
+    """(least primitive root g, index table ind with g**ind[x] = x mod p,
+    ind[0] = 0), from g^(iB + r) = (g^B)^i g^r, B = ceil(sqrt(p - 1)): two
+    walks of about sqrt(p) steps and one int64 outer product below p^2 < 2^62."""
     prime = odd_prime(p)
-    g = least_primitive_root(prime)
-    ind = np.zeros(prime.p, dtype=np.int64)
-    x = 1
-    for j in range(prime.p - 1):
-        ind[x] = j
-        x = x * g % prime.p
+    g, p = least_primitive_root(prime), prime.p
+    baby = [1] * (math.isqrt(p - 2) + 1)  # g^r for r < B
+    for r in range(1, len(baby)):
+        baby[r] = baby[r - 1] * g % p
+    giant, step = [1] * -(-(p - 1) // len(baby)), baby[-1] * g % p  # (g^B)^i
+    for i in range(1, len(giant)):
+        giant[i] = giant[i - 1] * step % p
+    ind = np.full(p, -1, dtype=np.int64)
+    ind[(np.array(giant)[:, None] * np.array(baby) % p).ravel()[: p - 1]] = np.arange(p - 1)
+    if np.any(ind[1:] < 0):  # some unit missed, so another was hit twice
+        raise AssertionError(f"powers of {g} do not hit every unit mod {p} once")
+    ind[0] = 0
     ind.setflags(write=False)
     return g, ind
 

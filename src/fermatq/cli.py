@@ -233,12 +233,10 @@ def plan_sieve(args, config: RunConfig):
         raise ValueError(f"K must be >= 1, got {args.K}")
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
-    # the points of the largest R, and its r^2 grid, which bound every other R's
-    yield [
-        ("coefficients", charged_entries(args.K, "sieve coefficient"), 0),
-        ("evaluation points", 0, sieve.sieve_points(max(args.R))),
-        ("evaluation grid", charged_entries(max(args.R) ** 2, "sieve grid point"), 0),
-    ]
+    # the points of the largest R, and its r^2 grid, which bound every other
+    # R's; the grid lives while the coefficients do, so the two are one charge
+    held = charged_entries(args.K, "sieve coefficient") + charged_entries(max(args.R) ** 2, "sieve grid point")
+    yield [("coefficients and evaluation grid", held, 0), ("evaluation points", 0, sieve.sieve_points(max(args.R)))]
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = sieve.TrigPolynomial(coeffs)
@@ -308,8 +306,9 @@ def plan_doublesum(args, config: RunConfig):
         raise ValueError("order 1 gives the trivial character; use --order >= 2")
     if min(args.ucap, args.vcap) < 1:
         raise ValueError(f"caps must be >= 1, got ucap={args.ucap}, vcap={args.vcap}")
+    # the table lives through the convolution, so the two are one charge
     convolution = charged_entries(primroots.convolution_length(prime), "convolution entry")
-    yield [("convolution", convolution, 0), ("table", max(args.ucap, args.vcap), 0)]
+    yield [("table and convolution", max(args.ucap, args.vcap) + convolution, 0)]
     eta = charsums.CharacterModP(prime, (prime.p - 1) // args.order)
     rep = primroots.quotient_sumset_experiment(prime, args.ucap, args.vcap, eta)
     yield DOUBLESUM_COLUMNS, [(rep.p, rep.eta_order, rep.card_u, rep.card_v, rep.abs_sum, rep.envelope, rep.ratio)]

@@ -395,17 +395,19 @@ def window_pairs(p_scale: int, nu: int, n_rule: int | dict[int, int]) -> tuple[l
     return n_by_p, n_ref
 
 
-def _window_blocks(n_by_p: list, workers: int, max_entries: int) -> list:
-    """The pairs of window_pairs in blocks, one quotient_rows table each, of
-    at most min(_BLOCK_ENTRIES, max_entries) entries: a row counts its N + 1
-    entries or _LANE_ENTRIES per ladder lane, whichever is more, and a block
-    has one row at least.  Several workers get four blocks each at least."""
+def _window_blocks(n_by_p: list, threads: int, max_entries: int) -> tuple[int, list]:
+    """(workers, the pairs of window_pairs in blocks, one quotient_rows table
+    each).  A row counts N + 1 entries or _LANE_ENTRIES per ladder lane,
+    whichever is more.  A block holds one row, or at most min(_BLOCK_ENTRIES,
+    max_entries // workers) entries: the workers, at most the largest rows
+    max_entries holds, share it.  Each worker gets four blocks at least."""
     n_max = max(n_p for _, n_p in n_by_p)
     row = max(n_max + 1, _LANE_ENTRIES * prime_count_bound(n_max))  # pi(N) lanes a row, bounded above
-    rows = max(1, min(_BLOCK_ENTRIES, max_entries) // row)
+    workers = min(threads, os.cpu_count() or 1, len(n_by_p), max(1, max_entries // row))
+    rows = max(1, min(_BLOCK_ENTRIES, max_entries // workers) // row)
     if workers > 1:
         rows = min(rows, -(-len(n_by_p) // (4 * workers)))
-    return [n_by_p[i : i + rows] for i in range(0, len(n_by_p), rows)]
+    return workers, [n_by_p[i : i + rows] for i in range(0, len(n_by_p), rows)]
 
 
 def window_cost(n_by_p: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -433,18 +435,18 @@ def theorem1_average(
     max_entries: int = DEFAULT_TABLE_CAP,
 ) -> Theorem1Result:
     """Average of max_a |S_p(a; N_p)|^(2 nu) over the primes p in (P, 2P],
-    with N_p from n_rule as in window_pairs.  Its tables are built by blocks
-    of at most max_entries entries, or of one row where a row is larger."""
+    with N_p from n_rule as in window_pairs.  Its tables are built by blocks,
+    on up to `threads` threads, within max_entries entries at once or a row each."""
     start = time.monotonic()
     n_by_p, n_ref = window_pairs(p_scale, nu, n_rule)
-    workers = min(threads, os.cpu_count() or 1, len(n_by_p))
-    blocks = _window_blocks(n_by_p, workers, max_entries)
+    workers, blocks = _window_blocks(n_by_p, threads, max_entries)
     if workers > 1:
-        # imported here: the pool module pulls in multiprocessing, which
-        # every other subcommand would pay for at start-up
-        from concurrent.futures import ProcessPoolExecutor
+        # numpy releases the GIL in the ladder and the FFT.  sieve's imports ran
+        # quotients and charsums in this thread, as two threads' first execution
+        # of a lazy module is not safe.  Imported here: it loads logging
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_moment_block, blocks))
     else:
         done = [_moment_block(b) for b in blocks]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermatq
-from fermatq.arith import arithmetic_functions, multiplicative_order, primes_up_to
+from fermatq.arith import arithmetic_functions, least_primitive_root, multiplicative_order, primes_up_to
 from fermatq.charsums import (
     CharacterModP,
     CharacterModPSquared,
@@ -77,6 +77,28 @@ def test_discrete_log_table():
     assert g == 3
     for x in range(1, 7):
         assert pow(g, int(ind[x]), 7) == x
+
+
+def walked_log_table(p: int, g: int) -> np.ndarray:
+    """The index table by the per-element walk g^0, g^1, ... mod p."""
+    ind, x = np.zeros(p, dtype=np.int64), 1
+    for j in range(p - 1):
+        ind[x] = j
+        x = x * g % p
+    return ind
+
+
+def test_discrete_log_table_matches_the_walk():
+    for p in [q for q in primes_up_to(2000) if q > 2] + [1000003]:
+        g, ind = discrete_log_table.__wrapped__(p)  # the cache keeps none of these tables
+        assert g == least_primitive_root(p), p
+        assert np.array_equal(ind, walked_log_table(p, g)), p
+
+
+def test_discrete_log_table_refuses_powers_that_miss_a_unit(monkeypatch):
+    monkeypatch.setattr("fermatq.charsums.least_primitive_root", lambda prime: 2)  # a square mod 7
+    with pytest.raises(AssertionError, match="every unit"):
+        discrete_log_table.__wrapped__(7)
 
 
 def test_quadratic_character_euler_criterion():

@@ -17,7 +17,7 @@ import fermatq
 from fermatq.arith import is_prime, primes_up_to
 from fermatq.charsums import discrete_log_table
 from fermatq.cli import COMMANDS, main, parse_n_rule
-from fermatq.config import PEAK_BYTES
+from fermatq.config import PEAK_BYTES, charged_entries
 from fermatq.report import parse_csv
 
 
@@ -338,7 +338,8 @@ def test_memcap_bounds_avg_and_doublesum(capsys, tmp_path):
     assert rc == 3 and "convolution" in err
     assert not out_path.exists()
     assert not os.listdir(tmp_path)
-    rc, out, _ = run(capsys, *pinned[1][0], "--memcap", str(PEAK_BYTES["convolution entry"] * 32768))
+    # the table lives through the convolution: one charge of both
+    rc, out, _ = run(capsys, *pinned[1][0], "--memcap", str(24 * 3000 + PEAK_BYTES["convolution entry"] * 32768))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pinned[1][1]
 
@@ -397,7 +398,7 @@ def test_integer_subcommands_never_load_numpy(argv):
 
 
 # stdlib modules that only some calls use: dataclasses pulls in inspect,
-# fractions pulls in decimal, and the process pool multiprocessing
+# fractions pulls in decimal, and a process pool multiprocessing
 _UNUSED_AT_START_UP = (
     "concurrent.futures.process",
     "dataclasses",
@@ -409,18 +410,31 @@ _UNUSED_AT_START_UP = (
 )
 
 
-@pytest.mark.parametrize("argv", _INTEGER_CALLS)
-def test_integer_subcommands_load_no_unused_stdlib(argv):
-    # none of them loads; a module the interpreter loaded before is not counted
+def _unused_stdlib_loaded(argv, before=""):
+    """The exit code of main(argv) in a fresh interpreter, and the modules
+    of _UNUSED_AT_START_UP it loaded that neither the interpreter nor the
+    `before` statements loaded first."""
     src = os.path.dirname(os.path.dirname(fermatq.__file__))
     code = (
-        "import sys; before = set(sys.modules); import fermatq.cli; "
+        f"import sys; {before}before = set(sys.modules); import fermatq.cli; "
         f"rc = fermatq.cli.main({list(argv)!r}) if {bool(argv)} else 0; "
         f"print(rc, sorted(set({_UNUSED_AT_START_UP!r}) & set(sys.modules) - before), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert done.stderr.strip().splitlines()[-1] == "0 []", done.stderr
+    return done.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", _INTEGER_CALLS)
+def test_integer_subcommands_load_no_unused_stdlib(argv):
+    assert _unused_stdlib_loaded(argv) == "0 []"
+
+
+def test_avg_threads_start_no_process():
+    # its window blocks run on two threads of the one process; numpy,
+    # which loads inspect itself, is imported first
+    argv = ("avg", "--P", "256", "--N-rule", "100", "--threads", "2")
+    assert _unused_stdlib_loaded(argv, "import os, numpy; os.cpu_count = lambda: 2; ") == "0 []"
 
 
 _CORE = ("arith", "cli", "config", "quotients", "report")
@@ -459,29 +473,6 @@ def test_subcommands_execute_only_their_modules(argv, executed, tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"0 {sorted(_CORE + executed)}"
-
-
-def test_avg_loads_numpy_before_its_pool_forks():
-    # forked workers inherit the parent's numpy instead of each importing it
-    src = os.path.dirname(os.path.dirname(fermatq.__file__))
-    code = (
-        "import sys, concurrent.futures as cf, fermatq.cli\n"
-        "seen = []\n"
-        "init = cf.ProcessPoolExecutor.__init__\n"
-        "def spy(self, *a, **k):\n"
-        "    seen.append('numpy' in sys.modules)\n"
-        "    init(self, *a, **k)\n"
-        "cf.ProcessPoolExecutor.__init__ = spy\n"
-        "rc = fermatq.cli.main(['avg', '--P', '256', '--N-rule', '100', '--threads', '2', '--out', sys.argv[1]])\n"
-        "print(rc, seen)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    with tempfile.TemporaryDirectory() as tmp:
-        done = subprocess.run(
-            [sys.executable, "-c", code, os.path.join(tmp, "avg.csv")], env=env, capture_output=True, text=True, timeout=60
-        )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ("0 [True]" if (os.cpu_count() or 1) > 1 else "0 []")
 
 
 def test_import_sets_one_blas_thread_unless_set():
@@ -672,7 +663,8 @@ def test_sieve_memcap_charges_coefficients(capsys, tmp_path):
     rc, _, err = run(capsys, "sieve", "--R", "2", "--K", "5000", "--memcap", "24000", "--out", str(out_path))
     assert rc == 3 and "coefficients" in err
     assert not os.listdir(tmp_path)
-    admitted = 24000 // PEAK_BYTES["sieve coefficient"]
+    # the R = 2 grid lives with the coefficients and is charged with them
+    admitted = (24000 - 24 * charged_entries(4, "sieve grid point")) // PEAK_BYTES["sieve coefficient"]
     assert run(capsys, "sieve", "--R", "2", "--K", str(admitted), "--memcap", "24000")[0] == 0
     assert run(capsys, "sieve", "--R", "2", "--K", str(admitted + 1), "--memcap", "24000")[0] == 3
 

@@ -199,7 +199,7 @@ def test_double_char_sum_caps_the_convolution_not_the_sets(capsys):
     assert double_char_sum(10009, eta, {1}, {2}) == eta(3)
     assert abs(double_char_sum(10009, eta, range(10009), range(10009))) < 1e-6
     argv = ["doublesum", "--p", "10009", "--ucap", "1", "--vcap", "1", "--memcap"]
-    convolution_bytes = PEAK_BYTES["convolution entry"] << 15
+    convolution_bytes = (PEAK_BYTES["convolution entry"] << 15) + 24  # and the one-entry table
     assert main([*argv, str(convolution_bytes - 1)]) == 3
     assert "convolution" in capsys.readouterr().err
     assert main([*argv, str(convolution_bytes)]) == 0

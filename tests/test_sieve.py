@@ -2,7 +2,9 @@ import cmath
 import inspect
 import math
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -249,23 +251,30 @@ def test_window_sieves_once_per_block(monkeypatch):
 
 
 @pytest.mark.parametrize("p_scale, n", [(4096, 64), (16384, 8), (16384, 4)])
-def test_window_block_peaks_within_its_cap(p_scale, n):
-    # a block cut for a cap of E entries peaks within the 24 bytes an entry
-    # that --memcap charges, also where the ladder lanes of small N outweigh
-    # the table (they peaked at 28, 47 and 45 bytes an entry of the cap
-    # when blocks counted entries alone)
+def test_window_block_peaks_within_its_cap(monkeypatch, p_scale, n):
+    # blocks cut for a cap of E entries, one at a time or two at once on
+    # threads, peak together within the 24 bytes an entry that --memcap
+    # charges, also where the ladder lanes of small N outweigh the table
+    # (one block peaked at 28, 47 and 45 bytes an entry of the cap when
+    # blocks counted entries alone)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cap = 8192
     pairs, _ = window_pairs(p_scale, 1, n)
-    for block in sieve._window_blocks(pairs, 1, cap):
-        primes = [OddPrime(p) for p, _ in block]
-        quotient_rows(primes, n)  # numpy's first calls allocate outside the trace
-        tracemalloc.start()
-        try:
-            quotient_rows(primes, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * cap, (len(block), peak)
+    for workers in (1, 2):
+        used, cut = sieve._window_blocks(pairs, workers, cap)
+        assert used == workers
+        blocks = [[OddPrime(p) for p, _ in block] for block in cut]
+        with ThreadPoolExecutor(workers) as pool:
+            for start in range(0, len(blocks), workers):
+                batch = blocks[start : start + workers]
+                list(pool.map(quotient_rows, batch, [n] * len(batch)))  # numpy's first calls allocate untraced
+                tracemalloc.start()
+                try:
+                    list(pool.map(quotient_rows, batch, [n] * len(batch)))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 24 * cap, (workers, [len(block) for block in batch], peak)
 
 
 def test_theorem1_average_small_oracle():
@@ -321,8 +330,23 @@ def test_theorem1_thread_count_does_not_change_bits():
     assert serial.per_prime == pooled.per_prime
 
 
+def test_threaded_windows_are_bit_equal_to_serial(monkeypatch):
+    # prime-length FFTs on pocketfft's Bluestein path, on more threads than
+    # cores and with a short switch interval; per_prime holds every maximum
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for p_scale, n in ((256, 100), (4096, 64)):
+            serial = theorem1_average(p_scale, 2, n).per_prime
+            for threads, _ in product((1, 2, 4), range(5)):
+                assert theorem1_average(p_scale, 2, n, threads=threads).per_prime == serial, (p_scale, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_theorem1_worker_count_is_clamped(monkeypatch):
-    # a serial stand-in records the pool size, so no process is started
+    # a serial stand-in records the pool size, so no thread is started
     seen = []
 
     class SerialPool:
@@ -338,13 +362,17 @@ def test_theorem1_worker_count_is_clamped(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     serial = theorem1_average(16, 2, 4)
     wide = theorem1_average(16, 2, 4, threads=10**6)  # 7 primes in (16, 32]
     few = theorem1_average(8, 1, 3, threads=10**6)  # 2 primes in (8, 16]
-    assert seen == [4, 2]
-    assert wide.per_prime == serial.per_prime and few.prime_count == 2
+    # blocks that run at once share the cap: as many workers as largest rows fit it
+    row = max(4 + 1, sieve._LANE_ENTRIES * arith.prime_count_bound(4))
+    capped = theorem1_average(16, 2, 4, threads=10**6, max_entries=3 * row - 1)
+    single = theorem1_average(16, 2, 4, threads=10**6, max_entries=row)
+    assert seen == [4, 2, 2]
+    assert wide.per_prime == capped.per_prime == single.per_prime == serial.per_prime and few.prime_count == 2
 
 
 def test_exceptional_counts():
