@@ -233,10 +233,12 @@ def plan_sieve(args, config: RunConfig):
         raise ValueError(f"K must be >= 1, got {args.K}")
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
-    # the points of the largest R, and its r^2 grid, which bound every other
-    # R's; the grid lives while the coefficients do, so the two are one charge
-    held = charged_entries(args.K, "sieve coefficient") + charged_entries(max(args.R) ** 2, "sieve grid point")
-    yield [("coefficients and evaluation grid", held, 0), ("evaluation points", 0, sieve.sieve_points(max(args.R)))]
+    # the coefficients live through the transforms of every row, so the two
+    # are one charge, with the least-prime-factor sieve of the largest R
+    transform = charged_entries(sieve.transform_length(args.K), "sieve transform point")
+    held = charged_entries(args.K, "sieve coefficient") + transform + max(args.R) + 1
+    steps = sum(sieve.lhs_steps(args.K, r_max) for r_max in args.R)
+    yield [("coefficients and transforms", held, 0), ("transforms and divisor terms", 0, steps)]
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
     poly = sieve.TrigPolynomial(coeffs)

@@ -27,8 +27,11 @@ DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
 # first, rounded up to a multiple of 8
 PEAK_BYTES = {
     "expsum entry": 56,  # its table, mask and phases: 49 at n = 2.5 * 10^5 and 2 * 10^6
-    "sieve coefficient": 40,  # 32 to 34 at K = 10^5 and 10^6 (R = 2)
-    "sieve grid point": 64,  # of the largest R's r^2 grid: 57 at R = 300 and 600 (K = 4)
+    # the complex coefficients, held through sieve's transforms, and the
+    # transforms by their padded length: 20.0 to 20.1 bytes a point beyond
+    # the coefficients at K = 10^5 to 10^6 (R = 2, 600 and 3,000)
+    "sieve coefficient": 16,
+    "sieve transform point": 24,
     "convolution entry": 48,  # doublesum's length n: 40 at n about 2p, 29 to 39 at p = 10^4 to 10^6
     "spectrum count": 56,  # maxsum's length-p FFT: 48.01 at p = 10^6 + 3 and 2 * 10^6 + 3
     "group element": 72,  # ratios' G_p of p - 1 elements: 68 at p = 10^5 + 3, 57 at 10^6 + 3

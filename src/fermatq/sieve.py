@@ -19,7 +19,7 @@ import time
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import np
-from .arith import OddPrime, prime_count_bound, primes_up_to
+from .arith import OddPrime, prime_count_bound, primes_up_to, smallest_prime_factors
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_TABLE_CAP
 from .quotients import QuotientTable, quotient_rows, value_histogram
@@ -65,36 +65,75 @@ def trig_poly_eval(poly: TrigPolynomial, u: Fraction) -> complex:
     return complex(np.dot(poly.coeffs, unit_roots(u.denominator, u.numerator * ks)))
 
 
-def fold_coefficients(poly: TrigPolynomial, m: int) -> np.ndarray:
-    """c_j = sum of alpha_k over k = j mod m, the length-m alias of the poly."""
-    if m < 1:
-        raise ValueError(f"fold length must be >= 1, got {m}")
-    c = np.zeros(m, dtype=np.complex128)
-    np.add.at(c, np.arange(1, poly.k_max + 1) % m, poly.coeffs)
-    return c
+def transform_length(k_max: int) -> int:
+    """The power of two at least 2K - 1 that large_sieve_lhs pads its
+    transforms to, so that their circular autocorrelation is the linear one."""
+    return 1 << (2 * k_max - 2).bit_length()
 
 
-def _poly_at_square_modulus(poly: TrigPolynomial, r2: int) -> np.ndarray:
-    """T(a/r2) for a = 0..r2-1 via one inverse transform of the folded coeffs."""
-    return r2 * np.fft.ifft(fold_coefficients(poly, r2))
+def _real_autocorrelation(poly: TrigPolynomial) -> np.ndarray:
+    """Re rho(t) for t = 0..K-1, where rho(t) = sum_k alpha_(k+t) conj(alpha_k):
+    the real autocorrelations of Re alpha and Im alpha summed, from one rfft
+    of each and one irfft of |X|^2 + |Y|^2.  Each buffer is freed once used."""
+    n = transform_length(poly.k_max)
+    power = np.zeros(n // 2 + 1)
+    for part in (poly.coeffs.real, poly.coeffs.imag):
+        spectrum = np.fft.rfft(part, n)
+        power += spectrum.real**2
+        power += spectrum.imag**2
+        del spectrum
+    return np.fft.irfft(power, n)[: poly.k_max]
 
 
-def sieve_points(r_max: int) -> int:
-    """The R(R + 1)(2R + 1)/6 evaluation points of large_sieve_lhs, r*r for each r <= R."""
-    return r_max * (r_max + 1) * (2 * r_max + 1) // 6
+def _squarefree_divisors(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the squarefree divisors d of n, ascending, from the
+    least prime factors spf of a sieve that reaches n."""
+    divisors = [(1, 1)]
+    while n > 1:
+        p = int(spf[n])
+        divisors += [(d * p, -mu) for d, mu in divisors]
+        while n % p == 0:
+            n //= p
+    return sorted(divisors)
 
 
 def large_sieve_lhs(poly: TrigPolynomial, r_max: int) -> float:
-    """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2."""
+    """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2,
+    without evaluating T.  For each r it is
+
+        sum over squarefree d | r of mu(d) m E(m),  m = r^2 / d,
+        E(m) = A + 2 sum over t >= 1 with m | t of Re rho(t),
+
+    with A = sum |alpha_k|^2 and rho as in _real_autocorrelation.  Moebius
+    over d | r removes the a that share a prime with r; the a = d b that
+    d divides run over all b mod m, and Parseval on that full grid gives
+    sum_b |T(b/m)|^2 = m sum_(j mod m) |c_j|^2 = m E(m), c_j the sum of the
+    alpha_k with k = j mod m.  E(m) = A once m >= K.  The terms are summed
+    in ascending r and d, so the result does not depend on anything else."""
     if r_max < 1:
         raise ValueError(f"R must be >= 1, got {r_max}")
+    rho = _real_autocorrelation(poly)
+    energy = poly.energy
+    spf = smallest_prime_factors(r_max)
     total = 0.0
     for r in range(1, r_max + 1):
-        vals = _poly_at_square_modulus(poly, r * r)
-        a = np.arange(1, r * r + 1)
-        keep = np.gcd(a, r) == 1
-        total += float(np.sum(np.abs(vals[a[keep] % (r * r)]) ** 2))
+        for d, mu in _squarefree_divisors(r, spf):
+            m = r * r // d
+            total += mu * m * (energy + 2 * float(rho[m::m].sum()) if m < poly.k_max else energy)
     return total
+
+
+def lhs_steps(k_max: int, r_max: int) -> float:
+    """Steps charged for large_sieve_lhs with K coefficients up to R: three
+    transforms of transform_length(K) points, and for each r <= R and
+    squarefree d | r the ceil(K d / r^2) terms of E(r^2 / d) and one step
+    more.  That double sum is bounded in closed form, before any r is
+    factored: ceil(K d / r^2) + 1 <= K d / r^2 + 2, the sum over r <= R of
+    sigma(r) / r^2 is at most zeta(2) (ln R + 1), and r has at most tau(r)
+    squarefree divisors, whose sum over r <= R is at most R (ln R + 1).  So
+
+        3 transform_length(K) + (K pi^2 / 6 + 2 R) (ln R + 1)."""
+    return 3 * transform_length(k_max) + (k_max * math.pi**2 / 6 + 2 * r_max) * (math.log(r_max) + 1)
 
 
 def large_sieve_rhs(k_max: int, r_max: int, energy: float) -> float:
@@ -109,14 +148,16 @@ def zhao_conjecture_rhs(k_max: int, r_max: int, energy: float) -> float:
 
 
 def parseval_check(poly: TrigPolynomial, m: int) -> float:
-    """| sum_a |T(a/m)|^2 - m * sum_j |c_j|^2 | over the full residue grid."""
+    """| sum_a |T(a/m)|^2 - m * sum_j |c_j|^2 | over the full residue grid,
+    c_j the sum of the alpha_k with k = j mod m."""
     if m < 1:
         raise ValueError(f"grid length must be >= 1, got {m}")
     from fractions import Fraction
 
     lhs = sum(abs(trig_poly_eval(poly, Fraction(a, m))) ** 2 for a in range(m))
-    c = fold_coefficients(poly, m)
-    rhs = m * float(np.sum(np.abs(c) ** 2))
+    residues = np.arange(1, poly.k_max + 1) % m
+    folds = (np.bincount(residues, weights=part, minlength=m) for part in (poly.coeffs.real, poly.coeffs.imag))
+    rhs = m * float(sum(np.sum(c**2) for c in folds))
     return abs(lhs - rhs)
 
 

@@ -120,9 +120,10 @@ def test_charged_subcommand_refuses_at_the_smallest_caps(capsys, tmp_path, comma
 TRACED = {
     "expsum": ("expsum", "--p", "1000003", "--a", "1", "--n", "250000"),
     "sieve-K": ("sieve", "--R", "2", "--K", "100000"),
-    "sieve-R": ("sieve", "--R", "300", "--K", "4"),
-    # coefficients and grid together: each alone charges less than this peak
-    "sieve-RK": ("sieve", "--R", "600", "--K", "400000"),
+    # the least-prime-factor sieve of R, with the divisor lists of each r
+    "sieve-R": ("sieve", "--R", "20000", "--K", "4"),
+    # coefficients, transforms and sieve together, as one charge
+    "sieve-RK": ("sieve", "--R", "3000", "--K", "400000"),
     "doublesum": ("doublesum", "--p", "65521", "--ucap", "10", "--vcap", "10"),  # n = 2^17, about 2p
     "maxsum": ("maxsum", "--p", "1000003", "--n", "10"),
     "ratios": ("ratios", "--p", "100003", "--Z", "10"),

@@ -19,6 +19,7 @@ from fermatq.charsums import discrete_log_table
 from fermatq.cli import COMMANDS, main, parse_n_rule
 from fermatq.config import PEAK_BYTES, charged_entries
 from fermatq.report import parse_csv
+from fermatq.sieve import transform_length
 
 
 def run(capsys, *argv):
@@ -123,7 +124,8 @@ _REFUSED = [
     ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
     # the scan's lanes are charged before its sieve
     ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
-    # R(R + 1)(2R + 1)/6 evaluation points, not a loop over r, and the largest R before the first
+    # the divisor terms of every r <= R, bounded in closed form, not counted
+    # by a loop over r, and every R before the first
     ("sieve", "--R", "30000000", "--K", "4"),
     ("sieve", "--R", "400", "30000000", "--K", "4"),
     # every scale's sieve and cost are charged before the first window
@@ -146,7 +148,8 @@ _REFUSED = [
     ("ratios", "--p", "2147483647", "--Z", "2305843007066210304"),
     # working sets charged at their traced bytes, PEAK_BYTES, past the default cap or the one given
     ("expsum", "--p", "7", "--a", "1", "--n", "80000000"),
-    ("sieve", "--R", "10000", "--K", "4", "--budget", "1000000000000"),
+    # K coefficients and their transforms of 2^27 points: 3.9 * 10^9 bytes
+    ("sieve", "--R", "2", "--K", "40000000"),
     ("doublesum", "--p", "16777259", "--order", "2", "--ucap", "10", "--vcap", "10"),  # n = 2^26
     ("maxsum", "--p", "50000017", "--n", "10"),
     ("ratios", "--p", "1000003", "--Z", "10", "--memcap", "1000000"),
@@ -663,10 +666,33 @@ def test_sieve_memcap_charges_coefficients(capsys, tmp_path):
     rc, _, err = run(capsys, "sieve", "--R", "2", "--K", "5000", "--memcap", "24000", "--out", str(out_path))
     assert rc == 3 and "coefficients" in err
     assert not os.listdir(tmp_path)
-    # the R = 2 grid lives with the coefficients and is charged with them
-    admitted = (24000 - 24 * charged_entries(4, "sieve grid point")) // PEAK_BYTES["sieve coefficient"]
+
+    def held(k):  # the transforms and the R = 2 sieve live with the coefficients: one charge
+        transform = charged_entries(transform_length(k), "sieve transform point")
+        return charged_entries(k, "sieve coefficient") + transform + 3
+
+    # 1,000 entries hold 256 coefficients and 512 transform points; 257 need 1,024
+    admitted = max(k for k in range(1, 5000) if held(k) <= 1000)
+    assert admitted == 256
     assert run(capsys, "sieve", "--R", "2", "--K", str(admitted), "--memcap", "24000")[0] == 0
     assert run(capsys, "sieve", "--R", "2", "--K", str(admitted + 1), "--memcap", "24000")[0] == 3
+
+
+def test_sieve_large_r_runs_under_the_default_caps(capsys):
+    # no r^2 grid: R = 3000 exited 3 at 9.0 * 10^9 evaluation points
+    started = time.monotonic()
+    rc, out, _ = run(capsys, "sieve", "--R", "3000", "--K", "400000", "--seed", "7")
+    assert rc == 0 and time.monotonic() - started < 5.0
+    _, rows = parse_csv(out)
+    assert float(rows[0][3]) <= float(rows[0][4])  # lhs within the Baier-Zhao envelope
+
+
+def test_sieve_refused_k_draws_no_coefficient(capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+    rc, _, err = run(capsys, "sieve", "--R", "2", "--K", "40000000")
+    assert rc == 3 and err.startswith("budget: coefficients and transforms")
+    assert drawn == []
 
 
 def test_sieve_seed_changes_rows(capsys):

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermatq import arith, sieve
@@ -22,15 +22,15 @@ from fermatq.sieve import (
     Theorem1Result,
     TrigPolynomial,
     exceptional_counts,
-    fold_coefficients,
     large_sieve_lhs,
     large_sieve_rhs,
+    lhs_steps,
     parseval_check,
     power_rule,
     rho_coefficient,
-    sieve_points,
     sieve_report,
     theorem1_average,
+    transform_length,
     trig_poly_eval,
     window_cost,
     window_pairs,
@@ -74,9 +74,11 @@ def test_trig_polynomial_validation():
 
 
 def test_fold_coefficients():
+    # parseval_check folds k = 2 to 0 and k = 1, 3 to 1: |T(0)|^2 + |T(1/2)|^2
+    # = 111^2 + 91^2 = 2 * (10^2 + 101^2); a fold that dropped k = 3 would give 202
     poly = TrigPolynomial(np.array([1.0, 10.0, 100.0], dtype=complex))
-    c = fold_coefficients(poly, 2)
-    assert c[0] == 10.0 and c[1] == 101.0  # k=2 aliases to 0; k=1,3 to 1
+    assert parseval_check(poly, 2) < 1e-9
+    assert parseval_check(poly._replace(coeffs=poly.coeffs * 1j), 2) < 1e-9
 
 
 def brute_lhs(poly, r_max):
@@ -86,6 +88,30 @@ def brute_lhs(poly, r_max):
             if math.gcd(a, r) == 1:
                 total += abs(naive_eval(poly, a, r * r)) ** 2
     return total
+
+
+def grid_lhs(poly, r_max):
+    """The left side from T on every r^2 grid: the K coefficients folded mod
+    r^2, one inverse FFT, and the |T(a/r^2)|^2 summed over a prime to r."""
+    total = 0.0
+    ks = np.arange(1, poly.k_max + 1)
+    for r in range(1, r_max + 1):
+        r2 = r * r
+        folded = np.zeros(r2, dtype=np.complex128)
+        np.add.at(folded, ks % r2, poly.coeffs)
+        vals = r2 * np.fft.ifft(folded)
+        a = np.arange(1, r2 + 1)
+        total += float(np.sum(np.abs(vals[a[np.gcd(a, r) == 1] % r2]) ** 2))
+    return total
+
+
+def squarefree_divisors(r):
+    """(d, mu(d)) for the squarefree d | r, by trial division."""
+    primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % q for q in range(2, p))]
+    out = [(1, 1)]
+    for p in primes:
+        out += [(d * p, -mu) for d, mu in out]
+    return out
 
 
 def test_large_sieve_lhs_single_coeff():
@@ -100,11 +126,55 @@ def test_large_sieve_lhs_matches_bruteforce():
         assert large_sieve_lhs(poly, r_max) == pytest.approx(brute_lhs(poly, r_max), rel=1e-9)
 
 
+# K = 1, K below R^2 and K above it; R = 1 reads |T(0)|^2 alone, which a
+# seed can make small against A, so the examples are fixed
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=60),
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=3000)),
+)
+@example(7, 1, 1)
+@example(7, 60, 3000)
+@example(7, 5, 3000)
+@example(7, 60, 1)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_large_sieve_lhs_matches_grid_path(seed, r_max, k_max):
+    rng = np.random.default_rng(seed)
+    poly = TrigPolynomial(rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max))
+    assert large_sieve_lhs(poly, r_max) == pytest.approx(grid_lhs(poly, r_max), rel=1e-12)
+
+
+@pytest.mark.parametrize("r_max, k_max", [(1, 1), (4, 3), (6, 36), (7, 100), (12, 150)])
+def test_large_sieve_lhs_exact_on_gaussian_integers(r_max, k_max):
+    # integer coefficients: the left side is the integer sum over r and
+    # squarefree d | r of mu(d) m sum_j |c_j(m)|^2, folded in Python ints
+    rng = np.random.default_rng(r_max * 1000 + k_max)
+    coeffs = [(int(x), int(y)) for x, y in rng.integers(-3, 4, size=(k_max, 2))]
+    want = 0
+    for r in range(1, r_max + 1):
+        for d, mu in squarefree_divisors(r):
+            m = r * r // d
+            re, im = [0] * m, [0] * m
+            for k, (x, y) in enumerate(coeffs, start=1):
+                re[k % m] += x
+                im[k % m] += y
+            want += mu * m * sum(x * x + y * y for x, y in zip(re, im))
+    poly = TrigPolynomial([complex(x, y) for x, y in coeffs])
+    assert round(large_sieve_lhs(poly, r_max)) == want
+
+
 def test_large_sieve_budget_guard():
-    assert sieve_points(100) == sum(r * r for r in range(1, 101)) == 338350
-    # --budget 1000 refuses R = 100 before any point is evaluated, and admits R = 13 (819 points)
-    assert main(["sieve", "--R", "100", "--K", "1", "--budget", "1000"]) == 3
-    assert main(["sieve", "--R", "13", "--K", "1", "--budget", "1000"]) == 0
+    # sum over r <= R and squarefree d | r of ceil(K d / r^2) + 1, which the
+    # step charge bounds beside the three transforms of transform_length(K) points
+    for k_max in (1, 2, 64, 3000):
+        for r_max in (1, 2, 13, 100):
+            counted = sum(-(-k_max * d // (r * r)) + 1 for r in range(1, r_max + 1) for d, _ in squarefree_divisors(r))
+            assert counted < lhs_steps(k_max, r_max) - 3 * transform_length(k_max) < 2 * counted
+    assert [transform_length(k) for k in (1, 2, 3, 4, 5, 4096, 4097)] == [1, 4, 8, 8, 16, 8192, 16384]
+    # --budget refuses one step below the charge, before any transform, and admits the charge
+    charged = math.ceil(lhs_steps(1, 100))
+    assert main(["sieve", "--R", "100", "--K", "1", "--budget", str(charged - 1)]) == 3
+    assert main(["sieve", "--R", "100", "--K", "1", "--budget", str(charged)]) == 0
 
 
 def test_rhs_examples():
