@@ -88,12 +88,20 @@ def odd_prime(p: int | OddPrime) -> OddPrime:
     return p if isinstance(p, OddPrime) else OddPrime(p)
 
 
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi] as an ascending int64 array: one bool segment,
+    crossed off from l**2 by each prime l <= sqrt(hi), which this lists too
+    (segmented Eratosthenes: Bays and Hudson, BIT 17, 1977)."""
+    lo = max(lo, 2)
+    segment = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    for ell in primes_between(2, math.isqrt(hi)).tolist() if hi > 3 else []:
+        segment[max(ell * ell, -(-lo // ell) * ell) - lo :: ell] = False
+    return np.flatnonzero(segment) + lo
+
+
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    spf = smallest_prime_factors(limit)
-    return (np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2).tolist()
+    return primes_between(2, limit).tolist()
 
 
 def prime_count_bound(x: int) -> int:

@@ -110,7 +110,7 @@ def _load_n_table(path: str) -> dict[int, int]:
         if len(parts) != 2:
             raise ValueError(f"{path}:{idx + 1}: expected two columns p,N")
         p, n = int(parts[0]), int(parts[1])
-        if n < 1:  # before any charge; a prime the table lacks shows only in the window's sieve
+        if n < 1:  # before any charge; a prime the table lacks shows only in the window's segment
             raise ValueError(f"{path}:{idx + 1}: N_p must be >= 1, got {n}")
         mapping[p] = n
     if not mapping:
@@ -123,7 +123,7 @@ def _histogram_charges(p, n: int, spectrum: bool):
     a table of the n mod p^2 tail; for maxsum's spectrum, the counts at
     its "spectrum count" bytes (a length-p FFT), then all n entries.  The
     traced peak at n = 10 and p = 10^6 is 24 bytes per p for image; the
-    tail's table adds its builder's peak of about 17 bytes per entry
+    tail's table adds its builder's peak of about 11 bytes per entry
     (maxsum --p 211 --n 800000: 0.8 MiB, where a table of all n took 13
     MiB).  Below p of about 7 * 10^5 maxsum's traced peak is the block of
     up to 256 bytes per p that resident_transform_memory allocates and
@@ -204,12 +204,11 @@ def plan_avg(args, config: RunConfig):
             p *= 2
     rule = parse_n_rule(args.n_rule)
     n_rules = [rule(p_scale) for p_scale in scales]
-    for p_scale, n_rule in zip(scales, n_rules):
-        if not isinstance(n_rule, dict):  # the one N it takes at every p, known without the primes
-            sieve.check_window(p_scale, args.nu, n_rule)
-    # the least-prime-factor sieve of 2P + 1 entries that lists each window's primes
-    yield [("sieve", 2 * p_scale + 1, 0) for p_scale in scales]
-    # each window needs the primes of its charged sieve, and an N table's
+    # a window whose one N is known without its primes is checked and priced from below
+    floors = [("window", *sieve.window_floor(p, args.nu, n)) for p, n in zip(scales, n_rules) if isinstance(n, int)]
+    # the segment of P integers, one entry each, that lists each window's primes
+    yield floors + [("segment", p_scale, 0) for p_scale in scales]
+    # each window needs the primes of its charged segment, and an N table's
     # rows are checked on them; every window is charged before the first is computed
     for p_scale, n_rule in zip(scales, n_rules):
         yield [("window", *sieve.window_cost(sieve.window_pairs(p_scale, args.nu, n_rule)[0]))]
@@ -233,16 +232,15 @@ def plan_sieve(args, config: RunConfig):
         raise ValueError(f"K must be >= 1, got {args.K}")
     if min(args.R) < 1:  # every R, before the first is summed
         raise ValueError(f"R must be >= 1, got {min(args.R)}")
-    # the coefficients live through the transforms of every row, so the two
-    # are one charge, with the least-prime-factor sieve of the largest R
+    # coefficients, transforms and the sieve of the largest R live through
+    # every row as one charge; one pass to the largest R gives every row
     transform = charged_entries(sieve.transform_length(args.K), "sieve transform point")
     held = charged_entries(args.K, "sieve coefficient") + transform + max(args.R) + 1
-    steps = sum(sieve.lhs_steps(args.K, r_max) for r_max in args.R)
+    steps = sieve.lhs_steps(args.K, max(args.R))
     yield [("coefficients and transforms", held, 0), ("transforms and divisor terms", 0, steps)]
     rng = np.random.default_rng(config.seed)
     coeffs = rng.standard_normal(args.K) + 1j * rng.standard_normal(args.K)
-    poly = sieve.TrigPolynomial(coeffs)
-    reps = (sieve.sieve_report(poly, r_max) for r_max in args.R)
+    reps = sieve.sieve_reports(sieve.TrigPolynomial(coeffs), args.R)
     rows = [(r.r_max, r.k_max, r.energy, r.lhs, r.rhs_bz, r.rhs_zhao, r.ratio_bz, r.ratio_zhao) for r in reps]
     yield SIEVE_COLUMNS, rows
 
@@ -318,7 +316,9 @@ def plan_doublesum(args, config: RunConfig):
 
 def plan_scan(args, config: RunConfig):
     primroots.check_scan_range(args.pmin, args.pmax)
-    yield [("sieve", args.pmax + 1, 0), ("scan lane steps", 0, primroots.scan_steps(args.pmin, args.pmax))]
+    width, rows = primroots.scan_size(args.pmin, args.pmax)
+    held = charged_entries(width, "scan integer") + charged_entries(rows, "scan row") + charged_entries(1, "scan round")
+    yield [("segment and rows", held, 0), ("scan lane steps", 0, primroots.scan_steps(args.pmin, args.pmax))]
     yield SCAN_COLUMNS, primroots.theorem4_exponent_scan(args.pmin, args.pmax)
 
 

@@ -12,12 +12,12 @@ DEFAULT_BUDGET_OPS = 1_000_000_000
 DEFAULT_MEMORY_CAP = 2 * 1024**3
 
 # bytes per entry that RunConfig.charge counts against --memcap: a quotient
-# table peaks at 17 bytes an entry in its builder (int64 least-prime-factor
-# sieve, int64 index ramp, bool mask, freed before its int64 table; the
-# power ladder's temporaries, a few arrays of pi(n) entries, stay below
-# that), plus slack.  Every other --memcap charge is counted in these units:
-# the int64 least-prime-factor sieves of scan and avg one entry per integer,
-# and each working set below its bytes rounded up to whole entries.
+# table peaks at 10.4 to 11.4 bytes an entry in its builder (its int64
+# table and the power ladder's temporaries, a few arrays of pi(n) entries;
+# the bool segment that lists the primes is freed before the table), plus
+# slack.  Every other --memcap charge is counted in these units: the
+# segment that lists avg's window primes one entry per integer, and each
+# working set below its bytes rounded up to whole entries.
 _TABLE_BYTES_PER_ENTRY = 24
 
 DEFAULT_TABLE_CAP = DEFAULT_MEMORY_CAP // _TABLE_BYTES_PER_ENTRY
@@ -35,6 +35,14 @@ PEAK_BYTES = {
     "convolution entry": 48,  # doublesum's length n: 40 at n about 2p, 29 to 39 at p = 10^4 to 10^6
     "spectrum count": 56,  # maxsum's length-p FFT: 48.01 at p = 10^6 + 3 and 2 * 10^6 + 3
     "group element": 72,  # ratios' G_p of p - 1 elements: 68 at p = 10^5 + 3, 57 at 10^6 + 3
+    # scan's widest segment, 20.8 traced bytes an integer near 2^31 to 41.1
+    # from 3; its rows, 144 to 148 bytes held and up to 678 (json) a row of
+    # the chunk being rendered; and one search round of 1,024 candidate cells
+    # over up to 9 factors l of p - 1 a lane (a lane a cell past 1,024 lanes,
+    # in the rows), 634,947 traced bytes at p = 892371481 alone: 9 * 1,024 * 72
+    "scan integer": 48,
+    "scan row": 256,
+    "scan round": 663_552,
     # a rho report row, by format: the traced peak of rho --M 1 --b 0 --nu 1
     # --kmax 200000 and rho --M 1000 --b 1 --nu 2 --kmax 100000 over the row
     # count, 215 to 240 for csv and 224 to 257 for json, rounded up to a

@@ -31,8 +31,8 @@ from .arith import (
     pow_mod_p2_lanes,
     prime_count_bound,
     prime_factor_lanes,
+    primes_between,
     primitive_root_test,
-    smallest_prime_factors,
 )
 from .quotients import UNDEFINED, QuotientTable, fermat_quotient, quotient_table
 
@@ -245,34 +245,6 @@ def _failed_lanes(lanes: int, pair_lane, q, exponent, p):
     return np.bincount(cell[ones], minlength=lanes * width).reshape(lanes, width)
 
 
-# Distinct prime factors of a number below 2**31: the product of the
-# first ten primes, 6,469,693,230, is above it.
-_FACTOR_SLOTS = 9
-
-# Primes per block of a scan: a block is searched and verified before the
-# next starts, so the lane temporaries stay a few MB at any range.
-_SCAN_BLOCK = 1 << 14
-
-
-def _distinct_factors(spf, ms):
-    """The distinct prime factors of each m >= 2 in the rows of an int32
-    matrix of _FACTOR_SLOTS columns, ascending and padded with 0, read off
-    the least-prime-factor sieve.  The least prime factor never falls as
-    it is divided out, so a factor is new when it changes."""
-    slots = np.zeros((len(ms), _FACTOR_SLOTS), dtype=np.int32)
-    count = np.zeros(len(ms), dtype=np.int64)
-    lane, prev = np.arange(len(ms)), np.zeros_like(ms)
-    while len(lane):
-        f = spf[ms]
-        new = f != prev
-        slots[lane[new], count[lane[new]]] = f[new]
-        count[lane[new]] += 1
-        ms = ms // f
-        keep = ms > 1
-        lane, ms, prev = lane[keep], ms[keep], f[keep]
-    return slots
-
-
 # Candidates per round are widened until the open lanes times the width
 # reach this many cells: below it a round costs about its fixed numpy
 # overhead, so later rounds try several n per lane at once.
@@ -307,20 +279,27 @@ def _least_primroot_lanes(primes, pair_lane, pair_prime):
     return n_min
 
 
-def _verify_lanes(primes, n_min):
-    """Check every hit without the sieve or the search's factors: q_p(n) by
-    a Python pow mod p**2, p - 1 factored afresh by lane trial division,
-    then the order test."""
-    hits = np.flatnonzero(n_min)
-    p = primes[hits]
-    # the high base-p digit of n**(p-1) mod p**2: q_p(n), or 0 when p | n
-    pows = (pow(a, b - 1, b * b) // b for a, b in zip(n_min[hits].tolist(), p.tolist()))
-    q = np.fromiter(pows, dtype=np.int64, count=len(hits))
-    pair_lane, pair_prime = prime_factor_lanes(p - 1)
-    verified = np.zeros(len(primes), dtype=bool)
-    failed = _failed_lanes(len(hits), pair_lane, q[:, None], ((p[pair_lane] - 1) // pair_prime)[:, None], p[:, None])
-    verified[hits] = (q != 0) & (failed[:, 0] == 0)
-    return verified
+def _verify_lanes(primes, n_min, pair_lane, pair_prime):
+    """Check every hit without the search's ladder: q_p(n) by a Python pow
+    mod p**2, then the order test over the (lane, l) pairs, l >= 1, where
+    they are certified to list the prime factors of m = p - 1: each l divides
+    m and passes lane Miller-Rabin, none repeats, and none is missing, that
+    is, m divides rad**31 (m < 2**31 has no exponent above 30) for rad the
+    product of the sound l, which divides m and so cannot overflow int64."""
+    # the high base-p digit of n**(p-1) mod p**2: q_p(n), or 0 when p | n or n = 0 (no hit)
+    pows = (pow(a, b - 1, b * b) // b for a, b in zip(n_min.tolist(), primes.tolist()))
+    q = np.fromiter(pows, dtype=np.int64, count=len(primes))
+    m = primes - 1
+    sound = m[pair_lane] % pair_prime == 0
+    distinct, index = np.unique(pair_prime[sound], return_inverse=True)  # each l tested once
+    sound[sound] = is_prime_lanes(distinct)[index]
+    _, pair, count = np.unique(pair_lane[sound] << 31 | pair_prime[sound], return_inverse=True, return_counts=True)
+    sound[sound] = count[pair] == 1
+    rad = np.ones_like(m)
+    np.multiply.at(rad, pair_lane[sound], pair_prime[sound])
+    certified = (np.bincount(pair_lane[~sound], minlength=len(m)) == 0) & (pow_mod_lanes(rad % m, 31, m) == 0)
+    failed = _failed_lanes(len(primes), pair_lane, q[:, None], (m[pair_lane] // pair_prime)[:, None], primes[:, None])
+    return (q != 0) & (failed[:, 0] == 0) & certified
 
 
 def check_scan_range(p_min: int, p_max: int) -> None:
@@ -332,42 +311,42 @@ def check_scan_range(p_min: int, p_max: int) -> None:
         raise ValueError(f"scan range must stay below 2^31, got {p_max}")
 
 
-def scan_steps(p_min: int, p_max: int) -> int:
-    """Lane steps charged for theorem4_exponent_scan(p_min, p_max), 0 for
-    an empty range.  Its lanes are at most the odd numbers of the range and
-    at most prime_count_bound(p_max).  Each lane, and each of the
-    _ROUND_CELLS cells a round keeps busy, is charged 32 lane steps (one
-    ladder bit, one trial divisor) per bit of p_max; scans from 3 to
-    10^4..10^7 count 22 to 24."""
+# Integers a scan segment lists, searches and verifies at once: a few MB of lanes.
+SCAN_SEGMENT = 200_000
+
+
+def scan_size(p_min: int, p_max: int) -> tuple[int, int]:
+    """(integers of the widest segment, rows) of theorem4_exponent_scan at
+    most: a row a prime, at most the range's odd numbers and prime_count_bound."""
     lo = max(3, p_min)
     if p_max < lo:
-        return 0
-    lanes = min((p_max - lo) // 2 + 1, prime_count_bound(p_max))
-    return 32 * p_max.bit_length() * (lanes + _ROUND_CELLS)
+        return 0, 0
+    return min(SCAN_SEGMENT, p_max - lo + 1), min((p_max - lo) // 2 + 1, prime_count_bound(p_max))
+
+
+def scan_steps(p_min: int, p_max: int) -> int:
+    """Lane steps charged for theorem4_exponent_scan, 0 for an empty range:
+    32 (one ladder bit, one trial divisor) per bit of p_max for each lane, a
+    row of scan_size, and each of the _ROUND_CELLS cells a round keeps busy;
+    scans from 3 to 10^4..10^7 count 22 to 24."""
+    lanes = scan_size(p_min, p_max)[1]
+    return 32 * p_max.bit_length() * (lanes + _ROUND_CELLS) if lanes else 0
 
 
 def theorem4_exponent_scan(p_min: int, p_max: int) -> list[ScanRow]:
     """Least primitive-root quotient argument for every prime in the range,
-    searched up to p**2 with one lane per prime.  One least-prime-factor
-    sieve lists the primes and the prime factors of each p - 1.  Block by
-    block, every prime is confirmed by Miller-Rabin, searched, and each hit
-    verified on its own."""
+    up to p**2, one lane a prime and one segment of SCAN_SEGMENT integers at
+    a time: its primes listed and confirmed by Miller-Rabin, each p - 1
+    factored by lane trial division, searched, and each hit checked."""
     check_scan_range(p_min, p_max)
-    lo = max(3, p_min)
-    if p_max < lo:
-        return []
-    spf = smallest_prime_factors(p_max)
-    primes = np.flatnonzero(spf[lo:] == np.arange(lo, p_max + 1)) + lo
-    factors = _distinct_factors(spf, primes - 1)
-    del spf
     rows = []
-    for start in range(0, len(primes), _SCAN_BLOCK):
-        block = primes[start : start + _SCAN_BLOCK]
+    for lo in range(max(3, p_min), p_max + 1, SCAN_SEGMENT):
+        block = primes_between(lo, min(lo + SCAN_SEGMENT - 1, p_max))
         if not is_prime_lanes(block).all():
-            raise AssertionError(f"the sieve listed a composite in [{block[0]}, {block[-1]}]")
-        pair_lane, slot = np.nonzero(factors[start : start + _SCAN_BLOCK])
-        n_min = _least_primroot_lanes(block, pair_lane, factors[start + pair_lane, slot].astype(np.int64))
-        verified = _verify_lanes(block, n_min)
+            raise AssertionError(f"the segment sieve listed a composite in [{block[0]}, {block[-1]}]")
+        pair_lane, pair_prime = prime_factor_lanes(block - 1)
+        n_min = _least_primroot_lanes(block, pair_lane, pair_prime)
+        verified = _verify_lanes(block, n_min, pair_lane, pair_prime)
         rows += [
             ScanRow(p, n, math.log(n) / math.log(p), ok) if n else ScanRow(p, None, None, False)
             for p, n, ok in zip(block.tolist(), n_min.tolist(), verified.tolist())

@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import np
-from .arith import OddPrime, odd_prime, pow_mod_p2_lanes, primes_up_to
+from .arith import OddPrime, odd_prime, pow_mod_p2_lanes, primes_between
 from .report import write_atomic
 
 if TYPE_CHECKING:
@@ -71,7 +71,7 @@ def quotient_rows(primes: Sequence[int | OddPrime], last: int) -> np.ndarray:
     if not primes or not 1 <= last < min(prime.p2 for prime in primes):
         raise ValueError(f"need a prime and 1 <= last < p^2 at every prime, got last = {last}")
     ps = np.array([prime.p for prime in primes], dtype=np.int64)[:, None]
-    ells = np.array(primes_up_to(last), dtype=np.int64)  # its sieve is freed before the table is allocated
+    ells = primes_between(2, last)  # its segment is freed before the table is allocated
     lanes = np.broadcast_to(ells, (len(primes), len(ells)))  # one (p, l) pair per lane
     quots = (pow_mod_p2_lanes(lanes, ps - 1, ps) - 1) // ps
     # the lane (p, p) adds only at multiples of p, which become UNDEFINED below

@@ -48,7 +48,7 @@ from .quotients import (
     quotient_table,
     value_histogram,
 )
-from .sieve import TrigPolynomial, parseval_check, rho_coefficient, sieve_report, theorem1_average
+from .sieve import TrigPolynomial, parseval_check, rho_coefficient, sieve_reports, theorem1_average
 from .subgroups import SubgroupModM, collision_vs_ratio_check, count_ratios, lemma7_rhs, pth_power_residues
 
 
@@ -194,7 +194,7 @@ def _suite_sieve_lab(rng: np.random.Generator, fault: str | None):
         checks += 1
     for r_max in (1, 2, 3):
         poly = TrigPolynomial(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        rep = sieve_report(poly, r_max)
+        (rep,) = sieve_reports(poly, [r_max])
         if rep.lhs > rep.rhs_bz + 1e-9:
             failures.append(f"sieve-lab large_sieve R={r_max}: bound violated")
         checks += 1

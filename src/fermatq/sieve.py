@@ -19,7 +19,7 @@ import time
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import np
-from .arith import OddPrime, prime_count_bound, primes_up_to, smallest_prime_factors
+from .arith import OddPrime, prime_count_bound, primes_between, smallest_prime_factors
 from .charsums import max_exp_sum, unit_roots
 from .config import DEFAULT_TABLE_CAP
 from .quotients import QuotientTable, quotient_rows, value_histogram
@@ -97,9 +97,10 @@ def _squarefree_divisors(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
     return sorted(divisors)
 
 
-def large_sieve_lhs(poly: TrigPolynomial, r_max: int) -> float:
-    """sum over r <= R, a in [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2,
-    without evaluating T.  For each r it is
+def large_sieve_lhs(poly: TrigPolynomial, r_values: Sequence[int]) -> list[float]:
+    """For each R of r_values, in their order, the sum over r <= R, a in
+    [1, r^2] with gcd(a, r) = 1 of |T(a/r^2)|^2, without evaluating T.  For
+    each r it is
 
         sum over squarefree d | r of mu(d) m E(m),  m = r^2 / d,
         E(m) = A + 2 sum over t >= 1 with m | t of Re rho(t),
@@ -108,32 +109,41 @@ def large_sieve_lhs(poly: TrigPolynomial, r_max: int) -> float:
     over d | r removes the a that share a prime with r; the a = d b that
     d divides run over all b mod m, and Parseval on that full grid gives
     sum_b |T(b/m)|^2 = m sum_(j mod m) |c_j|^2 = m E(m), c_j the sum of the
-    alpha_k with k = j mod m.  E(m) = A once m >= K.  The terms are summed
-    in ascending r and d, so the result does not depend on anything else."""
-    if r_max < 1:
-        raise ValueError(f"R must be >= 1, got {r_max}")
+    alpha_k with k = j mod m.  E(m) = A once m >= K.  One running sum in
+    ascending r and d serves every R: each value is the sum R alone adds."""
+    if min(r_values) < 1:
+        raise ValueError(f"R must be >= 1, got {min(r_values)}")
     rho = _real_autocorrelation(poly)
     energy = poly.energy
-    spf = smallest_prime_factors(r_max)
+    spf = smallest_prime_factors(max(r_values))
+    at = dict.fromkeys(r_values)
     total = 0.0
-    for r in range(1, r_max + 1):
+    for r in range(1, len(spf)):
         for d, mu in _squarefree_divisors(r, spf):
             m = r * r // d
             total += mu * m * (energy + 2 * float(rho[m::m].sum()) if m < poly.k_max else energy)
-    return total
+        if r in at:
+            at[r] = total
+    return [at[r] for r in r_values]
+
+
+# Steps charged for each (r, d) term of large_sieve_lhs beyond its slice of
+# rho: its Python loop takes 200 to 400 ns, 23 scan lane steps of 27 to 37 ns.
+_TERM_STEPS = 23
 
 
 def lhs_steps(k_max: int, r_max: int) -> float:
     """Steps charged for large_sieve_lhs with K coefficients up to R: three
     transforms of transform_length(K) points, and for each r <= R and
-    squarefree d | r the ceil(K d / r^2) terms of E(r^2 / d) and one step
-    more.  That double sum is bounded in closed form, before any r is
-    factored: ceil(K d / r^2) + 1 <= K d / r^2 + 2, the sum over r <= R of
-    sigma(r) / r^2 is at most zeta(2) (ln R + 1), and r has at most tau(r)
-    squarefree divisors, whose sum over r <= R is at most R (ln R + 1).  So
+    squarefree d | r the ceil(K d / r^2) terms of E(r^2 / d) and
+    _TERM_STEPS more.  That double sum is bounded in closed form, before
+    any r is factored: ceil(K d / r^2) <= K d / r^2 + 1, the sum over
+    r <= R of sigma(r) / r^2 is at most zeta(2) (ln R + 1), and r has at
+    most tau(r) squarefree divisors, whose sum over r <= R is at most
+    R (ln R + 1).  So, with W = _TERM_STEPS,
 
-        3 transform_length(K) + (K pi^2 / 6 + 2 R) (ln R + 1)."""
-    return 3 * transform_length(k_max) + (k_max * math.pi**2 / 6 + 2 * r_max) * (math.log(r_max) + 1)
+        3 transform_length(K) + (K pi^2/6 + (W + 1) R)(ln R + 1)."""
+    return 3 * transform_length(k_max) + (k_max * math.pi**2 / 6 + (_TERM_STEPS + 1) * r_max) * (math.log(r_max) + 1)
 
 
 def large_sieve_rhs(k_max: int, r_max: int, energy: float) -> float:
@@ -178,17 +188,13 @@ class SieveReport(NamedTuple):
         return self.lhs / self.rhs_zhao
 
 
-def sieve_report(poly: TrigPolynomial, r_max: int) -> SieveReport:
-    lhs = large_sieve_lhs(poly, r_max)
-    a = poly.energy
-    return SieveReport(
-        r_max,
-        poly.k_max,
-        a,
-        lhs,
-        large_sieve_rhs(poly.k_max, r_max, a),
-        zhao_conjecture_rhs(poly.k_max, r_max, a),
-    )
+def sieve_reports(poly: TrigPolynomial, r_values: Sequence[int]) -> list[SieveReport]:
+    """A report for each R of r_values, in order, from one large_sieve_lhs pass."""
+    a, k = poly.energy, poly.k_max
+    return [
+        SieveReport(r_max, k, a, lhs, large_sieve_rhs(k, r_max, a), zhao_conjecture_rhs(k, r_max, a))
+        for r_max, lhs in zip(r_values, large_sieve_lhs(poly, r_values))
+    ]
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -417,9 +423,9 @@ def check_window(p_scale: int, nu: int, n_max: int = 1) -> None:
 def window_pairs(p_scale: int, nu: int, n_rule: int | dict[int, int]) -> tuple[list, int]:
     """(the (p, N_p) pairs of the window, N) after every check of
     theorem1_average, where n_rule is the N_p of every p or a table of N_p
-    by p.  Its primes come from a sieve of 2P + 1 entries."""
+    by p.  Its primes come from one segment of P integers."""
     check_window(p_scale, nu)
-    primes = [p for p in primes_up_to(2 * p_scale) if p > p_scale]
+    primes = primes_between(p_scale + 1, 2 * p_scale).tolist()
     try:
         n_by_p = [(p, n_rule[p] if isinstance(n_rule, dict) else n_rule) for p in primes]
     except KeyError as exc:
@@ -456,6 +462,15 @@ def window_cost(n_by_p: Sequence[tuple[int, int]]) -> tuple[int, int]:
     window_pairs: the largest N_p as one table, before any block is built,
     and a table of N_p entries and one length-p FFT per prime."""
     return max(n_p for _, n_p in n_by_p), sum(n_p + p for p, n_p in n_by_p)
+
+
+def window_floor(p_scale: int, nu: int, n_p: int) -> tuple[int, int]:
+    """check_window at one N_p = n_p, and the least window_cost charges it
+    before its primes are listed: each p > P, and pi(2P) - pi(P) > 2P / ln 2P
+    - prime_count_bound(P), as x / ln x < pi(x) for x >= 17 (Rosser, Schoenfeld)."""
+    check_window(p_scale, nu, n_p)
+    count = int(2 * p_scale / math.log(2 * p_scale)) - prime_count_bound(p_scale) if p_scale >= 9 else 0
+    return n_p, max(count, 0) * (n_p + p_scale + 1)
 
 
 def _power(x: float, e: float) -> float:

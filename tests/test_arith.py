@@ -20,6 +20,7 @@ from fermatq.arith import (
     odd_prime,
     pow_mod_lanes,
     prime_factor_lanes,
+    primes_between,
     primes_up_to,
     smallest_prime_factors,
 )
@@ -58,6 +59,23 @@ def test_primes_up_to_small_edges():
 
 def test_primes_up_to_matches_trial_division_to_2000():
     assert primes_up_to(2000) == [n for n in range(2001) if trial_division_is_prime(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-10, max_value=2**31 - 1), st.integers(min_value=-1, max_value=3000))
+def test_primes_between_matches_scalar_is_prime(lo, width):
+    hi = min(lo + width, 2**31 - 1)
+    got = primes_between(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [n for n in range(max(lo, 0), hi + 1) if is_prime(n)]
+
+
+def test_primes_between_edges():
+    assert primes_between(0, 1).tolist() == [] and primes_between(5, 4).tolist() == []
+    assert primes_between(2, 2).tolist() == [2] and primes_between(-5, 3).tolist() == [2, 3]
+    # a square of a base prime at each end, and the last primes below 2^31
+    assert primes_between(49, 121).tolist() == [n for n in range(49, 122) if trial_division_is_prime(n)]
+    assert primes_between(2**31 - 50, 2**31 - 1).tolist() == [2147483629, 2147483647]
 
 
 def test_is_prime_against_trial_division():

@@ -97,7 +97,7 @@ def _calls_by_function(path: Path, name: str) -> list[str]:
 def test_main_charges_every_plan_then_runs_it():
     # a plan is a generator that main alone resumes: for each list of its
     # charges, which main charges, and then for its work; avg yields a list
-    # for each window once its charged sieve has listed the primes
+    # for each window once its charged segment has listed the primes
     assert all(inspect.isgeneratorfunction(command.plan) for command in COMMANDS.values())
     assert _calls_by_function(SRC / "cli.py", "next") == ["main", "main"]
     charges = {path.name: _calls_by_function(path, "charge") for path in SRC.glob("*.py")}
@@ -129,6 +129,11 @@ TRACED = {
     "ratios": ("ratios", "--p", "100003", "--Z", "10"),
     "rho-csv": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000"),
     "rho-json": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000", "--format", "json"),
+    # two segments, the rows of the first held through the second
+    "scan": ("scan", "--pmin", "3", "--pmax", "400000"),
+    "scan-json": ("scan", "--pmin", "3", "--pmax", "400000", "--format", "json"),
+    # one row, one chunk: a round's pairs, p - 1 with 9 distinct primes
+    "scan-one": ("scan", "--pmin", "892371481", "--pmax", "892371481", "--format", "json"),
 }
 
 

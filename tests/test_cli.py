@@ -110,11 +110,14 @@ def test_budget_refusal_exits_3_without_partial_file(capsys, tmp_path):
 
 
 _REFUSED = [
-    # least-prime-factor sieves of pmax + 1 and 2P + 1 entries; a scan's
+    # a scan's rows and lanes, and avg's segment of P entries; a scan's
     # pmax stays below 2^31, or the range itself is bad input
     ("scan", "--pmin", "3", "--pmax", "2000000000"),
     ("scan", "--pmin", "3", "--pmax", "100000000", "--memcap", "1000"),
     ("avg", "--P", "1000000000000", "--N-rule", "1"),
+    # a window of one N is priced from a lower bound on its primes before
+    # its segment lists them: 2.6 s to list 3.3 * 10^6 primes and refuse
+    ("avg", "--P", "60000000", "--N-rule", "1"),
     # the convolution is charged before the character's discrete-log table
     ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
     # and so is its one quotient table, of max(ucap, vcap) entries
@@ -122,13 +125,16 @@ _REFUSED = [
     # the group's order is charged before its p - 1 powers, or its walk stops at the budget
     ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
     ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
-    # the scan's lanes are charged before its sieve
+    # the scan's lanes are charged before its segments
     ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
     # the divisor terms of every r <= R, bounded in closed form, not counted
     # by a loop over r, and every R before the first
     ("sieve", "--R", "30000000", "--K", "4"),
     ("sieve", "--R", "400", "30000000", "--K", "4"),
-    # every scale's sieve and cost are charged before the first window
+    # each (r, d) term weighs 23 steps more than its elements: 8.5 * 10^9
+    # steps, where one a term admitted it at 7.1 * 10^8 for minutes of work
+    ("sieve", "--R", "20000000", "--K", "4"),
+    # every scale's segment and cost are charged before the first window
     ("avg", "--pmin", "256", "--pmax", "100000000", "--N-rule", "100", "--memcap", "2400000"),
     # k rows against --memcap and their steps against --budget, before the k list
     ("rho", "--M", "12", "--b", "5", "--nu", "3", "--kmax", "100000000"),
@@ -140,7 +146,7 @@ _REFUSED = [
     ("maxsum", "--p", "2147483647", "--n", "10", "--memcap", "1000000"),
     # maxsum charges all n entries although it folds them into one period
     ("maxsum", "--p", "7", "--n", "100000000"),
-    # the largest N_p against the table cap, before any table's sieve
+    # the largest N_p against the table cap, before the window's segment
     ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
     # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
     ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
@@ -172,7 +178,7 @@ _BAD_INPUT = [
     ("ratios", "--p", "1000003", "--Z", "0"),
     # Z = m is invalid whatever the group's order, which a walk would take 5.5 * 10^6 steps to learn
     ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "4611686018427388039"),
-    # a range past 2^31, whose sieve the default cap refuses
+    # a range past 2^31, whose rows and lanes the default caps refuse
     ("scan", "--pmin", "3", "--pmax", "4000000000"),
     # the trivial character, whose convolution --memcap refuses
     ("doublesum", "--p", "1000003", "--order", "1", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
@@ -200,7 +206,7 @@ _BAD_INPUT = [
     # digits and of about 9.5 * 10^8, whose moments exited 1 past the float range
     ("avg", "--P", "4", "--N-rule", "2", "--nu", "100000"),
     ("avg", "--P", "4", "--N-rule", "3", "--nu", "1000000000"),
-    # N > P^2 at the first scale, before the sieves' charges, which the last scale's passes
+    # N > P^2 at the first scale, before the segments' charges, which the last scale's passes
     ("avg", "--pmin", "3", "--pmax", "100000000", "--N-rule", "10"),
     # an exponent past 2, before P^(10^9) is computed
     ("avg", "--P", "4", "--N-rule", "P^1000000000"),
@@ -215,7 +221,7 @@ def test_bad_input_exits_2_before_the_work(capsys, tmp_path, argv):
 
 def test_n_table_row_below_1_exits_2_before_the_work(capsys, tmp_path):
     # the table covers every prime of (64, 128], one at N_p = 0, which is
-    # refused as the file is read, before the charge of the window's sieve
+    # refused as the file is read, before the charge of the window's segment
     primes = [p for p in primes_up_to(128) if p > 64]
     table = tmp_path / "np.csv"
     table.write_text("p,N\n" + "".join(f"{p},{0 if p == primes[5] else 10}\n" for p in primes))
@@ -233,12 +239,10 @@ def _exits_2_before_the_work(capsys, out_dir, argv):
         assert not os.listdir(out_dir)
 
 
-# refused after the plan is resumed past its first charges, by design: a
-# window's charge, which main makes, needs the primes of its charged sieve,
-# and the --gen walk, the one refusal inside the library, learns the group's
-# order by walking
+# refused after the plan is resumed past its first charges, by design: the
+# --gen walk, the one refusal inside the library, learns the group's order
+# by walking (and an N table's window, test_n_table_window_is_charged_after_its_segment)
 _STAGED = [
-    ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
     ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
 ]
 
@@ -286,8 +290,18 @@ def test_plan_charges_refuse_before_run(capsys, monkeypatch, argv):
     assert seen == (["planned", "ran"] if argv in _STAGED else ["planned"])
 
 
+def test_n_table_window_is_charged_after_its_segment(capsys, monkeypatch, tmp_path):
+    # an N table's largest N_p is known once the window's charged segment lists its primes
+    table = tmp_path / "np.csv"
+    table.write_text("".join(f"{p},{1024 * 1024}\n" for p in primes_up_to(2048) if p > 1024))
+    argv = ("avg", "--P", "1024", "--N-rule", f"@{table}", "--memcap", "100000")
+    monkeypatch.setitem(globals(), "_STAGED", [argv])
+    assert _planned(monkeypatch, argv) == (3, ["planned", "ran"])
+    assert capsys.readouterr().err.startswith("budget: window:")
+
+
 def test_avg_trivial_bound_past_the_digit_limit_writes_nothing(capsys, tmp_path):
-    # an N table's rows are known after the window's sieve, and are checked
+    # an N table's rows are known after the window's segment, and are checked
     # with the window's charge, before any work; the csv header went to
     # stdout before the bound failed to print
     table = tmp_path / "np.csv"
@@ -659,6 +673,19 @@ def test_sieve_rows_share_one_polynomial(capsys):
     assert float(rows[0][3]) <= float(rows[1][3])  # lhs grows with R
     for row in rows:
         assert float(row[3]) <= float(row[4]) and float(row[3]) <= float(row[5])
+
+
+@pytest.mark.parametrize("k", [50, 4000])
+def test_sieve_rows_equal_their_single_r_reports(capsys, k):
+    # one pass to the largest R adds each row's sum in the order R alone
+    # adds it; with K = 50 the terms of m >= K, which read A alone, come in
+    r_values = ["7", "1", "10", "3", "3", "9", "2", "8", "5", "4"]
+    rc, out, _ = run(capsys, "sieve", "--R", *r_values, "--K", str(k), "--seed", "7")
+    assert rc == 0
+    header, *rows = out.splitlines()
+    for r_max, row in zip(r_values, rows, strict=True):
+        single = run(capsys, "sieve", "--R", r_max, "--K", str(k), "--seed", "7")[1]
+        assert single.splitlines() == [header, row], r_max
 
 
 def test_sieve_memcap_charges_coefficients(capsys, tmp_path):

@@ -268,6 +268,9 @@ def test_theorem4_scan_range():
         assert r.n_min <= r.p * r.p
         q = fermat_quotient(r.p, r.n_min)
         assert is_primitive_root(q, r.p)
+    rows = theorem4_exponent_scan(3, 10**6)  # five segments
+    assert len(rows) == 78497 and all(r.verified for r in rows)
+    assert max(r.n_min for r in rows) == 33
 
 
 def test_theorem4_scan_empty_range():
@@ -280,26 +283,68 @@ def test_theorem4_scan_empty_range():
 @example(p_min=4_000_000, width=2000)
 def test_theorem4_scan_lanes_match_per_prime_search(p_min, width):
     rows = theorem4_exponent_scan(p_min, p_min + width)
-    assert [r.p for r in rows] == [p for p in primes_up_to(p_min + width) if p >= max(3, p_min)]
+    assert [r.p for r in rows] == [p for p in range(max(3, p_min), p_min + width + 1) if is_prime(p)]
     for row in rows:
         assert row == scan_row(row.p, smallest_primroot_quotient(row.p, row.p * row.p)), row
 
 
 def test_theorem4_scan_blocks_join_seamlessly(monkeypatch):
     whole = theorem4_exponent_scan(3, 3000)
-    monkeypatch.setattr(primroots, "_SCAN_BLOCK", 7)
-    assert theorem4_exponent_scan(3, 3000) == whole
+    for width in (7, 1000):  # segments with no prime ([115, 121]), one, and many
+        monkeypatch.setattr(primroots, "SCAN_SEGMENT", width)
+        assert theorem4_exponent_scan(3, 3000) == whole, width
+
+
+def _factor_pairs(primes):
+    """The (lane, l) pairs of the distinct prime factors l of each p - 1, by factorize."""
+    pairs = [(i, ell) for i, p in enumerate(primes.tolist()) for ell in factorize(p - 1).primes()]
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*pairs))
 
 
 def test_scan_lanes_exact_below_2_31():
     # the search and the verification, on the largest primes a lane can hold
     primes = np.array([p for p in range(2**31 - 1, 2**31 - 400, -2) if is_prime(p)][:12])
-    pair_lane, pair_prime = zip(*[(i, ell) for i, p in enumerate(primes.tolist()) for ell in factorize(p - 1).primes()])
-    n_min = primroots._least_primroot_lanes(primes, np.array(pair_lane), np.array(pair_prime))
+    pair_lane, pair_prime = _factor_pairs(primes)
+    n_min = primroots._least_primroot_lanes(primes, pair_lane, pair_prime)
     assert n_min.tolist() == [smallest_primroot_quotient(p, 1000) for p in primes.tolist()]
-    assert primroots._verify_lanes(primes, n_min).all()
+    assert primroots._verify_lanes(primes, n_min, pair_lane, pair_prime).all()
     # a wrong hit does not verify: q_p(n_min - 1) is not a primitive root, or n_min would be smaller
-    assert not primroots._verify_lanes(primes, np.where(n_min > 2, n_min - 1, 0)).any()
+    wrong = np.where(n_min > 2, n_min - 1, 0)
+    assert not primroots._verify_lanes(primes, wrong, pair_lane, pair_prime).any()
+
+
+def _planted(pair_lane, pair_prime, lane, fault):
+    """The pairs with one fault planted on one lane: its largest factor
+    dropped, its largest factor l replaced by the composite 2 l (which
+    divides p - 1, keeps the radical and passes the order test of a
+    primitive root), or its factor 2 listed twice."""
+    mine = np.flatnonzero(pair_lane == lane)
+    top = mine[pair_prime[mine].argmax()]
+    if fault == "dropped":
+        return np.delete(pair_lane, top), np.delete(pair_prime, top)
+    if fault == "composite":
+        return pair_lane, np.where(np.arange(len(pair_prime)) == top, 2 * pair_prime, pair_prime)
+    return np.append(pair_lane, lane), np.append(pair_prime, 2)
+
+
+@pytest.mark.parametrize("fault", ["dropped", "composite", "duplicated"])
+def test_verification_refuses_a_planted_factor_fault(fault):
+    # every hit is right, so only the certificate of the factors can fail a row
+    primes = np.array([p for p in range(10**6, 10**6 + 2000) if is_prime(p) and (p - 1) % 4 == 0][:20])
+    pair_lane, pair_prime = _factor_pairs(primes)
+    n_min = primroots._least_primroot_lanes(primes, pair_lane, pair_prime)
+    assert primroots._verify_lanes(primes, n_min, pair_lane, pair_prime).all()
+    for lane in range(len(primes)):
+        verified = primroots._verify_lanes(primes, n_min, *_planted(pair_lane, pair_prime, lane, fault))
+        assert verified.tolist() == [i != lane for i in range(len(primes))], (fault, lane)
+
+
+def test_scan_rows_near_2_31_match_the_scalar_search():
+    rows = theorem4_exponent_scan(2**31 - 10**5, 2**31 - 1)
+    assert [r.p for r in rows] == [p for p in range(2**31 - 10**5, 2**31) if is_prime(p)]
+    assert len(rows) == 4664 and all(r.verified for r in rows)
+    for row in random.Random(31).sample(rows, 50):
+        assert row == scan_row(row.p, smallest_primroot_quotient(row.p, row.p * row.p)), row
 
 
 def test_wieferich_zeros_of_the_lane_ladder():
@@ -314,17 +359,23 @@ def test_wieferich_zeros_of_the_lane_ladder():
     assert zeros(3, primes_up_to(10**5)[1:] + window) == [11, 1006003]
 
 
-def test_theorem4_scan_memory_within_memcap_charge():
-    # cli charges the scan 24 bytes per integer up to pmax against --memcap
-    tracemalloc.start()
-    try:
-        rows = theorem4_exponent_scan(3, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == 78497 and all(r.verified for r in rows)
-    assert max(r.n_min for r in rows) == 33
-    assert peak <= 24 * 10**6
+def test_scan_peak_at_a_fixed_width_does_not_grow_with_pmax(monkeypatch):
+    # one segment at a time, three segments to a range; a least-prime-factor
+    # sieve from 0 grew with pmax, 8 bytes an integer
+    monkeypatch.setattr(primroots, "SCAN_SEGMENT", 20_000)
+    width = 3 * primroots.SCAN_SEGMENT
+    theorem4_exponent_scan(3, 10)
+    peaks = []
+    for p_min in (10**6, 10**8, 2**31 - width):
+        tracemalloc.start()
+        try:
+            rows = theorem4_exponent_scan(p_min, p_min + width - 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rows and all(r.verified for r in rows)
+        del rows
+    assert peaks[2] <= peaks[1] <= peaks[0], peaks
 
 
 def test_charge_scan_refuses_before_the_sieve():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermatq import arith, sieve
+from fermatq import arith, quotients, sieve
 from fermatq.arith import OddPrime, primes_up_to
 from fermatq.cli import main
 from fermatq.config import RunConfig
@@ -28,7 +28,7 @@ from fermatq.sieve import (
     parseval_check,
     power_rule,
     rho_coefficient,
-    sieve_report,
+    sieve_reports,
     theorem1_average,
     transform_length,
     trig_poly_eval,
@@ -116,14 +116,13 @@ def squarefree_divisors(r):
 
 def test_large_sieve_lhs_single_coeff():
     poly = TrigPolynomial(np.array([1.0], dtype=complex))
-    assert large_sieve_lhs(poly, 1) == pytest.approx(abs(sum(poly.coeffs)) ** 2)
-    assert large_sieve_lhs(poly, 2) == pytest.approx(3.0)
+    assert large_sieve_lhs(poly, [1, 2]) == pytest.approx([abs(sum(poly.coeffs)) ** 2, 3.0])
 
 
 def test_large_sieve_lhs_matches_bruteforce():
     poly = TrigPolynomial(np.array([1 + 1j, 2.0, -1j, 0.5, 0.25j]))
-    for r_max in (1, 2, 3, 4):
-        assert large_sieve_lhs(poly, r_max) == pytest.approx(brute_lhs(poly, r_max), rel=1e-9)
+    want = [brute_lhs(poly, r_max) for r_max in (1, 2, 3, 4)]
+    assert large_sieve_lhs(poly, [1, 2, 3, 4]) == pytest.approx(want, rel=1e-9)
 
 
 # K = 1, K below R^2 and K above it; R = 1 reads |T(0)|^2 alone, which a
@@ -141,7 +140,7 @@ def test_large_sieve_lhs_matches_bruteforce():
 def test_large_sieve_lhs_matches_grid_path(seed, r_max, k_max):
     rng = np.random.default_rng(seed)
     poly = TrigPolynomial(rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max))
-    assert large_sieve_lhs(poly, r_max) == pytest.approx(grid_lhs(poly, r_max), rel=1e-12)
+    assert large_sieve_lhs(poly, [r_max]) == pytest.approx([grid_lhs(poly, r_max)], rel=1e-12)
 
 
 @pytest.mark.parametrize("r_max, k_max", [(1, 1), (4, 3), (6, 36), (7, 100), (12, 150)])
@@ -160,15 +159,17 @@ def test_large_sieve_lhs_exact_on_gaussian_integers(r_max, k_max):
                 im[k % m] += y
             want += mu * m * sum(x * x + y * y for x, y in zip(re, im))
     poly = TrigPolynomial([complex(x, y) for x, y in coeffs])
-    assert round(large_sieve_lhs(poly, r_max)) == want
+    assert round(large_sieve_lhs(poly, [r_max])[0]) == want
 
 
 def test_large_sieve_budget_guard():
-    # sum over r <= R and squarefree d | r of ceil(K d / r^2) + 1, which the
-    # step charge bounds beside the three transforms of transform_length(K) points
+    # sum over r <= R and squarefree d | r of ceil(K d / r^2) + W, W the
+    # steps a term is charged beyond its elements, which the step charge
+    # bounds beside the three transforms of transform_length(K) points
+    w = sieve._TERM_STEPS
     for k_max in (1, 2, 64, 3000):
         for r_max in (1, 2, 13, 100):
-            counted = sum(-(-k_max * d // (r * r)) + 1 for r in range(1, r_max + 1) for d, _ in squarefree_divisors(r))
+            counted = sum(-(-k_max * d // (r * r)) + w for r in range(1, r_max + 1) for d, _ in squarefree_divisors(r))
             assert counted < lhs_steps(k_max, r_max) - 3 * transform_length(k_max) < 2 * counted
     assert [transform_length(k) for k in (1, 2, 3, 4, 5, 4096, 4097)] == [1, 4, 8, 8, 16, 8192, 16384]
     # --budget refuses one step below the charge, before any transform, and admits the charge
@@ -189,7 +190,7 @@ def test_sieve_report_bound_holds_at_desk_scale():
     for r_max in (1, 2, 3):
         for k_max in (1, 5, 32):
             poly = TrigPolynomial(rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max))
-            rep = sieve_report(poly, r_max)
+            (rep,) = sieve_reports(poly, [r_max])
             assert rep.lhs <= rep.rhs_bz + 1e-9
             assert rep.ratio_bz == pytest.approx(rep.lhs / rep.rhs_bz)
             assert rep.ratio_zhao == pytest.approx(rep.lhs / rep.rhs_zhao)
@@ -308,16 +309,17 @@ def test_window_result_does_not_depend_on_block_size(monkeypatch):
 
 
 def test_window_sieves_once_per_block(monkeypatch):
-    # one least-prime-factor sieve for the window's primes and one per
-    # block of tables, never one per prime
+    # one segment for the window's primes and one per block of tables,
+    # never one per prime
     sieves, blocks = [], []
-    spf, rows = arith.smallest_prime_factors, sieve.quotient_rows
-    monkeypatch.setattr(arith, "smallest_prime_factors", lambda n: sieves.append(n) or spf(n))
+    segment, rows = arith.primes_between, sieve.quotient_rows
+    for module in (sieve, quotients):  # the callers' names: the base primes' recursion is not counted
+        monkeypatch.setattr(module, "primes_between", lambda lo, hi: sieves.append((lo, hi)) or segment(lo, hi))
     monkeypatch.setattr(sieve, "quotient_rows", lambda primes, last: blocks.append(len(primes)) or rows(primes, last))
     res = theorem1_average(1024, 1, power_rule(1, 1024))
     assert res.prime_count == sum(blocks) == 137
     assert len(blocks) == 3  # 58 rows of 6 x 186 lane entries (186 bounds pi(1024) = 172) fit 2^16
-    assert len(sieves) <= 1 + len(blocks)
+    assert sieves[0] == (1025, 2048) and len(sieves) == 1 + len(blocks)
 
 
 @pytest.mark.parametrize("p_scale, n", [(4096, 64), (16384, 8), (16384, 4)])
