@@ -9,7 +9,6 @@ the quotient exponential sums studied by the rest of the package.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import np
@@ -63,7 +62,6 @@ def unit_roots(r: int, ks: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (np.mod(ks, r) / r))
 
 
-@functools.lru_cache(maxsize=256)
 def discrete_log_table(p: int) -> tuple[int, np.ndarray]:
     """(least primitive root g, index table ind with g**ind[x] = x mod p,
     ind[0] = 0), from g^(iB + r) = (g^B)^i g^r, B = ceil(sqrt(p - 1)): two
@@ -127,9 +125,10 @@ class CharacterModP:
 class CharacterModPSquared:
     """The order-p character mod p**2 attached to Fermat quotients.
 
-    chi(n) = e(a*q_p(n)/p) for gcd(n, p) = 1 and 0 otherwise.  It is
-    multiplicative because the quotient is additive, has period p**2,
-    and is primitive: chi(1 + p) = e(a*(p-1)/p) != 1.
+    chi(n) = e(a*q_p(n)/p) for gcd(n, p) = 1 and 0 otherwise, so its
+    partial sums are S_p(a; N).  It is multiplicative because the quotient
+    is additive, has period p**2, and is primitive: chi(1 + p) =
+    e(a*(p-1)/p) != 1.
     """
 
     def __init__(self, p: int | OddPrime, a: int):
@@ -160,11 +159,6 @@ class CharacterModPSquared:
     def value_array(self) -> np.ndarray:
         """chi(v) for v = 0..p**2-1."""
         return self._values
-
-
-def hb_character(p: int | OddPrime, a: int) -> CharacterModPSquared:
-    """The primitive character mod p**2 whose partial sums are S_p(a; N)."""
-    return CharacterModPSquared(p, a)
 
 
 def gauss_sum(r: int, chi) -> complex:

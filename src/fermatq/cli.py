@@ -119,19 +119,21 @@ def _load_n_table(path: str) -> dict[int, int]:
 
 
 def _histogram_charges(p, n: int, spectrum: bool):
-    """(prime, the charges of period_histogram(prime, n)): p counts, then
-    a table of the n mod p^2 tail; for maxsum's spectrum, the counts at
-    its "spectrum count" bytes (a length-p FFT), then all n entries.  The
-    traced peak at n = 10 and p = 10^6 is 24 bytes per p for image; the
-    tail's table adds its builder's peak of about 11 bytes per entry
-    (maxsum --p 211 --n 800000: 0.8 MiB, where a table of all n took 13
-    MiB).  Below p of about 7 * 10^5 maxsum's traced peak is the block of
-    up to 256 bytes per p that resident_transform_memory allocates and
-    frees untouched, which no page backs and which is not charged."""
+    """(prime, the charge of period_histogram(prime, n)): the sum of its p
+    counts and a table of the n mod p^2 tail, which live at once; for
+    maxsum's spectrum, of the counts at their "spectrum count" bytes (a
+    length-p FFT) and all n entries.  The traced peak at n = 10 and
+    p = 10^6 is 24 bytes per p for image; the tail's table adds its
+    builder's peak of about 11 bytes per entry (maxsum --p 211 --n 800000:
+    0.8 MiB, where a table of all n took 13 MiB; image --p 1000003 --n
+    1000000: 32.2 MB, where either part alone is charged 24 MB).  Below p
+    of about 7 * 10^5 maxsum's traced peak is the block of up to 256 bytes
+    per p that resident_transform_memory allocates and frees untouched,
+    which no page backs and which is not charged."""
     prime = odd_prime(p)
     quotients.check_histogram_length(n)
-    counts = charged_entries(prime.p, "spectrum count") if spectrum else prime.p
-    return prime, [("histogram", counts, 0), ("table", n if spectrum else n % prime.p2, 0)]
+    counts, table = (charged_entries(prime.p, "spectrum count"), n) if spectrum else (prime.p, n % prime.p2)
+    return prime, [("histogram and table", counts + table, 0)]
 
 
 def plan_quotient(args, config: RunConfig):
@@ -325,7 +327,7 @@ def plan_scan(args, config: RunConfig):
 def plan_selftest(args, config: RunConfig):
     yield []
     out = sys.stdout if config.output_path is None else io.StringIO()
-    code = selftest.run_selftest(config.seed, args.inject_fault, out)
+    code = selftest.run_selftest(config.seed, out)
     if config.output_path is not None:
         write_atomic([out.getvalue()], config.output_path)
     yield code
@@ -399,11 +401,7 @@ COMMANDS = {  # in the order of --help
         plan_doublesum,
     ),
     "scan": Command("primroot search for every prime in a range", ("--pmin", "--pmax"), plan_scan),
-    "selftest": Command(
-        "run every module's invariant suite",
-        (("--inject-fault", {"help": argparse.SUPPRESS}),),  # run_selftest checks the name
-        plan_selftest,
-    ),
+    "selftest": Command("run every module's invariant suite", (), plan_selftest),
 }
 
 

@@ -317,11 +317,15 @@ SCAN_SEGMENT = 200_000
 
 def scan_size(p_min: int, p_max: int) -> tuple[int, int]:
     """(integers of the widest segment, rows) of theorem4_exponent_scan at
-    most: a row a prime, at most the range's odd numbers and prime_count_bound."""
+    most: a row a prime, at most the range's odd numbers, prime_count_bound,
+    and for y > 1 integers 2y / ln y (Brun-Titchmarsh, pi(x + y) - pi(x) <
+    2y / ln y: Montgomery and Vaughan, 1973), the least for a narrow range."""
     lo = max(3, p_min)
     if p_max < lo:
         return 0, 0
-    return min(SCAN_SEGMENT, p_max - lo + 1), min((p_max - lo) // 2 + 1, prime_count_bound(p_max))
+    y = p_max - lo + 1
+    narrow = int(2 * y / math.log(y)) + 1 if y > 1 else 1
+    return min(SCAN_SEGMENT, y), min((p_max - lo) // 2 + 1, prime_count_bound(p_max), narrow)
 
 
 def scan_steps(p_min: int, p_max: int) -> int:

@@ -111,11 +111,6 @@ def quotient_table(p: int | OddPrime, n: int) -> QuotientTable:
     return QuotientTable(prime, n, values)
 
 
-def image_size(table: QuotientTable) -> int:
-    """Number of distinct quotient values attained over the table range."""
-    return value_histogram(table).image
-
-
 class _ResidueHistogram(NamedTuple):
     p: OddPrime
     counts: np.ndarray  # int64, length p

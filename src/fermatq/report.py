@@ -90,12 +90,6 @@ def _json_pieces(columns: tuple[str, ...], chunks: Iterable[list[tuple]]) -> Ite
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def parse_csv(text: str) -> tuple[tuple[str, ...], list[list[str]]]:
-    lines = text.splitlines()
-    header = tuple(lines[0].split(","))
-    return header, [line.split(",") for line in lines[1:]]
-
-
 def write_atomic(chunks: Iterable, path: str) -> None:
     """Write chunks, text or byte buffers, in order to path through a temp
     file and a rename.  The file gets the mode a plain open would give it,

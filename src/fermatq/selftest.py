@@ -2,9 +2,7 @@
 
 Each suite reruns its module's core identities at desk scale and
 returns (checks passed, failure messages).  A failure message names
-the module, the operation, and the offending inputs.  The optional
-fault hook flips one table entry so the harness itself can be shown
-to catch a planted error.
+the module, the operation, and the offending inputs.
 """
 
 from __future__ import annotations
@@ -22,12 +20,12 @@ from .arith import (
 )
 from .charsums import (
     CharacterModP,
+    CharacterModPSquared,
     eta_quotient_sum,
     exp_sum_direct,
     exp_sum_from_histogram,
     gauss_identity_residual,
     gauss_sum,
-    hb_character,
     max_exp_sum,
     unit_roots,
 )
@@ -42,7 +40,6 @@ from .quotients import (
     collision_count,
     dump_table,
     fermat_quotient,
-    image_size,
     load_table,
     period_histogram,
     quotient_table,
@@ -52,7 +49,7 @@ from .sieve import TrigPolynomial, parseval_check, rho_coefficient, sieve_report
 from .subgroups import SubgroupModM, collision_vs_ratio_check, count_ratios, lemma7_rhs, pth_power_residues
 
 
-def _suite_core_arith(rng: np.random.Generator, fault: str | None):
+def _suite_core_arith(rng: np.random.Generator):
     checks, failures = 0, []
     phi_sums, mu_sums = [0] * 2001, [0] * 2001
     for d in range(1, 2001):  # each d's phi and mu added into its multiples
@@ -88,16 +85,13 @@ def _suite_core_arith(rng: np.random.Generator, fault: str | None):
     return checks, failures
 
 
-def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
+def _suite_fermat_quotient(rng: np.random.Generator):
     checks, failures = 0, []
     for p in (5, 13, 101, 257):
         prime = OddPrime(p)
         table = quotient_table(prime, 1500)
-        values = table.values.copy()
-        if fault == "fermat-quotient" and p == 13:
-            values[77] = (values[77] + 1) % p  # planted fault
         for n in range(1, 1501):
-            v = int(values[n])
+            v = int(table.values[n])
             direct = fermat_quotient(prime, n)
             if (None if v == -1 else v) != direct:
                 failures.append(f"fermat-quotient quotient_table p={p} n={n}: table={v} direct={direct}")
@@ -108,8 +102,8 @@ def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
             failures.append(f"fermat-quotient value_histogram p={p}: total {h.total}")
         if collision_count(table) != int((h.counts.astype(object) ** 2).sum()):
             failures.append(f"fermat-quotient collision_count p={p}")
-        if image_size(table) < math.ceil(cauchy_lower_bound(h)):
-            failures.append(f"fermat-quotient image_size p={p}: Cauchy bound violated")
+        if h.image < math.ceil(cauchy_lower_bound(h)):
+            failures.append(f"fermat-quotient value_histogram image p={p}: Cauchy bound violated")
         back = load_table(dump_table(table))
         if not np.array_equal(back.values, table.values):
             failures.append(f"fermat-quotient dump/load p={p}: roundtrip mismatch")
@@ -127,21 +121,21 @@ def _suite_fermat_quotient(rng: np.random.Generator, fault: str | None):
     return checks, failures
 
 
-def _suite_char_sums(rng: np.random.Generator, fault: str | None):
+def _suite_char_sums(rng: np.random.Generator):
     checks, failures = 0, []
     for p, a in ((5, 1), (7, 3), (13, 5)):
         prime = OddPrime(p)
-        chi = hb_character(prime, a)
+        chi = CharacterModPSquared(prime, a)
         table = quotient_table(prime, p * p)
         for n in (1, p, p * p):
             partial = sum(chi(m) for m in range(1, n + 1))
             if abs(partial - exp_sum_direct(prime, a, n, table=table)) > 1e-9 * n:
-                failures.append(f"char-sums hb_character p={p} a={a} N={n}: partial sum mismatch")
+                failures.append(f"char-sums CharacterModPSquared p={p} a={a} N={n}: partial sum mismatch")
             checks += 1
         for _ in range(200):
             m, n = (int(x) for x in rng.integers(1, p * p, size=2))
             if abs(chi(m * n) - chi(m) * chi(n)) > 1e-9:
-                failures.append(f"char-sums hb_character p={p} a={a}: not multiplicative at {m},{n}")
+                failures.append(f"char-sums CharacterModPSquared p={p} a={a}: not multiplicative at {m},{n}")
             checks += 1
         if abs(abs(gauss_sum(p * p, chi)) - p) > 1e-9 * p:
             failures.append(f"char-sums gauss_sum p={p} a={a}: |tau| != p")
@@ -183,7 +177,7 @@ def _suite_char_sums(rng: np.random.Generator, fault: str | None):
     return checks, failures
 
 
-def _suite_sieve_lab(rng: np.random.Generator, fault: str | None):
+def _suite_sieve_lab(rng: np.random.Generator):
     checks, failures = 0, []
     for _ in range(60):
         k = int(rng.integers(1, 48))
@@ -213,7 +207,7 @@ def _suite_sieve_lab(rng: np.random.Generator, fault: str | None):
     return checks, failures
 
 
-def _suite_subgroup_ratios(rng: np.random.Generator, fault: str | None):
+def _suite_subgroup_ratios(rng: np.random.Generator):
     checks, failures = 0, []
     for p in (3, 5, 7, 11, 13):
         prime = OddPrime(p)
@@ -249,7 +243,7 @@ def _suite_subgroup_ratios(rng: np.random.Generator, fault: str | None):
     return checks, failures
 
 
-def _suite_prim_root(rng: np.random.Generator, fault: str | None):
+def _suite_prim_root(rng: np.random.Generator):
     checks, failures = 0, []
     for p in (7, 11, 13):
         prime = OddPrime(p)
@@ -296,17 +290,13 @@ SUITES: list[tuple[str, Callable]] = [
     ("prim-root", _suite_prim_root),
 ]
 
-VALID_FAULTS = ("fermat-quotient",)
 
-
-def run_selftest(seed: int, fault: str | None, out) -> int:
+def run_selftest(seed: int, out) -> int:
     """Run every suite; write one line per suite to out; 0 when all pass."""
-    if fault is not None and fault not in VALID_FAULTS:
-        raise ValueError(f"unknown fault target {fault!r}; expected one of {VALID_FAULTS}")
     rng = np.random.default_rng(seed)
     bad = 0
     for name, suite in SUITES:
-        checks, failures = suite(rng, fault)
+        checks, failures = suite(rng)
         status = "ok" if not failures else "FAIL"
         out.write(f"{name}: {checks} checks {status}\n")
         if failures:

@@ -179,27 +179,6 @@ def count_ratios(m: int, group: SubgroupModM, z: int) -> int:
     return 2 * half
 
 
-def count_ratios_upto(m: int, group: SubgroupModM, z_max: int) -> np.ndarray:
-    """count_ratios for every Z = 1..z_max in one pass.
-
-    A pair (w, x) first becomes admissible at Z = max(x, min(r, m - r))
-    with r = w*x mod m, so a histogram of those thresholds integrates
-    to the counts.  Exact for every m, on the lanes of _lane_dtype:
-    w*x < m * (Z + 1).
-    """
-    if group.m != m:
-        raise ValueError(f"group lives mod {group.m}, not {m}")
-    check_ratio_bound(m, z_max)
-    xs = np.arange(1, z_max + 1, dtype=_lane_dtype(m, z_max))
-    thresholds = np.zeros(z_max + 1, dtype=np.int64)
-    for w in group.elements:
-        r = w * xs % m
-        first = np.maximum(xs, np.minimum(r, m - r))
-        inside = first <= z_max
-        np.add.at(thresholds, first[inside].astype(np.int64, copy=False), 1)
-    return 2 * np.cumsum(thresholds)[1:]
-
-
 def lemma7_rhs(m: int, t: int, z: int, nu: int) -> float:
     """Envelope Z t^((2nu+1)/(2nu(nu+1))) m^(-1/(2(nu+1))) + Z^2 t^(1/nu) m^(-1/nu)."""
     if min(m, t, z) < 1 or nu < 1:

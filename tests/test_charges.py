@@ -126,6 +126,8 @@ TRACED = {
     "sieve-RK": ("sieve", "--R", "3000", "--K", "400000"),
     "doublesum": ("doublesum", "--p", "65521", "--ucap", "10", "--vcap", "10"),  # n = 2^17, about 2p
     "maxsum": ("maxsum", "--p", "1000003", "--n", "10"),
+    # the histogram and the tail's table, live at once, as one charge
+    "image": ("image", "--p", "1000003", "--n", "1000000"),
     "ratios": ("ratios", "--p", "100003", "--Z", "10"),
     "rho-csv": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000"),
     "rho-json": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000", "--format", "json"),

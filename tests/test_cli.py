@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,12 +16,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fermatq
+from fermatq import charsums, selftest
 from fermatq.arith import is_prime, primes_up_to
-from fermatq.charsums import discrete_log_table
 from fermatq.cli import COMMANDS, main, parse_n_rule
 from fermatq.config import PEAK_BYTES, charged_entries
-from fermatq.report import parse_csv
+from fermatq.quotients import quotient_table
 from fermatq.sieve import transform_length
+
+
+def parse_csv(text):
+    """(header, rows) of a csv report: the header a tuple, each row a list."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return tuple(header), rows
 
 
 def run(capsys, *argv):
@@ -159,18 +167,21 @@ _REFUSED = [
     ("doublesum", "--p", "16777259", "--order", "2", "--ucap", "10", "--vcap", "10"),  # n = 2^26
     ("maxsum", "--p", "50000017", "--n", "10"),
     ("ratios", "--p", "1000003", "--Z", "10", "--memcap", "1000000"),
+    # each of its two parts fits the cap of 1,020,833 entries, their sum does not
+    ("image", "--p", "1000003", "--n", "1000000", "--memcap", "24500000"),
 ]
 
 
 @pytest.mark.parametrize("argv", _REFUSED)
-def test_refusal_comes_before_the_work(capsys, tmp_path, argv):
+def test_refusal_comes_before_the_work(capsys, monkeypatch, tmp_path, argv):
     out_path = tmp_path / "report.csv"
-    dlog_builds = discrete_log_table.cache_info().misses
+    dlog_builds, build = [], charsums.discrete_log_table
+    monkeypatch.setattr(charsums, "discrete_log_table", lambda p: dlog_builds.append(p) or build(p))
     started = time.monotonic()
     rc, _, err = run(capsys, *argv, "--out", str(out_path))
     assert rc == 3 and err.startswith("budget:"), err
     assert time.monotonic() - started < 1.0
-    assert discrete_log_table.cache_info().misses == dlog_builds
+    assert dlog_builds == []
     assert not os.listdir(tmp_path)
 
 
@@ -910,20 +921,23 @@ def test_selftest_deterministic_bytes(capsys, tmp_path):
     assert (tmp_path / "selftest.txt").read_text() == out1
 
 
-def test_selftest_fault_injection_names_module(capsys, tmp_path):
+def test_selftest_fault_injection_names_module(capsys, monkeypatch, tmp_path):
+    # a planted flip in the fermat-quotient suite's table at p = 13, n = 77;
     # the exit code survives --out
-    rc, _, _ = run(capsys, "selftest", "--inject-fault", "fermat-quotient", "--out", str(tmp_path / "selftest.txt"))
+    def flipped(p, n):
+        table = quotient_table(p, n)
+        if table.p.p != 13 or n != 1500:
+            return table
+        values = table.values.copy()
+        values[77] = (values[77] + 1) % 13
+        return table._replace(values=values)
+
+    monkeypatch.setattr(selftest, "quotient_table", flipped)
+    rc, _, _ = run(capsys, "selftest", "--out", str(tmp_path / "selftest.txt"))
     out = (tmp_path / "selftest.txt").read_text()
     assert rc == 1
     assert "fermat-quotient" in out and "FAIL" in out
     assert "first failure: fermat-quotient quotient_table" in out
-
-
-def test_selftest_unknown_fault_exits_2_without_file(capsys, tmp_path):
-    # argparse takes any name, so that building the parser executes no suite
-    rc, _, err = run(capsys, "selftest", "--inject-fault", "bogus", "--out", str(tmp_path / "selftest.txt"))
-    assert rc == 2 and err.startswith("error:"), err
-    assert not os.listdir(tmp_path)
 
 
 def test_timings_flag_records_wall(capsys):

@@ -16,11 +16,12 @@ from fermatq.arith import (
     is_primitive_root,
     least_primitive_root,
     pow_mod_p2_lanes,
+    primes_between,
     primes_up_to,
 )
 from fermatq.charsums import CharacterModP
-from fermatq.cli import main
-from fermatq.config import DEFAULT_BUDGET_OPS, PEAK_BYTES
+from fermatq.cli import COMMANDS, build_parser, main
+from fermatq.config import DEFAULT_BUDGET_OPS, PEAK_BYTES, RunConfig
 from fermatq.primroots import (
     IndicatorReport,
     NonresRow,
@@ -34,6 +35,7 @@ from fermatq.primroots import (
     primroot_indicator,
     quotient_sumset_experiment,
     scan_row,
+    scan_size,
     scan_steps,
     smallest_dth_nonresidue_quotient,
     smallest_primroot_quotient,
@@ -384,3 +386,26 @@ def test_charge_scan_refuses_before_the_sieve():
     assert scan_steps(10, 5) == 0  # empty ranges cost nothing
     assert scan_steps(3, 5 * 10**6) > 1
     assert scan_steps(3, 10**8) > DEFAULT_BUDGET_OPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(3, 2**31 - 1), width=st.integers(1, 300_000))
+@example(lo=3, width=1)
+@example(lo=3, width=8)
+@example(lo=2**31 - 200_000, width=200_000)
+def test_scan_rows_bound_every_narrow_range(lo, width):
+    # the rows charged are at least the primes listed, under Brun-Titchmarsh
+    hi = min(lo + width - 1, 2**31 - 1)
+    assert scan_size(lo, hi)[1] >= len(primes_between(lo, hi))
+
+
+def test_narrow_high_scan_is_admitted_at_the_default_caps():
+    # 97,878 primes: 2.87 * 10^8 lane steps for 288,513 lanes, where the odd
+    # numbers' 1,050,000 lanes were 1.04 * 10^9 steps, past the default budget
+    argv = ["scan", "--pmin", "2145383648", "--pmax", "2147483647"]
+    config = RunConfig()
+    plan = COMMANDS["scan"].plan(build_parser(argv[:1]).parse_args(argv), config)
+    for what, entries, steps in next(plan):  # each raises BudgetError past its cap
+        config.charge(what, entries, steps)
+    assert scan_size(2145383648, 2**31 - 1)[1] == 288_513
+    assert 2 * 10**8 < scan_steps(2145383648, 2**31 - 1) < 3 * 10**8

@@ -19,7 +19,6 @@ from fermatq.quotients import (
     collision_count,
     dump_table,
     fermat_quotient,
-    image_size,
     load_table,
     period_histogram,
     quotient_rows,
@@ -208,9 +207,9 @@ def test_quotient_table_bounds_and_cap():
 
 
 def test_image_size_examples():
-    assert image_size(quotient_table(5, 4)) == 3
-    assert image_size(quotient_table(5, 1)) == 1
-    assert image_size(quotient_table(7, 6)) == 5
+    assert value_histogram(quotient_table(5, 4)).image == 3
+    assert value_histogram(quotient_table(5, 1)).image == 1
+    assert value_histogram(quotient_table(7, 6)).image == 5
 
 
 def test_value_histogram_example():
@@ -235,7 +234,7 @@ def test_period_histogram_equals_table_histogram(case):
     got = period_histogram(p, n)
     assert np.array_equal(got.counts, want.counts) and got.counts.dtype == want.counts.dtype
     assert got.total == want.total == n - n // p
-    assert got.image == image_size(quotient_table(p, n)) == len(np.unique(quotient_table(p, n).defined()))
+    assert got.image == value_histogram(quotient_table(p, n)).image == len(np.unique(quotient_table(p, n).defined()))
 
 
 def test_period_histogram_beyond_a_table():
@@ -247,8 +246,9 @@ def test_period_histogram_beyond_a_table():
     for bad in (0, -3, 1 << 63):
         with pytest.raises(ValueError):
             period_histogram(7, bad)
-    # image charges the tail's table: 24 * 499 bytes admit a tail of 499 entries, not one of 500
-    memcap = str(24 * 499)
+    # image charges its 101 counts and the tail's table as one sum: 24 * (101 + 499)
+    # bytes admit a tail of 499 entries, not one of 500
+    memcap = str(24 * (101 + 499))
     assert main(["image", "--p", "101", "--n", str(101 * 101 + 500), "--memcap", memcap]) == 3
     n = 101 * 101 + 499
     assert main(["image", "--p", "101", "--n", str(n), "--memcap", memcap]) == 0
@@ -292,7 +292,7 @@ def test_cauchy_chain():
         for n in (10, 50, 400):
             t = quotient_table(p, n)
             h = value_histogram(t)
-            assert image_size(t) >= math.ceil(cauchy_lower_bound(h))
+            assert h.image >= math.ceil(cauchy_lower_bound(h))
 
 
 def test_dump_golden_bytes():

@@ -14,7 +14,6 @@ from fermatq.subgroups import (
     SubgroupModM,
     collision_vs_ratio_check,
     count_ratios,
-    count_ratios_upto,
     generated_within,
     lemma7_rhs,
     pth_power_residues,
@@ -156,8 +155,6 @@ def test_count_ratios_exact_on_both_sides_of_the_int64_lane_bound(k, bits, offse
 
     counts = {z: near_zero(z) for z in (z0 - 1, z0, 2 * z0 + 1)}
     assert {z: count_ratios(m, grp, z) for z in counts} == counts
-    assert count_ratios_upto(m, grp, z0 - 1)[-1] == counts[z0 - 1]
-    assert count_ratios_upto(m, grp, 2 * z0 + 1)[[z0 - 2, z0 - 1, 2 * z0]].tolist() == list(counts.values())
 
 
 def test_count_ratios_budget_charges_floor_sum_steps_not_products():
@@ -167,25 +164,17 @@ def test_count_ratios_budget_charges_floor_sum_steps_not_products():
     assert count_ratios(1009**2, pth_power_residues(1009), 50000) == 10083216
 
 
-def test_count_ratios_upto_matches_single_counts():
-    for p in (3, 5, 7):
-        grp = pth_power_residues(p)
-        z_max = (p * p - 1) // 2
-        prefix = count_ratios_upto(p * p, grp, z_max)
-        assert len(prefix) == z_max
-        for z in range(1, z_max + 1):
-            assert prefix[z - 1] == count_ratios(p * p, grp, z)
+def test_count_ratios_of_plus_minus_one_near_2_62():
     # near 2^62 the products (m - 1) * x pass 2^63; the group {1, -1} gives 4 triples per Z
     m = 4611686018427388039
     grp = SubgroupModM.generated(m, m - 1)
-    prefix = count_ratios_upto(m, grp, 10).tolist()
-    assert prefix == [count_ratios(m, grp, z) for z in range(1, 11)] == list(range(4, 41, 4))
+    assert [count_ratios(m, grp, z) for z in range(1, 11)] == list(range(4, 41, 4))
 
 
 def test_count_ratios_monotone_in_z():
     grp = pth_power_residues(7)
-    prefix = count_ratios_upto(49, grp, 24)
-    assert all(int(b) >= int(a) for a, b in zip(prefix, prefix[1:]))
+    counts = [count_ratios(49, grp, z) for z in range(1, 25)]
+    assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
 def test_lemma7_rhs_values():
