@@ -378,6 +378,12 @@ class Theorem1Result(NamedTuple):
 # table cap; a task has one row at least
 _BLOCK_ENTRIES = 1 << 16
 
+# Steps of window_cost that each worker of a window is given at least.  Two
+# threads contend for the GIL through the small numpy calls of a block, so
+# below some 5 * 10^5 steps a second thread slowed a window (P = 256, N = 100:
+# 6 ms on one thread, 17 ms on two) and above it gained up to a third.
+_WORKER_STEPS = 1 << 18
+
 # Entries that one (p, l) lane of quotient_rows counts for in a block.  Its
 # ladder peaks at 95 to 125 traced bytes a lane, and its table phase at 8
 # bytes an entry plus 40 a lane; at 6 entries of 24 bytes a lane, a block of
@@ -447,10 +453,12 @@ def _window_blocks(n_by_p: list, threads: int, max_entries: int) -> tuple[int, l
     each).  A row counts N + 1 entries or _LANE_ENTRIES per ladder lane,
     whichever is more.  A block holds one row, or at most min(_BLOCK_ENTRIES,
     max_entries // workers) entries: the workers, at most the largest rows
-    max_entries holds, share it.  Each worker gets four blocks at least."""
+    max_entries holds and one for each _WORKER_STEPS steps of window_cost,
+    share it.  Each worker gets four blocks at least."""
     n_max = max(n_p for _, n_p in n_by_p)
     row = max(n_max + 1, _LANE_ENTRIES * prime_count_bound(n_max))  # pi(N) lanes a row, bounded above
     workers = min(threads, os.cpu_count() or 1, len(n_by_p), max(1, max_entries // row))
+    workers = min(workers, max(1, window_cost(n_by_p)[1] // _WORKER_STEPS))
     rows = max(1, min(_BLOCK_ENTRIES, max_entries // workers) // row)
     if workers > 1:
         rows = min(rows, -(-len(n_by_p) // (4 * workers)))

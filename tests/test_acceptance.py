@@ -268,6 +268,9 @@ def test_criterion_14_reports_thread_invariant(tmp_path, capfd):
         jobs = {
             "avg": ["avg", "--P", "256", "512", "1024", "--nu", "2", "--N-rule", "P^0.5"],
             "avg-window": ["avg", "--P", "1024", "--N-rule", "P^1/2"],
+            # the windows above run on one thread at any --threads; this one's
+            # 795,090 steps of window_cost give it two workers
+            "avg-threaded": ["avg", "--P", "2048", "--N-rule", "46"],
             "scan": ["scan", "--pmin", "3", "--pmax", "10000"],
         }
         for name, argv in jobs.items():

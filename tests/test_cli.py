@@ -331,8 +331,10 @@ def test_help_lists_every_subcommand(capsys):
         assert rc == 0 and out.startswith(f"usage: fermatq {name}")
 
 
-def test_table_rule_window_bytes_do_not_depend_on_threads(tmp_path):
-    # N_p from 65 to 128 over p in (64, 128]: the blocks differ with the worker count
+def test_table_rule_window_bytes_do_not_depend_on_threads(monkeypatch, tmp_path):
+    # N_p from 65 to 128 over p in (64, 128]: the blocks differ with the worker
+    # count, once a worker is given for every step of the window's cost
+    monkeypatch.setattr(fermatq.sieve, "_WORKER_STEPS", 1)
     table = tmp_path / "np.csv"
     table.write_text("p,N\n" + "".join(f"{p},{65 + 9 * p % 64}\n" for p in primes_up_to(128) if p > 64))
     blobs = set()
@@ -459,9 +461,10 @@ def test_integer_subcommands_load_no_unused_stdlib(argv):
 
 
 def test_avg_threads_start_no_process():
-    # its window blocks run on two threads of the one process; numpy,
-    # which loads inspect itself, is imported first
-    argv = ("avg", "--P", "256", "--N-rule", "100", "--threads", "2")
+    # its window blocks run on two threads of the one process (the window's
+    # 795,090 steps of window_cost give it both); numpy, which loads inspect
+    # itself, is imported first
+    argv = ("avg", "--P", "2048", "--N-rule", "46", "--threads", "2")
     assert _unused_stdlib_loaded(argv, "import os, numpy; os.cpu_count = lambda: 2; ") == "0 []"
 
 
@@ -513,6 +516,115 @@ def test_import_sets_one_blas_thread_unless_set():
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == expected
+
+
+# A child process enters through cli.run: main, two flushes, then os._exit,
+# or sys.exit where a flush fails or a profiler, tracer or debugger is attached.
+_NORMAL_EXIT = "import sys, fermatq.cli; sys.exit(fermatq.cli.main())"
+
+
+def _child_args(argv, code=None, unbuffered=False):
+    """(command, environment) of `python -m fermatq.cli argv`, or of
+    `python -c code argv`, with PYTHONUNBUFFERED set or unset."""
+    src = os.path.dirname(os.path.dirname(fermatq.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONINSPECT")}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    return [sys.executable, *(["-c", code] if code else ["-m", "fermatq.cli"]), *argv], env
+
+
+def _child(argv, code=None, unbuffered=False, stdout=subprocess.PIPE, flags=()):
+    cmd, env = _child_args(argv, code, unbuffered)
+    cmd[1:1] = flags
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("quotient", "--p", "7", "--u", "3"), 0),
+        (("quotient", "--p", "8", "--u", "3"), 2),
+        (("quotient", "--p", "7"), 2),
+        (("avg", "--P", "8", "--nu", "1", "--N-rule", "3", "--budget", "10"), 3),
+    ],
+)
+def test_child_exit_code_and_streams_equal_main(capsys, argv, code):
+    done = _child(argv)
+    assert run(capsys, *argv) == (code, done.stdout.decode(), done.stderr.decode())
+    assert done.returncode == code
+
+
+def test_child_stdout_through_a_pipe_equals_main(capsys):
+    # more than a pipe buffer holds, so the child blocks on the pipe as it writes
+    argv = ("scan", "--pmin", "3", "--pmax", "300000")
+    done = _child(argv)
+    rc, out, _ = run(capsys, *argv)
+    assert done.returncode == rc == 0, done.stderr
+    assert len(done.stdout) > 1 << 16
+    assert done.stdout == out.encode()
+
+
+def test_child_out_and_dump_files_are_complete(capsys, tmp_path):
+    argv = ("table", "--p", "10007", "--n", "250000", "--format", "json")
+    paths = {side: (tmp_path / f"{side}.json", tmp_path / f"{side}.fqt") for side in ("child", "main")}
+    done = _child([*argv, "--out", str(paths["child"][0]), "--dump", str(paths["child"][1])])
+    assert done.returncode == 0 and done.stdout == b"", done.stderr
+    assert run(capsys, *argv, "--out", str(paths["main"][0]), "--dump", str(paths["main"][1]))[0] == 0
+    for child, in_process in zip(*paths.values()):
+        assert child.read_bytes() == in_process.read_bytes()
+    assert paths["child"][1].stat().st_size > 250000
+
+
+def test_profiler_prints_its_stats():
+    done = _child(["quotient", "--p", "7", "--u", "3"], flags=["-m", "cProfile"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(b"p,u,q,") and b"function calls" in done.stdout
+
+
+def test_inspect_keeps_the_interpreter():
+    # -i asks for a prompt after the module has run; it reads stdin
+    cmd, env = _child_args(["quotient", "--p", "7", "--u", "3"])
+    cmd[1:1] = ["-i"]
+    done = subprocess.run(cmd, env=env, input="print('inspected')\n", capture_output=True, text=True, timeout=120)
+    assert done.stdout.startswith("p,u,q,") and "inspected" in done.stdout, done.stderr
+
+
+def _closed_and_full_ends(argv, code, unbuffered):
+    """(exit code, first 20 bytes, stderr) with stdout closed after 20 bytes,
+    as `| head -c 20` closes it, and (exit code, stderr) with stdout on
+    /dev/full, or None where the host has none."""
+    cmd, env = _child_args(argv, code, unbuffered)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.read(20)
+    proc.stdout.close()
+    closed = (proc.wait(timeout=120), first, proc.stderr.read())
+    proc.stderr.close()
+    if not os.path.exists("/dev/full"):
+        return closed, None
+    with open("/dev/full", "wb") as sink:
+        done = _child(argv, code, unbuffered, stdout=sink)
+    return closed, (done.returncode, done.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_or_full_stdout_ends_as_a_normal_exit(unbuffered):
+    # a failed flush keeps sys.exit: the exit code and stderr are those of
+    # sys.exit(main()); with buffered stdout, CPython's own last flush on
+    # /dev/full fails too and turns the exit code to 120
+    argv = ("scan", "--pmin", "3", "--pmax", "300000")
+    closed, full = _closed_and_full_ends(argv, None, unbuffered)
+    assert (closed, full) == _closed_and_full_ends(argv, _NORMAL_EXIT, unbuffered)
+    assert closed[:2] == (2, b"p,n_min,exponent,ver") and b"error: [Errno 32] Broken pipe" in closed[2]
+    if full is not None:
+        assert full[0] == (2 if unbuffered else 120)
+        assert b"error: [Errno 28] No space left on device" in full[1]
+
+
+def test_fermatq_script_enters_through_run():
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(fermatq.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"fermatq": "fermatq.cli:run"}
 
 
 def test_unwritable_output_path_exits_2_without_temp_file(capsys, tmp_path):
@@ -637,7 +749,8 @@ def test_n_rule_parser_forms(tmp_path):
         parse_n_rule(f"@{tmp_path / 'missing.csv'}")
 
 
-def test_threads_do_not_change_bytes(capsys, tmp_path):
+def test_threads_do_not_change_bytes(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(fermatq.sieve, "_WORKER_STEPS", 1)  # the small window on threads too
     paths = [tmp_path / f"avg{t}.csv" for t in (1, 2, 8)]
     for t, path in zip((1, 2, 8), paths):
         rc, _, _ = run(capsys, "avg", "--P", "64", "--nu", "2", "--N-rule", "P^0.5",

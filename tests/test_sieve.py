@@ -395,7 +395,8 @@ def test_theorem1_validation_and_budget():
     assert inspect.signature(theorem1_average).parameters["max_entries"].default == RunConfig().max_table_entries
 
 
-def test_theorem1_thread_count_does_not_change_bits():
+def test_theorem1_thread_count_does_not_change_bits(monkeypatch):
+    monkeypatch.setattr(sieve, "_WORKER_STEPS", 1)  # a worker for every step: the pool runs
     serial = theorem1_average(16, 2, 4)
     pooled = theorem1_average(16, 2, 4, threads=4)
     assert serial.lhs == pooled.lhs
@@ -406,6 +407,7 @@ def test_threaded_windows_are_bit_equal_to_serial(monkeypatch):
     # prime-length FFTs on pocketfft's Bluestein path, on more threads than
     # cores and with a short switch interval; per_prime holds every maximum
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sieve, "_WORKER_STEPS", 1)  # the small window on threads too
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -436,6 +438,7 @@ def test_theorem1_worker_count_is_clamped(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sieve, "_WORKER_STEPS", 1)
     serial = theorem1_average(16, 2, 4)
     wide = theorem1_average(16, 2, 4, threads=10**6)  # 7 primes in (16, 32]
     few = theorem1_average(8, 1, 3, threads=10**6)  # 2 primes in (8, 16]
@@ -445,6 +448,18 @@ def test_theorem1_worker_count_is_clamped(monkeypatch):
     single = theorem1_average(16, 2, 4, threads=10**6, max_entries=row)
     assert seen == [4, 2, 2]
     assert wide.per_prime == capped.per_prime == single.per_prime == serial.per_prime and few.prime_count == 2
+
+
+def test_small_windows_run_on_one_thread(monkeypatch):
+    # a worker for each _WORKER_STEPS steps of window_cost: the windows of
+    # `avg --pmin 256 --pmax 1024 --N-rule 100` (20,767 and 65,141 steps) stay
+    # on one thread, where a second one slowed them, and P = 4096 at
+    # N = 64 (2,868,246 steps) gets both
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cap = RunConfig().max_table_entries
+    for p_scale, n, workers in ((256, 100, 1), (512, 100, 1), (4096, 64, 2)):
+        pairs, _ = window_pairs(p_scale, 2, n)
+        assert sieve._window_blocks(pairs, 2, cap)[0] == workers, p_scale
 
 
 def test_exceptional_counts():
