@@ -273,17 +273,16 @@ def plan_ratios(args, config: RunConfig):
     else:
         prime = odd_prime(args.p)
         m = prime.p2
-        t = prime.p - 1  # G_p's order, known without G_p
-        charges = [("floor-sum lanes", 0, subgroups.ratio_steps(m, t)), ("G_p", charged_entries(t, "group element"), 0)]
+        charges = [("table and its sorted values", charged_entries(args.Z, "ratio table entry"), 0)]
     subgroups.check_ratio_bound(m, args.Z)
     yield charges
     if args.p is None:
         group = subgroups.generated_within(m, args.gen, config.budget_ops)
-    else:
-        group = subgroups.pth_power_residues(prime)
-    count = subgroups.count_ratios(m, group, args.Z)
-    rhs = subgroups.lemma7_rhs(m, group.t, args.Z, args.nu)
-    yield RATIO_COLUMNS, [(m, group.t, args.Z, args.nu, count, rhs, count / rhs, group.t / math.sqrt(m))]
+        t, count = group.t, subgroups.count_ratios(m, group, args.Z)
+    else:  # G_p's order and count, known without G_p
+        t, count = prime.p - 1, subgroups.count_pth_power_ratios(prime, args.Z)
+    rhs = subgroups.lemma7_rhs(m, t, args.Z, args.nu)
+    yield RATIO_COLUMNS, [(m, t, args.Z, args.nu, count, rhs, count / rhs, t / math.sqrt(m))]
 
 
 def plan_primroot(args, config: RunConfig):

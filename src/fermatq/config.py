@@ -34,7 +34,7 @@ PEAK_BYTES = {
     "sieve transform point": 24,
     "convolution entry": 48,  # doublesum's length n: 40 at n about 2p, 29 to 39 at p = 10^4 to 10^6
     "spectrum count": 56,  # maxsum's length-p FFT: 48.01 at p = 10^6 + 3 and 2 * 10^6 + 3
-    "group element": 72,  # ratios' G_p of p - 1 elements: 68 at p = 10^5 + 3, 57 at 10^6 + 3
+    "ratio table entry": 48,  # ratios --p's table, sorted values and runs: 40.0 at p = 2^31 - 1, Z = 10^6
     # scan's widest segment, 20.8 traced bytes an integer near 2^31 to 41.1
     # from 3; its rows, 144 to 148 bytes held and up to 678 (json) a row of
     # the chunk being rendered; and one search round of 1,024 candidate cells

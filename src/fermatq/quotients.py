@@ -173,9 +173,12 @@ def period_histogram(p: int | OddPrime, n: int) -> ResidueHistogram:
 
 
 def collision_count(table: QuotientTable) -> int:
-    """Ordered pairs (u, v) in the table range with equal, defined quotients."""
-    counts = value_histogram(table).counts
-    return int((counts.astype(object) ** 2).sum())
+    """Ordered pairs (u, v) in the table range with equal, defined quotients:
+    the squared lengths of the equal runs of the sorted values, with no
+    histogram of length p, summed in int64 while n**2 < 2**63 bounds the sum."""
+    values = np.sort(table.defined())
+    runs = np.diff(np.flatnonzero(values[1:] != values[:-1]), prepend=-1, append=len(values) - 1)
+    return int((runs * runs if table.n**2 < 1 << 63 else runs.astype(object) ** 2).sum())
 
 
 def cauchy_lower_bound(hist: ResidueHistogram) -> Fraction:

@@ -46,7 +46,7 @@ from .quotients import (
     value_histogram,
 )
 from .sieve import TrigPolynomial, parseval_check, rho_coefficient, sieve_reports, theorem1_average
-from .subgroups import SubgroupModM, collision_vs_ratio_check, count_ratios, lemma7_rhs, pth_power_residues
+from .subgroups import SubgroupModM, count_pth_power_ratios, count_ratios, lemma7_rhs, pth_power_residues
 
 
 def _suite_core_arith(rng: np.random.Generator):
@@ -215,9 +215,9 @@ def _suite_subgroup_ratios(rng: np.random.Generator):
         if grp.t != p - 1:
             failures.append(f"subgroup-ratios pth_power_residues p={p}: order {grp.t}")
         checks += 1
-        chk = collision_vs_ratio_check(prime, min(40, (p * p - 2) // 2))
-        if not chk.ok:
-            failures.append(f"subgroup-ratios containment p={p}: {chk.collisions} > {chk.ratio_count}")
+        n = min(40, (p * p - 2) // 2)
+        if count_pth_power_ratios(prime, n) != count_ratios(prime.p2, grp, n):
+            failures.append(f"subgroup-ratios identity p={p} n={n}")
         checks += 1
     for _ in range(25):
         m = int(rng.integers(5, 120))

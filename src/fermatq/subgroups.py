@@ -6,9 +6,9 @@ count_ratios(m, G, Z) counts triples (w, x, y) with w in G,
 residue w*x mod m admits at most one admissible y because Z < m/2.
 For each w that half is a difference of two floor sums, so the count
 costs O(t log m) operations rather than t*Z products.
-The collision set of a quotient table embeds into these triples for
-the group of (p-1)-th roots of unity mod p**2, which is what the
-containment check exercises.
+Over G_p, the p - 1 p-th power residues mod p**2, Garaev's embedding of
+quotient collisions into these triples is an equality, by which
+count_pth_power_ratios counts them from one quotient table.
 """
 
 from __future__ import annotations
@@ -189,23 +189,11 @@ def lemma7_rhs(m: int, t: int, z: int, nu: int) -> float:
     return first + second
 
 
-class ContainmentCheck(NamedTuple):
-    p: int
-    n: int
-    collisions: int
-    ratio_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.collisions <= self.ratio_count
-
-
-def collision_vs_ratio_check(p: int | OddPrime, n: int) -> ContainmentCheck:
-    """Quotient collisions over 1..n embed into ratio triples of the
-    (p-1)-element group mod p**2; requires n < p**2 / 2."""
+def count_pth_power_ratios(p: int | OddPrime, z: int) -> int:
+    """count_ratios(p**2, pth_power_residues(p), Z), without G_p: for p not
+    dividing x, one w in G_p takes x to y exactly when q_p(y) = q_p(x), and
+    q_p(-x) = q_p(x); for p | x, G_p maps one-to-one onto (Z/p)*, so each of
+    the (2 floor(Z/p))**2 pairs of multiples of p takes one w."""
     prime = odd_prime(p)
-    if n < 1 or 2 * n >= prime.p2:
-        raise ValueError(f"need 1 <= n < p^2/2, got n={n}, p={prime.p}")
-    collisions = collision_count(quotient_table(prime, n))
-    ratios = count_ratios(prime.p2, pth_power_residues(prime), n)
-    return ContainmentCheck(prime.p, n, collisions, ratios)
+    check_ratio_bound(prime.p2, z)
+    return 4 * (collision_count(quotient_table(prime, z)) + (z // prime.p) ** 2)

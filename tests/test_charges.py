@@ -128,7 +128,8 @@ TRACED = {
     "maxsum": ("maxsum", "--p", "1000003", "--n", "10"),
     # the histogram and the tail's table, live at once, as one charge
     "image": ("image", "--p", "1000003", "--n", "1000000"),
-    "ratios": ("ratios", "--p", "100003", "--Z", "10"),
+    # the table of Z entries and its sorted defined values, nearly all distinct
+    "ratios": ("ratios", "--p", "1000003", "--Z", "1000000"),
     "rho-csv": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000"),
     "rho-json": ("rho", "--M", "1", "--b", "0", "--nu", "1", "--kmax", "100000", "--format", "json"),
     # two segments, the rows of the first held through the second

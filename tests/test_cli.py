@@ -130,8 +130,9 @@ _REFUSED = [
     ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10", "--vcap", "10", "--memcap", "1000"),
     # and so is its one quotient table, of max(ucap, vcap) entries
     ("doublesum", "--p", "1000003", "--order", "2", "--ucap", "10000000000", "--vcap", "10"),
-    # the group's order is charged before its p - 1 powers, or its walk stops at the budget
-    ("ratios", "--p", "2147483647", "--Z", "10", "--budget", "1"),
+    # --p's table of Z entries is charged before it is built, and builds no
+    # G_p; a --gen walk stops at the budget
+    ("ratios", "--p", "2147483647", "--Z", "1000000", "--memcap", "1000000"),
     ("ratios", "--m", "4611686018427388039", "--gen", "3", "--Z", "10", "--budget", "1"),
     # the scan's lanes are charged before its segments
     ("scan", "--pmin", "3", "--pmax", "5000000", "--budget", "1"),
@@ -158,7 +159,7 @@ _REFUSED = [
     ("avg", "--P", "1024", "--N-rule", "P^2", "--memcap", "100000"),
     # the states of a highly composite k: tau(735134400) = 1344 cofactors a level
     ("rho", "--M", "100000", "--b", "1", "--nu", "6", "--k", "735134400"),
-    # 2Z = p^2 - 1 is a valid Z, whose group is charged; the float p^2 / 2 refused it
+    # 2Z = p^2 - 1 is a valid Z, whose table is charged; the float p^2 / 2 refused it
     ("ratios", "--p", "2147483647", "--Z", "2305843007066210304"),
     # working sets charged at their traced bytes, PEAK_BYTES, past the default cap or the one given
     ("expsum", "--p", "7", "--a", "1", "--n", "80000000"),
@@ -166,7 +167,7 @@ _REFUSED = [
     ("sieve", "--R", "2", "--K", "40000000"),
     ("doublesum", "--p", "16777259", "--order", "2", "--ucap", "10", "--vcap", "10"),  # n = 2^26
     ("maxsum", "--p", "50000017", "--n", "10"),
-    ("ratios", "--p", "1000003", "--Z", "10", "--memcap", "1000000"),
+    ("ratios", "--p", "2147483647", "--Z", "50000000"),  # 2.4 * 10^9 bytes
     # each of its two parts fits the cap of 1,020,833 entries, their sum does not
     ("image", "--p", "1000003", "--n", "1000000", "--memcap", "24500000"),
 ]

@@ -3,16 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fermatq import subgroups
 from fermatq.arith import BudgetError, primes_up_to
 from fermatq.cli import main
 from fermatq.subgroups import (
-    ContainmentCheck,
     SubgroupModM,
-    collision_vs_ratio_check,
     count_ratios,
     generated_within,
     lemma7_rhs,
@@ -187,27 +185,25 @@ def test_lemma7_rhs_values():
         lemma7_rhs(16, 16, 0, 1)
 
 
-def test_collision_vs_ratio_examples():
-    chk = collision_vs_ratio_check(5, 4)
-    assert isinstance(chk, ContainmentCheck)
-    assert chk.collisions == 6
-    assert chk.ratio_count >= 6 and chk.ok
-    chk7 = collision_vs_ratio_check(7, 6)
-    assert chk7.collisions == 8
-    assert chk7.ratio_count >= 8 and chk7.ok
+@st.composite
+def _prime_and_z(draw):
+    """An odd prime p < 1,100 and 1 <= Z < p^2 / 2: any such Z, a multiple
+    of p, or the largest, Z = (p^2 - 1) / 2."""
+    p = draw(st.sampled_from(primes_up_to(1100)[1:]))
+    top = (p * p - 1) // 2
+    return p, draw(st.one_of(st.integers(1, top), st.integers(1, top // p).map(lambda k: k * p), st.just(top)))
 
 
-def test_collision_vs_ratio_bounds():
-    with pytest.raises(ValueError):
-        collision_vs_ratio_check(5, 13)  # 13 >= 25/2
-    with pytest.raises(ValueError):
-        collision_vs_ratio_check(5, 0)
-    p = 2147483629  # 2n = p^2 + 1, where the float p^2 / 2 rounds up to n
-    with pytest.raises(ValueError):
-        collision_vs_ratio_check(p, (p * p + 1) // 2)
-
-
-def test_collision_vs_ratio_sweep_small_primes():
-    for p in primes_up_to(31)[1:]:
-        n = min(60, (p * p - 2) // 2)
-        assert collision_vs_ratio_check(p, n).ok, p
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_prime_and_z())
+@example(case=(3, 1))
+@example(case=(3, 3))
+@example(case=(3, 4))
+@example(case=(1097, 601704))
+def test_ratios_p_count_equals_count_ratios_over_g_p(capsys, case):
+    # ratios --p counts from one quotient table, never building G_p
+    p, z = case
+    assert main(["ratios", "--p", str(p), "--Z", str(z)]) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    count = int(row.split(",")[header.split(",").index("count")])
+    assert count == count_ratios(p * p, pth_power_residues(p), z)

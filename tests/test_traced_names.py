@@ -48,7 +48,7 @@ def test_spans_reach_lazily_executed_modules():
     argvs = [
         ["avg", "--P", "64", "--N-rule", "10"],
         ["scan", "--pmin", "3", "--pmax", "300"],
-        ["ratios", "--p", "11", "--Z", "50"],
+        ["ratios", "--m", "121", "--gen", "3", "--Z", "50"],  # --p counts without count_ratios
         ["sieve", "--R", "3", "--K", "8"],
         ["maxsum", "--p", "7", "--n", "49"],
     ]
